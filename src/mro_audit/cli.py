@@ -24,6 +24,7 @@ from .report import (
     build_document,
     document_json,
     file_digest,
+    fraction_str,
     percent,
     risk_block,
 )
@@ -192,7 +193,7 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter, config_path):
             {
                 "precinct_id": ret.precinct_id,
                 "county_id": ret.county_id,
-                "bound": f"{bound.numerator}/{bound.denominator}",
+                "bound": fraction_str(bound),
                 "bound_float": float(bound),
             }
         )
@@ -294,7 +295,7 @@ def _run_pipeline(returns_file, audits_file, weight, sampling_text,
     if pool:
         audits = pool_audit_records(audits, pool, pooled_id)
     report = run_test(setup, returns, audits, test_config)
-    return setup, returns, audits, test_config, report, pooled_info
+    return setup, returns, report, pooled_info
 
 
 @cli.command()
@@ -323,24 +324,13 @@ def pvalue(returns_file, audits_file, weight, sampling_text, effective_n,
 def report_command(returns_file, audits_file, weight, sampling_text,
                    effective_n, pool, pooled_id, votes_per_voter, config_path):
     """Full audit report document (schema mro-audit/1)."""
-    setup, returns, audits, _, report, pooled_info = _run_pipeline(
+    setup, returns, report, pooled_info = _run_pipeline(
         returns_file, audits_file, weight, sampling_text, effective_n,
         pool, pooled_id, votes_per_voter, config_path,
     )
-    totals = compute_totals(setup, returns)
-    bounds_map = {
-        ret.precinct_id: precinct_bound(ret, totals.pairwise_margins)
-        for ret in returns
-    }
-    discrepancies = []
-    by_id = {ret.precinct_id: ret for ret in returns}
-    for audit in audits:
-        discrepancies.append(
-            analyze_precinct(by_id[audit.precinct_id], audit,
-                             totals.pairwise_margins)
-        )
     document = build_document(
-        setup, returns, totals, bounds_map, discrepancies, report,
+        setup, returns, report.totals, report.bounds, report.discrepancies,
+        report,
         tool_version=__version__,
         input_digests={
             "returns": file_digest(returns_file),

@@ -12,7 +12,8 @@ can only be wrong if that sum reaches 1.  A precinct's MRO is itself bounded
 a priori by (machine_w - machine_l + ballot_bound) / margin(w, l), maximised
 over pairs, which needs no hand counts and so supports audit planning.
 
-Everything here is exact `Fraction` arithmetic; floats appear only at the
+Everything here is exact: results are `Fraction`s, and `precinct_bound`
+compares pairs by integer cross-multiplication.  Floats appear only at the
 risk-test and reporting boundaries.  Understatements (negative values) are
 preserved, never clamped.
 """
@@ -112,13 +113,22 @@ def precinct_bound(
         raise ValidationError(
             f"precinct {returns_p.precinct_id}: negative ballot bound"
         )
-    _check_margins(margins)
     machine = returns_p.machine_votes
     cap = returns_p.ballot_bound
-    return max(
-        Fraction(machine[w] - machine[l] + cap, margins[(w, l)])
-        for (w, l) in margins
-    )
+    # With positive margins, n/m > bn/bm exactly when n*bm > bn*m: pick the
+    # winning pair in integers and build a single Fraction for it.  The
+    # margins are checked in the same pass, which keeps a separate check off
+    # this per-precinct path; _check_margins raises the error.
+    best_num = best_margin = None
+    for (w, l), margin in margins.items():
+        if margin <= 0:
+            _check_margins(margins)
+        num = machine[w] - machine[l] + cap
+        if best_num is None or num * best_margin > best_num * margin:
+            best_num, best_margin = num, margin
+    if best_num is None:
+        _check_margins(margins)
+    return Fraction(best_num, best_margin)
 
 
 class MroSums(NamedTuple):
@@ -126,10 +136,6 @@ class MroSums(NamedTuple):
 
     total: Fraction          # sum over precincts of each precinct's MRO
     pairwise_max: Fraction   # max over pairs of the summed per-pair overstatements
-
-    def dominates(self) -> bool:
-        """The per-precinct-max sum always covers the per-pair sums."""
-        return self.total >= self.pairwise_max
 
 
 def mro_sum(discrepancies: Sequence[PrecinctDiscrepancy]) -> MroSums:
@@ -160,12 +166,17 @@ def analyze_precinct(
     returns_p: PrecinctReturns,
     audit_p: AuditRecord,
     margins: Mapping[Pair, int],
+    bound: Fraction | None = None,
 ) -> PrecinctDiscrepancy:
-    """Bundle the pairwise overstatements, their max, and the a priori bound."""
+    """Bundle the pairwise overstatements, their max, and the a priori bound.
+
+    ``bound`` is the precinct's a priori bound when the caller already has
+    it; otherwise it is computed with :func:`precinct_bound`.
+    """
     pairwise = pairwise_overstatement(returns_p, audit_p, margins)
     return PrecinctDiscrepancy(
         precinct_id=returns_p.precinct_id,
         pairwise=pairwise,
         max_overstatement=precinct_mro(pairwise),
-        bound=precinct_bound(returns_p, margins),
+        bound=precinct_bound(returns_p, margins) if bound is None else bound,
     )

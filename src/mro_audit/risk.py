@@ -14,20 +14,22 @@ All intermediates are exact rationals; only the final P-value is a float.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import ContestSetup, AuditRecord, PrecinctReturns, compute_totals, validate_audit
-from .discrepancy import (
-    PrecinctDiscrepancy,
-    pairwise_overstatement,
-    precinct_bound,
-    precinct_mro,
+from .core import (
+    AuditRecord,
+    ContestSetup,
+    ContestTotals,
+    PrecinctReturns,
+    compute_totals,
+    validate_audit,
 )
+from .discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
 from .errors import (
     EmptySample,
     InconsistentBounds,
@@ -63,12 +65,6 @@ class WeightFunction:
                 "taint weight undefined for a precinct with bound 0"
             )
         return mro / bound
-
-    def cap(self, threshold: Rational, bound: Fraction) -> Fraction:
-        """Largest MRO a precinct can hold while its weighted value stays <= threshold."""
-        if self.kind == "identity":
-            return Fraction(threshold)
-        return Fraction(threshold) * bound
 
 
 IDENTITY = WeightFunction("identity")
@@ -116,6 +112,15 @@ class RiskReport:
     config: TestConfig
     sample_size: int
     null_infeasible: bool = False
+    # What run_test built on the way, for callers that report it; not part
+    # of the result's identity.
+    totals: ContestTotals | None = field(default=None, compare=False, repr=False)
+    bounds: Mapping[str, Fraction] | None = field(
+        default=None, compare=False, repr=False
+    )
+    discrepancies: tuple[PrecinctDiscrepancy, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 def observed_statistic(
@@ -143,35 +148,54 @@ def taint_count(
     Worst-case allocation: the adversary gives t precincts their full bound
     (choosing those with the largest bounds, which maximises the achievable
     sum for either weight kind) and every other precinct the largest MRO
-    whose weighted value stays at or below ``threshold``.  The returned t is
-    the smallest count for which that allocation reaches
+    whose weighted value stays at or below ``threshold``: the threshold
+    itself under ``identity``, threshold times the bound under ``taint``.
+    The returned t is the smallest count for which that allocation reaches
     ``margin_threshold``.  Returns ``len(bounds) + 1`` as a sentinel when
     even t = N cannot reach it (the null is impossible and the P-value is 0).
+
+    Bounds are ints or Fractions.  The walk is exact integer arithmetic:
+    bounds, threshold and target are scaled to integers over the lcm of
+    their denominators.
 
     Raises:
         InconsistentBounds: a bound is negative.
     """
-    bounds = [Fraction(b) for b in bounds]
-    for bound in bounds:
-        if bound < 0:
-            raise InconsistentBounds(f"negative per-precinct bound {bound}")
+    nums = [bound.numerator for bound in bounds]
+    dens = [bound.denominator for bound in bounds]
+    if nums and min(nums) < 0:
+        first = next(Fraction(n, d) for n, d in zip(nums, dens) if n < 0)
+        raise InconsistentBounds(f"negative per-precinct bound {first}")
     threshold = Fraction(threshold)
     target = Fraction(margin_threshold)
     if weight.kind == "taint" and threshold > 1:
         # A weighted observation above 1 exceeds every bound; cap at the bound.
         threshold = Fraction(1)
-
-    ordered = sorted(bounds, reverse=True)
-    n = len(ordered)
-    caps = [weight.cap(threshold, bound) for bound in ordered]
-    achievable = sum(caps, Fraction(0))
-    if achievable >= target:
+    tn, td = threshold.numerator, threshold.denominator
+    denominators = set(dens)
+    scale = lcm(td, target.denominator, *denominators)
+    factor = {den: scale // den for den in denominators}
+    keys = sorted(
+        (num * factor[den] for num, den in zip(nums, dens)), reverse=True
+    )
+    goal = target.numerator * (scale // target.denominator)
+    if weight.kind == "identity":
+        # In units of 1/scale: every precinct starts at the threshold.
+        cap = tn * (scale // td)
+        achievable = cap * len(keys)
+        gains = (key - cap for key in keys)
+    else:
+        # In units of 1/(scale*td): precinct i starts at threshold * bound_i.
+        goal *= td
+        achievable = tn * sum(keys)
+        gains = (key * (td - tn) for key in keys)
+    if achievable >= goal:
         return 0
-    for t, (bound, cap) in enumerate(zip(ordered, caps), start=1):
-        achievable += bound - cap
-        if achievable >= target:
+    for t, gain in enumerate(gains, start=1):
+        achievable += gain
+        if achievable >= goal:
             return t
-    return n + 1
+    return len(keys) + 1
 
 
 def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> float:
@@ -268,14 +292,16 @@ def run_test(
     When even a fully adversarial population cannot reach the margin
     threshold, the report carries ``null_infeasible=True``, the taint count
     saturates at the population size, and the P-value is 0.
+
+    The report also carries the totals, the bounds map and the per-audit
+    discrepancies built on the way, so a caller that reports them need not
+    compute them again.
     """
     totals = compute_totals(setup, returns)
+    margins = totals.pairwise_margins
     by_id = {ret.precinct_id: ret for ret in returns}
     if bounds is None:
-        bounds = {
-            ret.precinct_id: precinct_bound(ret, totals.pairwise_margins)
-            for ret in returns
-        }
+        bounds = {ret.precinct_id: precinct_bound(ret, margins) for ret in returns}
     else:
         missing = set(by_id) - set(bounds)
         if missing:
@@ -292,13 +318,9 @@ def run_test(
                 f"audited precinct {audit.precinct_id!r} not in the returns"
             )
         validate_audit(setup, ret, audit)
-        pairwise = pairwise_overstatement(ret, audit, totals.pairwise_margins)
         discrepancies.append(
-            PrecinctDiscrepancy(
-                precinct_id=audit.precinct_id,
-                pairwise=pairwise,
-                max_overstatement=precinct_mro(pairwise),
-                bound=Fraction(bounds[audit.precinct_id]),
+            analyze_precinct(
+                ret, audit, margins, Fraction(bounds[audit.precinct_id])
             )
         )
 
@@ -321,4 +343,7 @@ def run_test(
         config=config,
         sample_size=len(discrepancies),
         null_infeasible=infeasible,
+        totals=totals,
+        bounds=bounds,
+        discrepancies=tuple(discrepancies),
     )

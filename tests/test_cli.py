@@ -1,11 +1,23 @@
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 import minnesota
+from mro_audit import __version__
 from mro_audit.cli import cli
-from mro_audit.report import verify_document
+from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
+from mro_audit.discrepancy import analyze_precinct, precinct_bound
+from mro_audit.io import load_audits, load_returns
+from mro_audit.oracle import gen_instance
+from mro_audit.report import (
+    build_document,
+    document_json,
+    file_digest,
+    verify_document,
+)
+from mro_audit.risk import IDENTITY, TAINT, SamplingDesign, TestConfig, run_test
 
 
 @pytest.fixture()
@@ -62,6 +74,47 @@ class TestBounds:
         payload = json.loads(result.output)
         assert payload["max_bound_float"] == pytest.approx(0.0097, abs=1e-6)
         assert len(payload["precincts"]) == 4123
+
+
+class TestPooledRevalidation:
+    """Pooling can push a pseudo-candidate past the ballot bound.
+
+    D, E and F each fit under the bound of 100, but pooled into ``Minor``
+    they hold 110 votes in p1; only re-validating the pooled returns
+    catches it.
+    """
+
+    @pytest.fixture()
+    def contest(self, tmp_path):
+        returns_path = tmp_path / "returns.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C,D,E,F\n"
+            "p1,c1,100,60,60,60,40,35,35\n"
+            "p2,c1,100,50,50,50,10,10,10\n",
+            encoding="utf-8",
+        )
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text(
+            "precinct_id,A,B,C,D,E,F\np1,60,60,60,40,35,35\n",
+            encoding="utf-8",
+        )
+        return returns_path, audits_path
+
+    @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue"])
+    def test_pooled_count_over_ballot_bound_exits_one(self, runner, contest,
+                                                       command):
+        returns_path, audits_path = contest
+        args = [command, str(returns_path)]
+        if command == "pvalue":
+            args += [str(audits_path), "--sampling", "wr:1"]
+        args += ["--votes-per-voter", "3", "--pool", "D,E,F",
+                 "--pooled-id", "Minor"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert (
+            "ValidationError: precinct p1: count 110 for 'Minor' exceeds "
+            "ballot bound 100"
+        ) in result.output
 
 
 class TestPlan:
@@ -181,6 +234,108 @@ class TestReport:
         ]
         sampled = [p for p in document["precincts"] if p["sampled"]]
         assert len(sampled) == 202
+
+
+def write_contest(tmp_path, returns, audits):
+    candidates = list(returns[0].machine_votes)
+    returns_path = tmp_path / "returns.csv"
+    returns_path.write_text(
+        "".join(
+            [f"precinct_id,county_id,ballot_bound,{','.join(candidates)}\n"]
+            + [
+                f"{r.precinct_id},{r.county_id},{r.ballot_bound},"
+                + ",".join(str(r.machine_votes[c]) for c in candidates) + "\n"
+                for r in returns
+            ]
+        ),
+        encoding="utf-8",
+    )
+    audits_path = tmp_path / "audits.csv"
+    audits_path.write_text(
+        "".join(
+            [f"precinct_id,{','.join(candidates)}\n"]
+            + [
+                f"{a.precinct_id},"
+                + ",".join(str(a.hand_votes[c]) for c in candidates) + "\n"
+                for a in audits
+            ]
+        ),
+        encoding="utf-8",
+    )
+    return returns_path, audits_path
+
+
+def assembled_document(returns_path, audits_path, *, votes_per_voter, pool,
+                       pooled_id, weight, draws):
+    """The report document built step by step, recomputing every part."""
+    setup, returns = load_returns(returns_path, votes_per_voter)
+    audits = load_audits(audits_path)
+    setup, returns = pool_candidates(setup, returns, pool, pooled_id)
+    audits = pool_audit_records(audits, pool, pooled_id)
+    config = TestConfig(weight, SamplingDesign("with_replacement", draws))
+    report = run_test(setup, returns, audits, config)
+    totals = compute_totals(setup, returns)
+    margins = totals.pairwise_margins
+    bounds = {r.precinct_id: precinct_bound(r, margins) for r in returns}
+    by_id = {r.precinct_id: r for r in returns}
+    discrepancies = [
+        analyze_precinct(by_id[a.precinct_id], a, margins) for a in audits
+    ]
+    return build_document(
+        setup, returns, totals, bounds, discrepancies, report,
+        tool_version=__version__,
+        input_digests={
+            "returns": file_digest(returns_path),
+            "audits": file_digest(audits_path),
+        },
+        pooled={"members": list(pool), "pooled_id": pooled_id},
+    )
+
+
+class TestReportEquivalence:
+    """``report`` reuses what ``run_test`` built; the bytes must not change."""
+
+    def test_docs_example(self, runner, docs_returns_path, docs_audits_path):
+        result = invoke(runner, [
+            "report", str(docs_returns_path), str(docs_audits_path),
+            "--config", str(docs_returns_path.parent / "audit.cfg"),
+        ])
+        assert result.exit_code == 0
+        expected = assembled_document(
+            docs_returns_path, docs_audits_path, votes_per_voter=1,
+            pool=["Gamma"], pooled_id="Minor", weight=IDENTITY, draws=2,
+        )
+        assert result.output == document_json(expected) + "\n"
+
+    def test_pooled_vote_for_three_under_taint(self, runner, tmp_path):
+        pool = ["C04", "C05", "C06"]
+
+        def minor(votes):
+            # Quarter the pool's votes so that pooled they still trail C03.
+            return {c: v // 4 if c in pool else v for c, v in votes.items()}
+
+        _, returns, audits = gen_instance(
+            40, 7, votes_per_voter=3, reversal=True, seed=11
+        )
+        returns = [replace(r, machine_votes=minor(r.machine_votes))
+                   for r in returns]
+        audits = [replace(a, hand_votes=minor(a.hand_votes))
+                  for a in audits[::3]]
+        returns_path, audits_path = write_contest(tmp_path, returns, audits)
+        result = invoke(runner, [
+            "report", str(returns_path), str(audits_path),
+            "--votes-per-voter", "3", "--pool", ",".join(pool),
+            "--pooled-id", "Minor", "--weight", "taint", "--sampling", "wr:14",
+        ])
+        assert result.exit_code == 0
+        expected = assembled_document(
+            returns_path, audits_path, votes_per_voter=3, pool=pool,
+            pooled_id="Minor", weight=TAINT, draws=14,
+        )
+        assert expected["losers"][-1] == "Minor"
+        assert expected["risk"]["weight"] == "taint"
+        assert len(expected["pairwise_margins"]) == 6
+        assert result.output == document_json(expected) + "\n"
 
 
 class TestSimulate:

@@ -18,6 +18,7 @@ from mro_audit.errors import (
     EmptyPairSet,
     MissingBallotBound,
     UnknownPrecinct,
+    ValidationError,
 )
 from mro_audit.oracle import gen_instance, random_audits
 
@@ -116,6 +117,16 @@ class TestPrecinctBound:
         ret = precinct({"W": 1, "L": 0}, bound=None)
         with pytest.raises(MissingBallotBound):
             precinct_bound(ret, {("W", "L"): 100})
+
+    @pytest.mark.parametrize("margins, error", [
+        ({}, EmptyPairSet),
+        ({("W", "L"): 0}, ValidationError),
+        ({("W", "L"): 100, ("W", "M"): -3}, ValidationError),
+    ], ids=["no-pairs", "zero-margin", "negative-margin"])
+    def test_bad_margins_rejected(self, margins, error):
+        ret = precinct({"W": 1, "L": 0, "M": 0}, bound=5)
+        with pytest.raises(error):
+            precinct_bound(ret, margins)
 
     @given(
         st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
