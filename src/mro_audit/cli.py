@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 validation / domain error, 2 usage error.  Every flag can also
-be supplied from a ``key=value`` config file via ``--config``; explicit
-flags win over the file.
+be supplied from a ``key=value`` config file via ``--config``: a flag on the
+command line wins over the file, which wins over the flag's declared
+default.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .report import (
 )
 from .risk import (
     IDENTITY,
-    TAINT,
     SamplingDesign,
     TestConfig,
+    WeightFunction,
     monte_carlo_pvalue,
     p_value,
     run_test,
@@ -54,18 +55,6 @@ def _domain_errors(fn):
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
     return wrapper
-
-
-def _config_map(config_path: str | None) -> dict[str, str]:
-    return load_config(config_path) if config_path else {}
-
-
-def _resolve(cli_value, config: dict[str, str], key: str, cast=str, default=None):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return cast(config[key])
-    return default
 
 
 def _parse_sampling(text: str, effective_n: int | None) -> SamplingDesign:
@@ -98,12 +87,13 @@ def _parse_pool(text: str | None) -> list[str]:
 
 
 def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
+    """Load the returns and merge the ``--pool`` members, if any."""
+    members = _parse_pool(pool)
     setup, returns = load_returns(returns_path, votes_per_voter)
-    pooled_info = None
-    if pool:
-        setup, returns = pool_candidates(setup, returns, pool, pooled_id)
-        pooled_info = {"members": list(pool), "pooled_id": pooled_id}
-    return setup, returns, pooled_info
+    if not members:
+        return setup, returns, None
+    setup, returns = pool_candidates(setup, returns, members, pooled_id)
+    return setup, returns, {"members": members, "pooled_id": pooled_id}
 
 
 def _echo_json(payload) -> None:
@@ -116,20 +106,37 @@ def cli() -> None:
     """Post-election audit calculations over precinct returns."""
 
 
+def _config_defaults(ctx, param, path):
+    """Make the config file's ``key=value`` pairs the command's defaults.
+
+    ``--config`` is eager, so this runs before any other option is resolved;
+    click then takes each value from the command line, else the file, else
+    the declared default, and converts and checks file values like flags.
+    """
+    if path is None:
+        return
+    config = _domain_errors(load_config)(path)
+    ctx.default_map = {
+        key.replace("-", "_"): value for key, value in config.items()
+    }
+
+
 option_config = click.option(
-    "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-    default=None, help="key=value file supplying defaults for the flags.",
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_config_defaults,
+    help="key=value file supplying defaults for the flags.",
 )
 option_pool = click.option(
     "--pool", default=None,
     help="Comma-separated losing candidates to merge into one pseudo-candidate.",
 )
 option_pooled_id = click.option(
-    "--pooled-id", default=None, help="Name for the pooled pseudo-candidate.",
+    "--pooled-id", default="Pooled", show_default=True,
+    help="Name for the pooled pseudo-candidate.",
 )
 option_votes_per_voter = click.option(
-    "--votes-per-voter", type=int, default=None,
-    help="Votes each voter may cast (default 1).",
+    "--votes-per-voter", type=int, default=1, show_default=True,
+    help="Votes each voter may cast.",
 )
 
 
@@ -140,12 +147,8 @@ option_votes_per_voter = click.option(
 @option_votes_per_voter
 @option_config
 @_domain_errors
-def margins(returns_file, pool, pooled_id, votes_per_voter, config_path):
+def margins(returns_file, pool, pooled_id, votes_per_voter):
     """Tabulate totals and pairwise margins."""
-    config = _config_map(config_path)
-    pool = _parse_pool(_resolve(pool, config, "pool"))
-    pooled_id = _resolve(pooled_id, config, "pooled-id", default="Pooled")
-    votes_per_voter = _resolve(votes_per_voter, config, "votes-per-voter", int, 1)
     setup, returns, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
@@ -174,12 +177,8 @@ def margins(returns_file, pool, pooled_id, votes_per_voter, config_path):
 @option_votes_per_voter
 @option_config
 @_domain_errors
-def bounds(returns_file, pool, pooled_id, votes_per_voter, config_path):
+def bounds(returns_file, pool, pooled_id, votes_per_voter):
     """Per-precinct a priori MRO bounds (no hand counts needed)."""
-    config = _config_map(config_path)
-    pool = _parse_pool(_resolve(pool, config, "pool"))
-    pooled_id = _resolve(pooled_id, config, "pooled-id", default="Pooled")
-    votes_per_voter = _resolve(votes_per_voter, config, "votes-per-voter", int, 1)
     setup, returns, _ = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
@@ -208,25 +207,17 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter, config_path):
 
 @cli.command()
 @click.argument("returns_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--counties", "counties_file", default=None,
+@click.option("--counties", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="County table: county_id,registered_voters[,required_samples].")
-@click.option("--seed", default=None, help="Sampling seed (any string or integer).")
+@click.option("--seed", required=True, help="Sampling seed (any string or integer).")
 @option_votes_per_voter
 @option_config
 @_domain_errors
-def plan(returns_file, counties_file, seed, votes_per_voter, config_path):
+def plan(returns_file, counties, seed, votes_per_voter):
     """Draw the stratified county sample and its conservative reduction."""
-    config = _config_map(config_path)
-    counties_file = _resolve(counties_file, config, "counties")
-    seed = _resolve(seed, config, "seed")
-    votes_per_voter = _resolve(votes_per_voter, config, "votes-per-voter", int, 1)
-    if counties_file is None:
-        raise click.UsageError("--counties is required (flag or config)")
-    if seed is None:
-        raise click.UsageError("--seed is required (flag or config)")
     setup, returns = load_returns(returns_file, votes_per_voter)
-    plans = load_county_plans(counties_file, returns)
+    plans = load_county_plans(counties, returns)
     sample = draw_sample(plans, returns, seed)
     grouped = []
     cursor = 0
@@ -256,8 +247,9 @@ def plan(returns_file, counties_file, seed, votes_per_voter, config_path):
 def _risk_options(fn):
     for option in (
         click.option("--weight", type=click.Choice(["identity", "taint"]),
-                     default=None, help="Per-precinct weighting of the MRO."),
-        click.option("--sampling", "sampling_text", default=None,
+                     default="identity", show_default=True,
+                     help="Per-precinct weighting of the MRO."),
+        click.option("--sampling", required=True,
                      help="wr:N (with replacement) or srs:N (simple random sample)."),
         click.option("--effective-n", type=int, default=None,
                      help="Override the sample-size part of --sampling."),
@@ -270,30 +262,18 @@ def _risk_options(fn):
     return fn
 
 
-def _run_pipeline(returns_file, audits_file, weight, sampling_text,
-                  effective_n, pool, pooled_id, votes_per_voter, config_path):
-    config = _config_map(config_path)
-    pool = _parse_pool(_resolve(pool, config, "pool"))
-    pooled_id = _resolve(pooled_id, config, "pooled-id", default="Pooled")
-    votes_per_voter = _resolve(votes_per_voter, config, "votes-per-voter", int, 1)
-    weight = _resolve(weight, config, "weight", default="identity")
-    if weight not in ("identity", "taint"):
-        raise click.UsageError(f"weight must be identity or taint, got {weight!r}")
-    sampling_text = _resolve(sampling_text, config, "sampling")
-    effective_n = _resolve(effective_n, config, "effective-n", int)
-    if sampling_text is None:
-        raise click.UsageError("--sampling is required (flag or config)")
-    design = _parse_sampling(sampling_text, effective_n)
+def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
+                  pool, pooled_id, votes_per_voter):
     test_config = TestConfig(
-        weight=IDENTITY if weight == "identity" else TAINT,
-        sampling=design,
+        weight=WeightFunction(weight),
+        sampling=_parse_sampling(sampling, effective_n),
     )
     setup, returns, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
     audits = load_audits(audits_file)
-    if pool:
-        audits = pool_audit_records(audits, pool, pooled_id)
+    if pooled_info:
+        audits = pool_audit_records(audits, pooled_info["members"], pooled_id)
     report = run_test(setup, returns, audits, test_config)
     return setup, returns, report, pooled_info
 
@@ -303,13 +283,9 @@ def _run_pipeline(returns_file, audits_file, weight, sampling_text,
 @click.argument("audits_file", type=click.Path(exists=True, dir_okay=False))
 @_risk_options
 @_domain_errors
-def pvalue(returns_file, audits_file, weight, sampling_text, effective_n,
-           pool, pooled_id, votes_per_voter, config_path):
+def pvalue(returns_file, audits_file, **options):
     """Conservative P-value that the apparent outcome is wrong."""
-    *_, report, pooled_info = _run_pipeline(
-        returns_file, audits_file, weight, sampling_text, effective_n,
-        pool, pooled_id, votes_per_voter, config_path,
-    )
+    *_, report, pooled_info = _run_pipeline(returns_file, audits_file, **options)
     payload = {"schema": "mro-audit/1", **risk_block(report)}
     if pooled_info:
         payload["pooled"] = pooled_info
@@ -321,12 +297,10 @@ def pvalue(returns_file, audits_file, weight, sampling_text, effective_n,
 @click.argument("audits_file", type=click.Path(exists=True, dir_okay=False))
 @_risk_options
 @_domain_errors
-def report_command(returns_file, audits_file, weight, sampling_text,
-                   effective_n, pool, pooled_id, votes_per_voter, config_path):
+def report_command(returns_file, audits_file, **options):
     """Full audit report document (schema mro-audit/1)."""
     setup, returns, report, pooled_info = _run_pipeline(
-        returns_file, audits_file, weight, sampling_text, effective_n,
-        pool, pooled_id, votes_per_voter, config_path,
+        returns_file, audits_file, **options
     )
     document = build_document(
         setup, returns, report.totals, report.bounds, report.discrepancies,
@@ -342,35 +316,26 @@ def report_command(returns_file, audits_file, weight, sampling_text,
 
 
 @cli.command()
-@click.option("--taint-count", "tainted", type=int, default=None,
+@click.option("--taint-count", type=int, required=True,
               help="Number of tainted precincts in the simulated population.")
-@click.option("--population", type=int, default=None, help="Population size.")
-@click.option("--sampling", "sampling_text", default=None,
-              help="wr:N or srs:N.")
-@click.option("--reps", type=int, default=None,
-              help="Monte Carlo replications (default 100000).")
-@click.option("--seed", type=int, default=None, help="Simulation seed.")
+@click.option("--population", type=int, required=True, help="Population size.")
+@click.option("--sampling", required=True, help="wr:N or srs:N.")
+@click.option("--reps", type=int, default=100_000, show_default=True,
+              help="Monte Carlo replications.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Simulation seed.")
 @click.option("--verify", is_flag=True, default=False,
               help="Also run the brute-force oracle self-checks.")
 @option_config
 @click.pass_context
 @_domain_errors
-def simulate(ctx, tainted, population, sampling_text, reps, seed, verify,
-             config_path):
+def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
     """Monte Carlo validation of the closed-form P-value."""
-    config = _config_map(config_path)
-    tainted = _resolve(tainted, config, "taint-count", int)
-    population = _resolve(population, config, "population", int)
-    sampling_text = _resolve(sampling_text, config, "sampling")
-    reps = _resolve(reps, config, "reps", int, 100_000)
-    seed = _resolve(seed, config, "seed", int, 0)
-    if tainted is None or population is None or sampling_text is None:
-        raise click.UsageError(
-            "--taint-count, --population and --sampling are required"
-        )
-    design = _parse_sampling(sampling_text, None)
-    closed = p_value(tainted, population, design)
-    estimate, stderr = monte_carlo_pvalue(tainted, population, design, reps, seed)
+    design = _parse_sampling(sampling, None)
+    closed = p_value(taint_count, population, design)
+    estimate, stderr = monte_carlo_pvalue(
+        taint_count, population, design, reps, seed
+    )
     agrees = abs(estimate - closed) <= 3.0 * stderr + 1e-12
     payload = {
         "schema": "mro-audit/1",

@@ -227,9 +227,12 @@ def pool_candidates(
     unchanged.  Margins between unpooled candidates are preserved.
 
     Raises:
-        PoolContainsWinner: the pool intersects the apparent winner set.
-        ValidationError: empty pool, unknown pool member, or ``pooled_id``
-            colliding with an existing candidate.
+        PoolContainsWinner: the pool intersects the apparent winner set, or
+            the pooled total would not trail the smallest winner's total
+            (the pseudo-candidate would win or tie for a seat).
+        ValidationError: empty pool, unknown pool member, ``pooled_id``
+            colliding with an existing candidate, or a pooled count above
+            its precinct's ballot bound.
     """
     pool = set(pool)
     if not pool:
@@ -256,7 +259,14 @@ def pool_candidates(
     new_returns = []
     for ret in returns:
         votes = {c: ret.machine_votes[c] for c in kept}
-        votes[pooled_id] = sum(ret.machine_votes[c] for c in pool)
+        pooled = votes[pooled_id] = sum(ret.machine_votes[c] for c in pool)
+        # The one invariant pooling can break; the pooled returns are
+        # re-validated when next tabulated, but this error comes first.
+        if ret.ballot_bound is not None and pooled > ret.ballot_bound:
+            raise ValidationError(
+                f"precinct {ret.precinct_id}: count {pooled} for "
+                f"{pooled_id!r} exceeds ballot bound {ret.ballot_bound}"
+            )
         new_returns.append(
             PrecinctReturns(
                 precinct_id=ret.precinct_id,
@@ -264,6 +274,13 @@ def pool_candidates(
                 ballot_bound=ret.ballot_bound,
                 machine_votes=votes,
             )
+        )
+    pooled_total = sum(totals.totals[c] for c in pool)
+    weakest = totals.winners[-1]
+    if pooled_total >= totals.totals[weakest]:
+        raise PoolContainsWinner(
+            f"pooled total {pooled_total} for {pooled_id!r} does not trail "
+            f"winner {weakest!r} ({totals.totals[weakest]})"
         )
     return new_setup, new_returns
 

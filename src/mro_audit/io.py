@@ -207,7 +207,6 @@ def load_audits(path: str | Path) -> list[AuditRecord]:
 def load_county_plans(
     path: str | Path,
     returns: list[PrecinctReturns],
-    large_precinct_rule: bool = True,
 ) -> list[CountyPlan]:
     """Load the county table and attach each county's precincts from the returns.
 
@@ -268,7 +267,6 @@ def load_county_plans(
                 registered_voters=voters,
                 precincts=tuple(precincts_by_county[county_id]),
                 required_samples=required,
-                large_precinct_rule=large_precinct_rule,
             )
         )
     missing = set(precincts_by_county) - seen
@@ -290,6 +288,9 @@ def load_config(path: str | Path) -> dict[str, str]:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
+                if "\0" in line:
+                    raise ParseError("NUL character in line", path=path,
+                                     row=lineno)
                 if "=" not in line:
                     raise ParseError(
                         f"expected key=value, got {line!r}",
@@ -299,4 +300,6 @@ def load_config(path: str | Path) -> dict[str, str]:
                 config[key.strip()] = value.strip()
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
     return config

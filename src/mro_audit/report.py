@@ -30,10 +30,6 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def file_digest(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -198,6 +198,22 @@ def taint_count(
     return len(keys) + 1
 
 
+def _check_counts(
+    taint_count: int, population: int, sampling: SamplingDesign
+) -> None:
+    if population < 1:
+        raise InvalidCount(f"population {population} must be at least 1")
+    if not 0 <= taint_count <= population:
+        raise InvalidCount(
+            f"taint count {taint_count} outside [0, {population}]"
+        )
+    if sampling.method == "simple_random_sample" and sampling.draws > population:
+        raise InvalidCount(
+            f"cannot draw {sampling.draws} of {population} precincts "
+            f"without replacement"
+        )
+
+
 def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> float:
     """Chance a clean sample misses every one of `taint_count` precincts.
 
@@ -205,19 +221,13 @@ def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> floa
     it is the hypergeometric probability of drawing zero tainted precincts.
 
     Raises:
-        InvalidCount: t outside [0, N], or an SRS larger than the population.
+        InvalidCount: N < 1, t outside [0, N], or an SRS larger than the
+            population.
     """
-    if not 0 <= taint_count <= population:
-        raise InvalidCount(
-            f"taint count {taint_count} outside [0, {population}]"
-        )
+    _check_counts(taint_count, population, sampling)
     n = sampling.draws
     if sampling.method == "with_replacement":
         return float(Fraction(population - taint_count, population) ** n)
-    if n > population:
-        raise InvalidCount(
-            f"cannot draw {n} of {population} precincts without replacement"
-        )
     clean = population - taint_count
     if n > clean:
         return 0.0
@@ -243,18 +253,15 @@ def monte_carlo_pvalue(
     missed all of them.  With-replacement draws are simulated literally;
     for a simple random sample the number of tainted precincts drawn is
     simulated hypergeometrically.
+
+    Raises:
+        ValidationError: fewer than one replication.
+        InvalidCount: as for :func:`p_value`.
     """
     if replications < 1:
         raise ValidationError("need at least one replication")
-    if not 0 <= taint_count <= population:
-        raise InvalidCount(
-            f"taint count {taint_count} outside [0, {population}]"
-        )
+    _check_counts(taint_count, population, sampling)
     n = sampling.draws
-    if sampling.method == "simple_random_sample" and n > population:
-        raise InvalidCount(
-            f"cannot draw {n} of {population} precincts without replacement"
-        )
     rng = np.random.default_rng(seed)
     chunk = 100_000
     misses = 0
@@ -281,13 +288,11 @@ def run_test(
     returns: Sequence[PrecinctReturns],
     audits: Sequence[AuditRecord],
     config: TestConfig,
-    bounds: Mapping[str, Fraction] | None = None,
 ) -> RiskReport:
     """Full pipeline: discrepancies -> statistic -> taint count -> P-value.
 
-    ``bounds`` maps every precinct id to its a priori MRO bound; when omitted
-    it is computed from the returns.  The audited precincts must be a subset
-    of the population.
+    Every precinct's a priori MRO bound is computed from the returns.  The
+    audited precincts must be a subset of the population.
 
     When even a fully adversarial population cannot reach the margin
     threshold, the report carries ``null_infeasible=True``, the taint count
@@ -300,15 +305,7 @@ def run_test(
     totals = compute_totals(setup, returns)
     margins = totals.pairwise_margins
     by_id = {ret.precinct_id: ret for ret in returns}
-    if bounds is None:
-        bounds = {ret.precinct_id: precinct_bound(ret, margins) for ret in returns}
-    else:
-        missing = set(by_id) - set(bounds)
-        if missing:
-            raise ValidationError(
-                f"bounds missing for {len(missing)} precinct(s), "
-                f"e.g. {sorted(missing)[:3]}"
-            )
+    bounds = {ret.precinct_id: precinct_bound(ret, margins) for ret in returns}
 
     discrepancies = []
     for audit in audits:
@@ -319,9 +316,7 @@ def run_test(
             )
         validate_audit(setup, ret, audit)
         discrepancies.append(
-            analyze_precinct(
-                ret, audit, margins, Fraction(bounds[audit.precinct_id])
-            )
+            analyze_precinct(ret, audit, margins, bounds[audit.precinct_id])
         )
 
     statistic = observed_statistic(discrepancies, config.weight)

@@ -41,7 +41,6 @@ class CountyPlan:
     registered_voters: int
     precincts: tuple[str, ...]
     required_samples: int
-    large_precinct_rule: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "precincts", tuple(self.precincts))
@@ -79,10 +78,9 @@ def draw_sample(
 ) -> list[str]:
     """Draw each county's sample; deterministic given the seed.
 
-    Construction per county, resampling-free: when the large-precinct rule is
-    on, the eligible precinct (>= 150 votes) with the smallest ticket is
-    taken first, then the remaining draws are the smallest-ticket precincts
-    among all others.  Output size is the sum of the counties' required
+    Construction per county, resampling-free: the eligible precinct (>= 150
+    votes) with the smallest ticket is taken first, then the remaining draws
+    are the smallest-ticket precincts among all others.  Output size is the sum of the counties' required
     samples, with no duplicates.
 
     Raises:
@@ -114,25 +112,20 @@ def draw_sample(
         def ticket(pid: str) -> tuple[str, str]:
             return (_ticket(seed, pid), pid)
 
-        if plan.large_precinct_rule:
-            eligible = [
-                pid for pid in plan.precincts
-                if votes_by_id[pid] >= LARGE_PRECINCT_VOTES
-            ]
-            if not eligible:
-                raise InfeasibleConstraint(
-                    f"county {plan.county_id}: no precinct has at least "
-                    f"{LARGE_PRECINCT_VOTES} votes"
-                )
-            first = min(eligible, key=ticket)
-            rest = sorted(
-                (pid for pid in plan.precincts if pid != first), key=ticket
-            )[: plan.required_samples - 1]
-            sample.extend([first, *rest])
-        else:
-            sample.extend(
-                sorted(plan.precincts, key=ticket)[: plan.required_samples]
+        eligible = [
+            pid for pid in plan.precincts
+            if votes_by_id[pid] >= LARGE_PRECINCT_VOTES
+        ]
+        if not eligible:
+            raise InfeasibleConstraint(
+                f"county {plan.county_id}: no precinct has at least "
+                f"{LARGE_PRECINCT_VOTES} votes"
             )
+        first = min(eligible, key=ticket)
+        rest = sorted(
+            (pid for pid in plan.precincts if pid != first), key=ticket
+        )[: plan.required_samples - 1]
+        sample.extend([first, *rest])
     return sample
 
 

@@ -1,8 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minnesota
 from mro_audit import __version__
@@ -117,6 +120,30 @@ class TestPooledRevalidation:
         ) in result.output
 
 
+class TestPoolThatWouldWin:
+    """Pooled B and C (120) outpoll the only winner A (80)."""
+
+    @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue", "report"])
+    def test_exits_one(self, runner, tmp_path, command):
+        returns_path = tmp_path / "returns.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C\np1,c1,300,80,65,55\n",
+            encoding="utf-8",
+        )
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text("precinct_id,A,B,C\np1,80,65,55\n",
+                               encoding="utf-8")
+        args = [command, str(returns_path)]
+        if command in ("pvalue", "report"):
+            args += [str(audits_path), "--sampling", "wr:1"]
+        result = runner.invoke(cli, args + ["--pool", "B,C",
+                                            "--pooled-id", "Minor"])
+        assert result.exit_code == 1
+        assert "PoolContainsWinner: pooled total 120 for 'Minor'" in (
+            result.output
+        )
+
+
 class TestPlan:
     def test_deterministic_and_sized(self, runner, minnesota_files):
         args = [
@@ -214,6 +241,153 @@ class TestPvalue:
         payload = json.loads(result.output)
         assert payload["weight"] == "taint"
         assert 0.0 <= payload["p_value"] <= 1.0
+
+
+class TestConfigResolution:
+    """Command line > config file > declared default, resolved by click."""
+
+    @pytest.mark.parametrize("args, key", [
+        (["margins", "RETURNS"], "votes-per-voter"),
+        (["pvalue", "RETURNS", "AUDITS", "--sampling", "wr"], "effective-n"),
+        (["simulate", "--taint-count", "1", "--population", "10",
+          "--sampling", "wr:2"], "reps"),
+    ])
+    @pytest.mark.parametrize("bad", ["two", "1e5"])
+    def test_malformed_int_exits_two(self, runner, tmp_path, docs_returns_path,
+                                     docs_audits_path, args, key, bad):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"{key}={bad}\n", encoding="utf-8")
+        paths = {"RETURNS": str(docs_returns_path),
+                 "AUDITS": str(docs_audits_path)}
+        args = [paths.get(arg, arg) for arg in args]
+        result = runner.invoke(cli, args + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert (f"Invalid value for '--{key}': '{bad}' is not a valid integer."
+                in result.output)
+
+    def test_plan_required_flags_from_config(self, runner, minnesota_files,
+                                             tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(
+            f"counties={minnesota_files['counties_path']}\n"
+            f"seed={minnesota.SAMPLE_SEED}\n",
+            encoding="utf-8",
+        )
+        returns_path = str(minnesota_files["returns_path"])
+        from_config = invoke(runner, ["plan", returns_path, "--config", str(cfg)])
+        from_flags = invoke(runner, [
+            "plan", returns_path,
+            "--counties", str(minnesota_files["counties_path"]),
+            "--seed", minnesota.SAMPLE_SEED,
+        ])
+        assert from_config.exit_code == 0
+        assert from_config.output == from_flags.output
+
+    def test_simulate_required_flags_from_config(self, runner, tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(
+            "taint-count=3\npopulation=20\nsampling=srs:4\nreps=2000\n",
+            encoding="utf-8",
+        )
+        result = invoke(runner, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["monte_carlo"]["replications"] == 2000
+        assert payload["monte_carlo"]["seed"] == 0
+
+    def test_flag_beats_config_beats_default(self, runner, docs_returns_path,
+                                             tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("votes-per-voter=2\n", encoding="utf-8")
+        base = ["margins", str(docs_returns_path)]
+        default = json.loads(invoke(runner, base).output)
+        config = json.loads(invoke(runner, base + ["--config", str(cfg)]).output)
+        flag = json.loads(invoke(runner, base + [
+            "--config", str(cfg), "--votes-per-voter", "1",
+        ]).output)
+        assert default["winners"] == flag["winners"] == ["Alpha"]
+        assert config["winners"] == ["Alpha", "Beta"]
+
+    def test_non_utf8_config_exits_one(self, runner, docs_returns_path,
+                                       tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_bytes(b"pool=Caf\xe9\n")
+        result = runner.invoke(cli, ["margins", str(docs_returns_path),
+                                     "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "ParseError" in result.output
+        assert "not valid UTF-8" in result.output
+
+    def test_nul_in_config_path_exits_one(self, runner, docs_returns_path,
+                                          tmp_path):
+        # os.stat raises ValueError, not OSError, on an embedded NUL.
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("seed=1\ncounties=counties\0.csv\n", encoding="utf-8")
+        result = runner.invoke(cli, ["plan", str(docs_returns_path),
+                                     "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "NUL character" in result.output
+
+    def test_empty_population_exits_one(self, runner):
+        result = runner.invoke(cli, ["simulate", "--taint-count", "0",
+                                     "--population", "0", "--sampling", "wr:1"])
+        assert result.exit_code == 1
+        assert "InvalidCount: population 0 must be at least 1" in result.output
+
+
+# Each command, the flags that make it runnable, and the keys to fuzz; a
+# fuzzed key's own flag is dropped so that the config value is the one used.
+_FUZZ_BASE = {
+    "margins": ({}, ["pool", "pooled-id", "votes-per-voter"]),
+    "bounds": ({}, ["pool", "pooled-id", "votes-per-voter"]),
+    "plan": ({"counties": "counties.csv", "seed": "1"},
+             ["counties", "seed", "votes-per-voter"]),
+    "pvalue": ({"sampling": "wr:2"},
+               ["weight", "sampling", "effective-n", "pool", "pooled-id",
+                "votes-per-voter"]),
+    "report": ({"sampling": "wr:2"},
+               ["weight", "sampling", "effective-n", "pool", "pooled-id",
+                "votes-per-voter"]),
+    "simulate": ({"taint-count": "1", "population": "10", "sampling": "wr:2",
+                  "reps": "100"},
+                 ["taint-count", "population", "sampling", "reps", "seed",
+                  "verify"]),
+}
+_FUZZ_CASES = [(command, key) for command, (_, keys) in _FUZZ_BASE.items()
+               for key in keys]
+
+
+def _small(text):
+    # Five or more digits could ask for a sample, population or replication
+    # count too large to simulate in a unit test.
+    return re.search(r"\d{5}", text.replace("_", "")) is None
+
+
+@pytest.mark.parametrize("command, key", _FUZZ_CASES)
+@given(value=st.text(st.characters(blacklist_categories=("Cs",)),
+                     max_size=20).filter(_small))
+@settings(max_examples=15, deadline=None)
+def test_any_config_value_exits_cleanly(docs_returns_path, docs_audits_path,
+                                        command, key, value):
+    runner = CliRunner()
+    flags, _ = _FUZZ_BASE[command]
+    args = [command]
+    if command != "simulate":
+        args.append(str(docs_returns_path))
+    if command in ("pvalue", "report"):
+        args.append(str(docs_audits_path))
+    for flag, flag_value in flags.items():
+        if flag != key:
+            args += [f"--{flag}", flag_value]
+    with runner.isolated_filesystem():
+        with open("counties.csv", "w", encoding="utf-8") as handle:
+            handle.write("county_id,registered_voters\nNorth,1000\nSouth,1000\n")
+        with open("audit.cfg", "w", encoding="utf-8") as handle:
+            handle.write(f"{key}={value}\n")
+        result = runner.invoke(cli, args + ["--config", "audit.cfg"])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestReport:

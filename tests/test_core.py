@@ -166,6 +166,16 @@ class TestPooling:
         with pytest.raises(PoolContainsWinner):
             pool_candidates(self.setup, self.returns, {"A", "D"}, "Rest")
 
+    @pytest.mark.parametrize("c_votes", [55, 15])
+    def test_pool_that_would_win_or_tie_rejected(self, c_votes):
+        # A=80, B=65: pooled B+C reaches 120 (outwins A) or 80 (ties A).
+        setup = ContestSetup(("A", "B", "C"), votes_per_voter=1,
+                             precinct_count=1)
+        returns = [PrecinctReturns("p1", "c1", 300,
+                                   {"A": 80, "B": 65, "C": c_votes})]
+        with pytest.raises(PoolContainsWinner, match="does not trail"):
+            pool_candidates(setup, returns, {"B", "C"}, "Minor")
+
     def test_pooled_id_collision_rejected(self):
         with pytest.raises(ValidationError):
             pool_candidates(self.setup, self.returns, {"D"}, "B")

@@ -178,3 +178,14 @@ class TestLoadConfig:
         path = write(tmp_path, "audit.cfg", "just words\n")
         with pytest.raises(ParseError):
             load_config(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "audit.cfg"
+        path.write_bytes(b"pool=Caf\xe9\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_config(path)
+
+    def test_nul_character_rejected(self, tmp_path):
+        path = write(tmp_path, "audit.cfg", "sampling=wr:2\ncounties=a\0b\n")
+        with pytest.raises(ParseError, match="row 2"):
+            load_config(path)

@@ -144,6 +144,13 @@ class TestPValue:
         with pytest.raises(InvalidCount):
             p_value(1, 10, SRS(11))
 
+    @pytest.mark.parametrize("design", [WR(1), SRS(1)])
+    def test_empty_population_rejected(self, design):
+        with pytest.raises(InvalidCount, match="population 0"):
+            p_value(0, 0, design)
+        with pytest.raises(InvalidCount, match="population 0"):
+            monte_carlo_pvalue(0, 0, design, 10, seed=0)
+
     @given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 60))
     @settings(max_examples=200)
     def test_srs_never_exceeds_with_replacement(self, population, tainted, draws):
@@ -237,15 +244,6 @@ class TestRunTest:
         audits = [AuditRecord("nope", {"W": 1, "L": 1})]
         with pytest.raises(UnknownPrecinct):
             run_test(setup, returns, audits, TestConfig(IDENTITY, WR(5)))
-
-    def test_explicit_bounds_are_used(self):
-        setup, returns = small_contest()
-        audits = [AuditRecord("p0", {"W": 10, "L": 5})]
-        bounds = {r.precinct_id: Fraction(1, 2) for r in returns}
-        report = run_test(
-            setup, returns, audits, TestConfig(IDENTITY, WR(5)), bounds=bounds
-        )
-        assert report.taint_count == 2  # two halves reach 1
 
     def test_statewide_zero_discrepancy_sample_of_78(self, minnesota_files):
         from mro_audit.core import AuditRecord, pool_candidates

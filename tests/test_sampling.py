@@ -83,12 +83,6 @@ class TestDrawSample:
         with pytest.raises(InfeasibleConstraint):
             draw_sample(plans, returns, 1)
 
-    def test_rule_can_be_disabled(self):
-        returns = returns_for("c1", {"p1": 10, "p2": 20})
-        plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2,
-                            large_precinct_rule=False)]
-        assert sorted(draw_sample(plans, returns, 1)) == ["p1", "p2"]
-
     def test_unknown_precinct_rejected(self):
         returns = returns_for("c1", {"p1": 200})
         plans = [CountyPlan("c1", 10_000, ("p1", "ghost"), 2)]
