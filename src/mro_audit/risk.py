@@ -13,7 +13,7 @@ All intermediates are exact rationals; only the final P-value is a float.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm, sqrt
@@ -239,6 +239,22 @@ class MonteCarloResult(NamedTuple):
     standard_error: float
 
 
+# Precinct indices drawn per with-replacement block: 4 MiB as uint32.
+_BLOCK_DRAWS = 1 << 20
+# Largest population numpy draws uniform integers from (uint64 range).
+_MAX_WR_POPULATION = 1 << 64
+# numpy's hypergeometric needs ngood and nbad below this.
+_MAX_HYPERGEOMETRIC = 10**9
+# Replications per simple-random-sample chunk (one int64 count each).
+_SRS_CHUNK = 100_000
+
+
+def _blocks(total: int, block: int) -> Iterator[int]:
+    """Sizes of consecutive blocks of at most ``block`` that sum to ``total``."""
+    for start in range(0, total, block):
+        yield min(block, total - start)
+
+
 def monte_carlo_pvalue(
     taint_count: int,
     population: int,
@@ -254,30 +270,54 @@ def monte_carlo_pvalue(
     for a simple random sample the number of tainted precincts drawn is
     simulated hypergeometrically.
 
+    With-replacement draws are made in blocks of at most ``_BLOCK_DRAWS``
+    precinct indices: ``_BLOCK_DRAWS // draws`` replications at a time, or
+    one replication in several pieces when a sample is larger than a
+    block.  Memory therefore stays bounded whatever the sample size and
+    replication count.  Indices are uint32 when the population fits, and
+    uint64 above that.  numpy draws each index from the same 32- or 64-bit
+    outputs of the generator whatever the block shape or dtype, so the
+    result depends on the seed alone, not on the block size.
+
     Raises:
         ValidationError: fewer than one replication.
-        InvalidCount: as for :func:`p_value`.
+        InvalidCount: as for :func:`p_value`; also when numpy cannot draw
+            the design: a population above 2**64 with replacement, or a
+            simple random sample with ``taint_count`` or
+            ``population - taint_count`` at or above 10**9.
     """
     if replications < 1:
         raise ValidationError("need at least one replication")
     _check_counts(taint_count, population, sampling)
     n = sampling.draws
     rng = np.random.default_rng(seed)
-    chunk = 100_000
-    misses = 0
-    remaining = replications
-    while remaining > 0:
-        size = min(chunk, remaining)
-        if sampling.method == "with_replacement":
-            draws = rng.integers(0, population, size=(size, n))
-            tainted_in_sample = (draws < taint_count).any(axis=1)
-            misses += int(np.count_nonzero(~tainted_in_sample))
-        else:
-            counts = rng.hypergeometric(
-                taint_count, population - taint_count, n, size=size
+    if sampling.method == "with_replacement":
+        if population > _MAX_WR_POPULATION:
+            raise InvalidCount(
+                f"population {population} is above 2**64, the largest "
+                f"numpy can draw from with replacement"
             )
-            misses += int(np.count_nonzero(counts == 0))
-        remaining -= size
+        dtype = np.uint32 if population <= 1 << 32 else np.uint64
+        misses = 0
+        for size in _blocks(replications, max(1, _BLOCK_DRAWS // n)):
+            clean = np.ones(size, dtype=bool)
+            for width in _blocks(n, _BLOCK_DRAWS):
+                draws = rng.integers(0, population, size=(size, width), dtype=dtype)
+                clean &= draws.min(axis=1) >= taint_count
+            misses += int(np.count_nonzero(clean))
+    else:
+        clean_count = population - taint_count
+        if max(taint_count, clean_count) >= _MAX_HYPERGEOMETRIC:
+            raise InvalidCount(
+                f"taint count {taint_count} and clean count {clean_count} "
+                f"must both be below 10**9 to simulate a simple random sample"
+            )
+        misses = sum(
+            int(np.count_nonzero(
+                rng.hypergeometric(taint_count, clean_count, n, size=size) == 0
+            ))
+            for size in _blocks(replications, _SRS_CHUNK)
+        )
     estimate = misses / replications
     stderr = sqrt(estimate * (1.0 - estimate) / replications)
     return MonteCarloResult(estimate, stderr)

@@ -523,6 +523,34 @@ class TestSimulate:
         assert payload["within_3_standard_errors"] is True
         assert payload["closed_form"] == pytest.approx(0.0405, abs=5e-4)
 
+    def test_certain_miss_agrees_with_closed_form(self, runner):
+        # The estimate lands on 1.0 with standard error 0; the closed form
+        # is 0.99976, within 3 standard errors at that value.
+        result = invoke(runner, [
+            "simulate", "--taint-count", "1", "--population", "4123",
+            "--sampling", "wr:1", "--reps", "1000", "--seed", "0",
+        ])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["monte_carlo"]["estimate"] == 1.0
+        assert payload["monte_carlo"]["standard_error"] == 0.0
+        assert payload["within_3_standard_errors"] is True
+
+    @pytest.mark.parametrize("population, sampling, limit", [
+        ("100000000000000000000", "wr:1", "above 2**64"),
+        ("3000000000", "srs:1", "below 10**9"),
+    ])
+    def test_population_numpy_cannot_draw_exits_one(self, runner, population,
+                                                    sampling, limit):
+        result = runner.invoke(cli, [
+            "simulate", "--taint-count", "1", "--population", population,
+            "--sampling", sampling, "--reps", "1",
+        ])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "InvalidCount" in result.output and limit in result.output
+
     def test_verify_runs_oracle_checks(self, runner):
         result = invoke(runner, [
             "simulate", "--taint-count", "3", "--population", "20",

@@ -1,8 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from math import sqrt
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mro_audit.core import AuditRecord, ContestSetup, PrecinctReturns, compute_totals
@@ -14,10 +18,12 @@ from mro_audit.errors import (
     UnknownPrecinct,
     ZeroBoundWithTaintWeight,
 )
+from mro_audit import risk
 from mro_audit.oracle import gen_instance
 from mro_audit.risk import (
     IDENTITY,
     TAINT,
+    MonteCarloResult,
     SamplingDesign,
     TestConfig,
     monte_carlo_pvalue,
@@ -188,6 +194,105 @@ class TestMonteCarlo:
         closed = p_value(4, 20, SRS(6))
         result = monte_carlo_pvalue(4, 20, SRS(6), 200_000, seed=13)
         assert abs(result.estimate - closed) <= 3 * result.standard_error
+
+    def test_statewide_benchmark_point_is_pinned(self):
+        result = monte_carlo_pvalue(215, 25_000, WR(347), 200_000, seed=7)
+        assert result.estimate == 0.050295
+
+    def test_memory_stays_within_a_block(self):
+        # A 2,000 x 10,000 int64 draw matrix would be 160 MB.
+        tracemalloc.start()
+        try:
+            monte_carlo_pvalue(1, 10_000, WR(10_000), 2_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_population_above_uint64_rejected(self):
+        with pytest.raises(InvalidCount, match=r"above 2\*\*64"):
+            monte_carlo_pvalue(1, 2**64 + 1, WR(1), 1, seed=0)
+
+    def test_population_of_exactly_two_to_the_64_is_drawn(self):
+        result = monte_carlo_pvalue(0, 2**64, WR(3), 10, seed=0)
+        assert result == MonteCarloResult(1.0, 0.0)
+
+    @pytest.mark.parametrize("tainted, population", [
+        (10**9, 10**9 + 5),
+        (1, 10**9 + 1),
+    ])
+    def test_srs_beyond_hypergeometric_limit_rejected(self, tainted, population):
+        with pytest.raises(InvalidCount, match=r"below 10\*\*9"):
+            monte_carlo_pvalue(tainted, population, SRS(1), 1, seed=0)
+
+
+def full_matrix_monte_carlo(taint_count, population, sampling, replications, seed):
+    """The unblocked implementation: one int64 matrix per 100,000 replications.
+
+    Kept as the reference the blocked draws must reproduce exactly; valid
+    for populations up to 2**63.
+    """
+    n = sampling.draws
+    rng = np.random.default_rng(seed)
+    chunk = 100_000
+    misses = 0
+    remaining = replications
+    while remaining > 0:
+        size = min(chunk, remaining)
+        if sampling.method == "with_replacement":
+            draws = rng.integers(0, population, size=(size, n))
+            tainted_in_sample = (draws < taint_count).any(axis=1)
+            misses += int(np.count_nonzero(~tainted_in_sample))
+        else:
+            counts = rng.hypergeometric(
+                taint_count, population - taint_count, n, size=size
+            )
+            misses += int(np.count_nonzero(counts == 0))
+        remaining -= size
+    estimate = misses / replications
+    stderr = sqrt(estimate * (1.0 - estimate) / replications)
+    return MonteCarloResult(estimate, stderr)
+
+
+@st.composite
+def simulation_cases(draw):
+    method = draw(st.sampled_from(["with_replacement", "simple_random_sample"]))
+    if method == "with_replacement":
+        population = draw(st.one_of(
+            st.integers(1, 50),
+            st.integers(2**32 - 3, 2**32 + 3),
+            st.integers(1, 2**63),
+        ))
+    else:
+        population = draw(st.integers(1, 10**9 - 1))
+    # Small taint counts and complements, so that a miss is neither
+    # certain nor impossible on the large populations too.
+    tainted = draw(st.one_of(
+        st.integers(0, min(population, 8)),
+        st.integers(max(0, population - 8), population),
+        st.integers(0, population),
+    ))
+    draws = draw(st.integers(1, 40))
+    if method == "simple_random_sample":
+        draws = min(draws, population)
+    return (tainted, population, SamplingDesign(method, draws),
+            draw(st.integers(1, 300)), draw(st.integers(0, 2**32)))
+
+
+class TestBlockedStream:
+    """Blocked draws reproduce the full-matrix stream for any block size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=simulation_cases(),
+           block=st.sampled_from([1, 2, 3, 7, 64, 1000, 2**20]))
+    @example(case=(3, 2**32, WR(5), 100_001, 1), block=2**20)
+    @example(case=(3, 2**32 - 1, WR(5), 99_999, 2), block=2**20)
+    @example(case=(3, 2**32 + 1, WR(5), 100_000, 3), block=2**20)
+    @example(case=(2, 9, SRS(4), 100_001, 4), block=2**20)
+    def test_matches_full_matrix(self, case, block):
+        with mock.patch.object(risk, "_BLOCK_DRAWS", block):
+            blocked = monte_carlo_pvalue(*case)
+        assert blocked == full_matrix_monte_carlo(*case)
 
 
 def small_contest():
