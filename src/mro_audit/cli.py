@@ -21,7 +21,6 @@ from .core import compute_totals, pool_audit_records, pool_candidates
 from .discrepancy import analyze_precinct, mro_sum, precinct_bound, precinct_mro
 from .errors import AuditError
 from .io import load_audits, load_config, load_county_plans, load_returns
-from .oracle import brute_mro, brute_taint_count, gen_instance, random_audits
 from .report import (
     build_document,
     document_json,
@@ -185,10 +184,8 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
     )
     totals = compute_totals(setup, returns)
     rows = []
-    largest = Fraction(0)
     for ret in returns:
         bound = precinct_bound(ret, totals.pairwise_margins)
-        largest = max(largest, bound)
         rows.append(
             {
                 "precinct_id": ret.precinct_id,
@@ -201,7 +198,10 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
         {
             "schema": "mro-audit/1",
             "precincts": rows,
-            "max_bound_float": float(largest),
+            # float() is monotone, so this is float(max(bounds)).
+            "max_bound_float": max(
+                (row["bound_float"] for row in rows), default=0.0
+            ),
         }
     )
 
@@ -365,9 +365,11 @@ def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
 
 def _oracle_checks(seed: int) -> dict:
     """Cross-check fast implementations against the brute-force oracles."""
-    import random as _random
+    import random
 
-    rng = _random.Random(seed)
+    from .oracle import brute_mro, brute_taint_count, gen_instance, random_audits
+
+    rng = random.Random(seed)
     checks: dict[str, dict] = {}
 
     trials, failures = 150, 0

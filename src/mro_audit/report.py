@@ -25,8 +25,7 @@ from .risk import RiskReport, SamplingDesign, p_value
 SCHEMA = "mro-audit/1"
 
 
-def fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
+def fraction_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 

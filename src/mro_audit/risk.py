@@ -9,6 +9,8 @@ remain possible?  The P-value is then the worst-case chance that a random
 sample of the size actually drawn missed all of those precincts.
 
 All intermediates are exact rationals; only the final P-value is a float.
+numpy is imported only by the Monte Carlo check, so the exact test starts
+without it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm, sqrt
 from typing import Literal, NamedTuple
-
-import numpy as np
 
 from .core import (
     AuditRecord,
@@ -214,11 +214,73 @@ def _check_counts(
         )
 
 
+# Mantissa bits of the bounds that `_power_float` carries.
+_POWER_BITS = 128
+# A positive value below 2**-1074 / 2 rounds to 0.0 (a tie rounds to even, 0).
+_ZERO_BELOW_EXPONENT = -1075
+
+
+def _trim(mantissa: int, exponent: int, up: bool) -> tuple[int, int]:
+    """Round mantissa * 2**exponent to at most `_POWER_BITS` bits, down or up."""
+    excess = mantissa.bit_length() - _POWER_BITS
+    if excess <= 0:
+        return mantissa, exponent
+    if up:
+        return -(-mantissa >> excess), exponent + excess
+    return mantissa >> excess, exponent + excess
+
+
+def _power_bound(num: int, den: int, n: int, up: bool) -> tuple[int, int]:
+    """A lower (or upper) bound of (num / den) ** n as (mantissa, exponent)."""
+    shift = _POWER_BITS + den.bit_length() - num.bit_length()
+    scaled = num << shift
+    base = (-(-scaled // den) if up else scaled // den), -shift
+    result = 1, 0
+    while True:
+        if n & 1:
+            result = _trim(result[0] * base[0], result[1] + base[1], up)
+        n >>= 1
+        if not n:
+            return result
+        base = _trim(base[0] * base[0], 2 * base[1], up)
+
+
+def _bound_float(mantissa: int, exponent: int) -> float:
+    """mantissa * 2**exponent (exponent < 0) as the correctly rounded float."""
+    if mantissa.bit_length() + exponent <= _ZERO_BELOW_EXPONENT:
+        return 0.0
+    return mantissa / (1 << -exponent)
+
+
+def _power_float(num: int, den: int, n: int) -> float:
+    """``float(Fraction(num, den) ** n)`` for 0 <= num <= den and n >= 1.
+
+    The exact power has about n times the bits of ``den``.  Instead, a lower
+    and an upper bound of it go through binary exponentiation with
+    `_POWER_BITS`-bit mantissas, rounded down and up at every step.  int/int
+    true division rounds each bound correctly, so when both bounds give the
+    same float the exact power gives it too.  Only when they differ (the
+    power lies within a relative 2**-120 or so of a rounding boundary) is
+    the exact Fraction formed.
+    """
+    if num == den:
+        return 1.0
+    if num == 0:
+        return 0.0
+    low = _bound_float(*_power_bound(num, den, n, up=False))
+    high = _bound_float(*_power_bound(num, den, n, up=True))
+    if low == high:
+        return low
+    return float(Fraction(num, den) ** n)
+
+
 def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> float:
     """Chance a clean sample misses every one of `taint_count` precincts.
 
-    With replacement this is ((N - t) / N) ** n; for a simple random sample
-    it is the hypergeometric probability of drawing zero tainted precincts.
+    With replacement this is ((N - t) / N) ** n, rounded to the nearest
+    float exactly as ``float(Fraction(N - t, N) ** n)`` would round it; for
+    a simple random sample it is the hypergeometric probability of drawing
+    zero tainted precincts.
 
     Raises:
         InvalidCount: N < 1, t outside [0, N], or an SRS larger than the
@@ -227,7 +289,7 @@ def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> floa
     _check_counts(taint_count, population, sampling)
     n = sampling.draws
     if sampling.method == "with_replacement":
-        return float(Fraction(population - taint_count, population) ** n)
+        return _power_float(population - taint_count, population, n)
     clean = population - taint_count
     if n > clean:
         return 0.0
@@ -286,6 +348,8 @@ def monte_carlo_pvalue(
             simple random sample with ``taint_count`` or
             ``population - taint_count`` at or above 10**9.
     """
+    import numpy as np
+
     if replications < 1:
         raise ValidationError("need at least one replication")
     _check_counts(taint_count, population, sampling)

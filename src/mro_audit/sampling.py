@@ -109,23 +109,21 @@ def draw_sample(
                 f"requested from {len(plan.precincts)} precincts"
             )
 
-        def ticket(pid: str) -> tuple[str, str]:
-            return (_ticket(seed, pid), pid)
-
-        eligible = [
-            pid for pid in plan.precincts
-            if votes_by_id[pid] >= LARGE_PRECINCT_VOTES
-        ]
-        if not eligible:
+        ordered = sorted(
+            plan.precincts, key=lambda pid: (_ticket(seed, pid), pid)
+        )
+        first = next(
+            (pid for pid in ordered
+             if votes_by_id[pid] >= LARGE_PRECINCT_VOTES),
+            None,
+        )
+        if first is None:
             raise InfeasibleConstraint(
                 f"county {plan.county_id}: no precinct has at least "
                 f"{LARGE_PRECINCT_VOTES} votes"
             )
-        first = min(eligible, key=ticket)
-        rest = sorted(
-            (pid for pid in plan.precincts if pid != first), key=ticket
-        )[: plan.required_samples - 1]
-        sample.extend([first, *rest])
+        rest = [pid for pid in ordered if pid != first]
+        sample.extend([first, *rest[: plan.required_samples - 1]])
     return sample
 
 

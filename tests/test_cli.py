@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -77,6 +79,29 @@ class TestBounds:
         payload = json.loads(result.output)
         assert payload["max_bound_float"] == pytest.approx(0.0097, abs=1e-6)
         assert len(payload["precincts"]) == 4123
+
+    def test_docs_example_bytes(self, runner, docs_returns_path):
+        result = invoke(runner, ["bounds", str(docs_returns_path)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "2bf2d5ab80bc06f79ca77a7aaad3b449de57b51a1eb8142bcf16776ccd612e14"
+        )
+
+    def test_pooled_synthetic_bytes(self, runner, tmp_path):
+        pool = ["C04", "C05", "C06"]
+        returns_path, _ = write_contest(tmp_path, *pooled_vote_for_three(pool))
+        result = invoke(runner, [
+            "bounds", str(returns_path), "--votes-per-voter", "3",
+            "--pool", ",".join(pool), "--pooled-id", "Minor",
+        ])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "6f71a1c1a686ee161f2cc8828aa3e0013a28cc7a71d5f30494ffc672ed5cb462"
+        )
+        payload = json.loads(result.output)
+        assert payload["max_bound_float"] == max(
+            float(Fraction(row["bound"])) for row in payload["precincts"]
+        )
 
 
 class TestPooledRevalidation:
@@ -410,6 +435,25 @@ class TestReport:
         assert len(sampled) == 202
 
 
+def pooled_vote_for_three(pool):
+    """A vote-for-3 synthetic contest whose ``pool`` still trails C03 pooled.
+
+    Every third precinct is audited.
+    """
+
+    def minor(votes):
+        # Quarter the pool's votes so that pooled they still trail C03.
+        return {c: v // 4 if c in pool else v for c, v in votes.items()}
+
+    _, returns, audits = gen_instance(
+        40, 7, votes_per_voter=3, reversal=True, seed=11
+    )
+    returns = [replace(r, machine_votes=minor(r.machine_votes))
+               for r in returns]
+    audits = [replace(a, hand_votes=minor(a.hand_votes)) for a in audits[::3]]
+    return returns, audits
+
+
 def write_contest(tmp_path, returns, audits):
     candidates = list(returns[0].machine_votes)
     returns_path = tmp_path / "returns.csv"
@@ -483,19 +527,9 @@ class TestReportEquivalence:
 
     def test_pooled_vote_for_three_under_taint(self, runner, tmp_path):
         pool = ["C04", "C05", "C06"]
-
-        def minor(votes):
-            # Quarter the pool's votes so that pooled they still trail C03.
-            return {c: v // 4 if c in pool else v for c, v in votes.items()}
-
-        _, returns, audits = gen_instance(
-            40, 7, votes_per_voter=3, reversal=True, seed=11
+        returns_path, audits_path = write_contest(
+            tmp_path, *pooled_vote_for_three(pool)
         )
-        returns = [replace(r, machine_votes=minor(r.machine_votes))
-                   for r in returns]
-        audits = [replace(a, hand_votes=minor(a.hand_votes))
-                  for a in audits[::3]]
-        returns_path, audits_path = write_contest(tmp_path, returns, audits)
         result = invoke(runner, [
             "report", str(returns_path), str(audits_path),
             "--votes-per-voter", "3", "--pool", ",".join(pool),

@@ -54,6 +54,11 @@ class TestFractionStrings:
     def test_round_trip(self, value):
         assert Fraction(fraction_str(value)) == value
 
+    @pytest.mark.parametrize("value", [0, 3, -2])
+    def test_int(self, value):
+        assert fraction_str(value) == f"{value}/1"
+        assert Fraction(fraction_str(value)) == value
+
     def test_percent_formatting(self):
         assert percent(0.040542619571994745) == "4.05%"
         assert percent(0.00024822671725293114) == "0.02%"

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import sqrt
@@ -133,10 +134,12 @@ class TestPValue:
 
     def test_nothing_to_detect_gives_one(self):
         assert p_value(0, 4123, WR(78)) == 1.0
+        assert p_value(0, 10**12, WR(10**12)) == 1.0
         assert p_value(0, 10, SRS(3)) == 1.0
 
     def test_everything_tainted_gives_zero(self):
         assert p_value(4123, 4123, WR(1)) == 0.0
+        assert p_value(10**12, 10**12, WR(10**12)) == 0.0
         assert p_value(10, 10, SRS(1)) == 0.0
 
     def test_srs_runs_out_of_clean_precincts(self):
@@ -173,6 +176,52 @@ class TestPValue:
         p0 = p_value(tainted, population, WR(draws))
         assert p_value(tainted + 1, population, WR(draws)) <= p0
         assert p_value(tainted, population, WR(draws + 1)) <= p0
+
+
+@st.composite
+def wr_cases(draw):
+    """(N, t, n) with N <= 10**12, 0 <= t <= N and 1 <= n <= 5,000."""
+    population = draw(st.integers(1, 10**12))
+    tainted = draw(st.integers(0, population))
+    return population, tainted, draw(st.integers(1, 5_000))
+
+
+class TestPowerPValue:
+    """With replacement, P is ((N - t) / N) ** n rounded as the Fraction rounds."""
+
+    @given(wr_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((4123, 166, 78))
+    @example((2**40, 1, 4_999))  # (1 - 2**-40) ** n: every bound is dyadic
+    @example((4, 1, 34))  # 3**34 / 2**68 has a 54-bit odd mantissa: a tie
+    def test_matches_fraction(self, case):
+        population, tainted, draws = case
+        expected = float(Fraction(population - tainted, population) ** draws)
+        assert p_value(tainted, population, WR(draws)) == expected
+
+    @pytest.mark.parametrize("draws", [1_073, 1_074, 1_075, 1_076])
+    def test_halves_into_the_subnormals(self, draws):
+        # 2**-1075 ties to 0.0; 2**-1074 is the smallest subnormal.
+        assert p_value(1, 2, WR(draws)) == float(Fraction(1, 2**draws))
+
+    @pytest.mark.parametrize("bits", [2, 8, 53])
+    def test_loose_bounds_fall_back_to_the_exact_power(self, bits):
+        rng = random.Random(bits)
+        with mock.patch.object(risk, "_POWER_BITS", bits):
+            for _ in range(200):
+                population = rng.randint(1, 10**6)
+                tainted = rng.randint(0, population)
+                draws = rng.randint(1, 300)
+                expected = float(
+                    Fraction(population - tainted, population) ** draws
+                )
+                assert p_value(tainted, population, WR(draws)) == expected
+
+    def test_large_samples_are_fast(self):
+        start = time.perf_counter()
+        assert p_value(166, 4123, WR(1_000_000)) == 0.0
+        assert p_value(1, 10**9, WR(300_000)) == 0.9997000449953504
+        assert time.perf_counter() - start < 0.1
 
 
 class TestMonteCarlo:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,45 @@ class TestDrawSample:
         sample = draw_sample(plans, returns, seed)
         assert len(sample) == len(set(sample)) == 2
         assert "p0" in sample
+
+
+def reference_draw(plans, returns, seed):
+    """The county draw written out step by step, sharing no code with it."""
+    votes = {r.precinct_id: r.total_votes() for r in returns}
+    sample = []
+    for plan in plans:
+        tickets = {
+            pid: hashlib.sha256(f"{seed}|{pid}".encode("utf-8")).hexdigest()
+            for pid in plan.precincts
+        }
+        big = [pid for pid in plan.precincts if votes[pid] >= 150]
+        first = min(big, key=lambda pid: (tickets[pid], pid))
+        others = sorted(
+            (pid for pid in plan.precincts if pid != first),
+            key=lambda pid: (tickets[pid], pid),
+        )
+        sample += [first] + others[: plan.required_samples - 1]
+    return sample
+
+
+class TestDrawMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 42, "x", "mn-2006-senate"])
+    def test_synthetic_counties(self, seed):
+        returns, plans = [], []
+        for c in range(6):
+            votes = {f"c{c}-p{i}": 80 * i + c for i in range(3 + 2 * c)}
+            returns.extend(returns_for(f"c{c}", votes))
+            plans.append(CountyPlan(f"c{c}", 10_000, tuple(votes), 2 + c % 3))
+        assert draw_sample(plans, returns, seed) == reference_draw(
+            plans, returns, seed
+        )
+
+    @pytest.mark.parametrize("seed", ["mn-2006-senate", 0, 7, "2008"])
+    def test_minnesota_fixture(self, minnesota_files, seed):
+        plans, returns = minnesota_files["plans"], minnesota_files["returns"]
+        assert draw_sample(plans, returns, seed) == reference_draw(
+            plans, returns, seed
+        )
 
 
 class TestConservativeEffectiveN:
