@@ -8,6 +8,7 @@ reverse the apparent outcome.
 
 from .core import (
     AuditRecord,
+    Contest,
     ContestSetup,
     ContestTotals,
     PrecinctReturns,
@@ -15,6 +16,8 @@ from .core import (
     compute_totals,
     pool_audit_records,
     pool_candidates,
+    pool_contest,
+    prepare_contest,
 )
 from .discrepancy import (
     MroSums,
@@ -37,6 +40,7 @@ from .risk import (
     monte_carlo_pvalue,
     observed_statistic,
     p_value,
+    run_contest_test,
     run_test,
     taint_count,
 )
@@ -52,6 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditError",
     "AuditRecord",
+    "Contest",
     "ContestSetup",
     "ContestTotals",
     "CountyPlan",
@@ -77,8 +82,11 @@ __all__ = [
     "pairwise_overstatement",
     "pool_audit_records",
     "pool_candidates",
+    "pool_contest",
     "precinct_bound",
     "precinct_mro",
+    "prepare_contest",
+    "run_contest_test",
     "run_test",
     "statutory_minimum",
     "taint_count",

@@ -17,10 +17,16 @@ from math import sqrt
 import click
 
 from . import __version__
-from .core import compute_totals, pool_audit_records, pool_candidates
+from .core import pool_audit_records, pool_contest
 from .discrepancy import analyze_precinct, mro_sum, precinct_bound, precinct_mro
 from .errors import AuditError
-from .io import load_audits, load_config, load_county_plans, load_returns
+from .io import (
+    load_audits,
+    load_config,
+    load_contest,
+    load_county_plans,
+    load_returns,
+)
 from .report import (
     build_document,
     document_json,
@@ -36,7 +42,7 @@ from .risk import (
     WeightFunction,
     monte_carlo_pvalue,
     p_value,
-    run_test,
+    run_contest_test,
     taint_count,
 )
 from .sampling import conservative_effective_n, draw_sample
@@ -87,13 +93,13 @@ def _parse_pool(text: str | None) -> list[str]:
 
 
 def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
-    """Load the returns and merge the ``--pool`` members, if any."""
+    """Load the returns as a contest and merge the ``--pool`` members, if any."""
     members = _parse_pool(pool)
-    setup, returns = load_returns(returns_path, votes_per_voter)
+    contest = load_contest(returns_path, votes_per_voter)
     if not members:
-        return setup, returns, None
-    setup, returns = pool_candidates(setup, returns, members, pooled_id)
-    return setup, returns, {"members": members, "pooled_id": pooled_id}
+        return contest, None
+    contest = pool_contest(contest, members, pooled_id)
+    return contest, {"members": members, "pooled_id": pooled_id}
 
 
 def _echo_json(payload) -> None:
@@ -149,13 +155,13 @@ option_votes_per_voter = click.option(
 @_domain_errors
 def margins(returns_file, pool, pooled_id, votes_per_voter):
     """Tabulate totals and pairwise margins."""
-    setup, returns, pooled_info = _load_contest(
+    contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
-    totals = compute_totals(setup, returns)
+    totals = contest.totals
     payload = {
         "schema": "mro-audit/1",
-        "candidates": list(setup.candidates),
+        "candidates": list(contest.setup.candidates),
         "totals": dict(totals.totals),
         "winners": list(totals.winners),
         "losers": list(totals.losers),
@@ -163,7 +169,7 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
             {"winner": w, "loser": l, "margin": m}
             for (w, l), m in totals.pairwise_margins.items()
         ],
-        "total_ballot_bound": sum(r.ballot_bound or 0 for r in returns),
+        "total_ballot_bound": sum(r.ballot_bound or 0 for r in contest.returns),
     }
     if pooled_info:
         payload["pooled"] = pooled_info
@@ -179,13 +185,11 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
 @_domain_errors
 def bounds(returns_file, pool, pooled_id, votes_per_voter):
     """Per-precinct a priori MRO bounds (no hand counts needed)."""
-    setup, returns, _ = _load_contest(
-        returns_file, votes_per_voter, pool, pooled_id
-    )
-    totals = compute_totals(setup, returns)
+    contest, _ = _load_contest(returns_file, votes_per_voter, pool, pooled_id)
+    margins = contest.totals.pairwise_margins
     rows = []
-    for ret in returns:
-        bound = precinct_bound(ret, totals.pairwise_margins)
+    for ret in contest.returns:
+        bound = precinct_bound(ret, margins)
         rows.append(
             {
                 "precinct_id": ret.precinct_id,
@@ -269,14 +273,14 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
         weight=WeightFunction(weight),
         sampling=_parse_sampling(sampling, effective_n),
     )
-    setup, returns, pooled_info = _load_contest(
+    contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
     audits = load_audits(audits_file)
     if pooled_info:
         audits = pool_audit_records(audits, pooled_info["members"], pooled_id)
-    report = run_test(setup, returns, audits, test_config)
-    return setup, returns, report, pooled_info
+    report = run_contest_test(contest, audits, test_config)
+    return contest, report, pooled_info
 
 
 @cli.command()
@@ -300,11 +304,12 @@ def pvalue(returns_file, audits_file, **options):
 @_domain_errors
 def report_command(returns_file, audits_file, **options):
     """Full audit report document (schema mro-audit/1)."""
-    setup, returns, report, pooled_info = _run_pipeline(
+    contest, report, pooled_info = _run_pipeline(
         returns_file, audits_file, **options
     )
     document = build_document(
-        setup, returns, report.totals, report.bounds, report.discrepancies,
+        contest.setup, contest.returns, report.totals, report.bounds,
+        report.discrepancies,
         report,
         tool_version=__version__,
         input_digests={
@@ -367,6 +372,7 @@ def _oracle_checks(seed: int) -> dict:
     """Cross-check fast implementations against the brute-force oracles."""
     import random
 
+    from .core import compute_totals
     from .oracle import brute_mro, brute_taint_count, gen_instance, random_audits
 
     rng = random.Random(seed)

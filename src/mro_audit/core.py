@@ -5,14 +5,24 @@ the apparent winner/loser partition, pairwise margins, candidate pooling and
 full-hand-tally comparison.  Everything here is exact integer arithmetic;
 ratios appear only in :mod:`mro_audit.discrepancy`.
 
-All values are immutable after construction and all operations are pure, so
-they are safe to share across threads.
+A :class:`Contest` is the one validated, tabulated value a run works from:
+the setup, the returns and their totals, built once (by
+:func:`prepare_contest`, or ``io.load_contest`` for a returns file) and
+handed to pooling, bounds and the risk test, none of which validates or
+tabulates the returns again.  :func:`compute_totals`,
+:func:`pool_candidates` and ``risk.run_test`` keep taking bare setups and
+returns; each builds the contest and calls the same code.
+
+All values are immutable after construction (a contest works out its
+outcome once, on first use) and all operations are pure, so they are safe
+to share across threads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AmbiguousOutcome,
@@ -107,6 +117,40 @@ class ContestTotals:
         return self.pairwise_margins[(winner, loser)]
 
 
+class Contest:
+    """Validated returns and their tabulation, built once per run.
+
+    ``setup`` and ``returns`` satisfy every invariant :func:`validate_returns`
+    checks, and ``votes`` is each candidate's total over ``returns`` (see
+    :func:`tabulate`).  The constructor trusts all three; build a contest
+    with :func:`prepare_contest`, ``io.load_contest`` or :func:`pool_contest`.
+
+    ``totals`` adds the apparent outcome on first use, so that a caller can
+    check its own arguments against the contest (a pool naming an unknown
+    candidate, say) before a tie at the seat boundary is reported.
+    """
+
+    __slots__ = ("setup", "returns", "_votes", "_totals")
+
+    def __init__(self, setup: ContestSetup, returns: Sequence[PrecinctReturns],
+                 votes: dict[Candidate, int]) -> None:
+        self.setup = setup
+        self.returns = returns
+        self._votes = votes
+        self._totals: ContestTotals | None = None
+
+    @property
+    def totals(self) -> ContestTotals:
+        """The apparent outcome; see :func:`compute_totals`.
+
+        Raises:
+            AmbiguousOutcome: a tie at the seat boundary.
+        """
+        if self._totals is None:
+            self._totals = _outcome(self.setup, self._votes)
+        return self._totals
+
+
 def _check_vote_map(
     setup: ContestSetup,
     votes: Mapping[Candidate, int],
@@ -180,6 +224,43 @@ def validate_audit(setup: ContestSetup, returns_p: PrecinctReturns,
                     f"audit of precinct {audit.precinct_id}")
 
 
+def tabulate(setup: ContestSetup,
+             returns: Sequence[PrecinctReturns]) -> dict[Candidate, int]:
+    """Each candidate's total over returns already validated for ``setup``."""
+    votes = [ret.machine_votes for ret in returns]
+    return {
+        candidate: sum(map(itemgetter(candidate), votes))
+        for candidate in setup.candidates
+    }
+
+
+def _outcome(setup: ContestSetup, votes: dict[Candidate, int]) -> ContestTotals:
+    order = {candidate: i for i, candidate in enumerate(setup.candidates)}
+    ranked = sorted(setup.candidates, key=lambda c: (-votes[c], order[c]))
+    seats = setup.votes_per_voter
+    winners = tuple(ranked[:seats])
+    losers = tuple(ranked[seats:])
+    if votes[winners[-1]] <= votes[losers[0]]:
+        raise AmbiguousOutcome(
+            f"no strict margin between {winners[-1]!r} ({votes[winners[-1]]}) "
+            f"and {losers[0]!r} ({votes[losers[0]]})"
+        )
+    margins = {(w, l): votes[w] - votes[l] for w in winners for l in losers}
+    return ContestTotals(totals=votes, winners=winners, losers=losers,
+                         pairwise_margins=margins)
+
+
+def prepare_contest(setup: ContestSetup,
+                    returns: Sequence[PrecinctReturns]) -> Contest:
+    """Validate and tabulate hand-built returns into a :class:`Contest`.
+
+    Raises:
+        ValidationError, CandidateMismatch: as :func:`validate_returns`.
+    """
+    validate_returns(setup, returns)
+    return Contest(setup, returns, tabulate(setup, returns))
+
+
 def compute_totals(setup: ContestSetup,
                    returns: Sequence[PrecinctReturns]) -> ContestTotals:
     """Tabulate returns and determine the apparent outcome.
@@ -193,48 +274,11 @@ def compute_totals(setup: ContestSetup,
             margin that is not strictly positive); the audit framework
             requires strictly positive apparent margins.
     """
-    validate_returns(setup, returns)
-    totals = {candidate: 0 for candidate in setup.candidates}
-    for ret in returns:
-        for candidate, count in ret.machine_votes.items():
-            totals[candidate] += count
-
-    order = {candidate: i for i, candidate in enumerate(setup.candidates)}
-    ranked = sorted(setup.candidates, key=lambda c: (-totals[c], order[c]))
-    seats = setup.votes_per_voter
-    winners = tuple(ranked[:seats])
-    losers = tuple(ranked[seats:])
-    if totals[winners[-1]] <= totals[losers[0]]:
-        raise AmbiguousOutcome(
-            f"no strict margin between {winners[-1]!r} ({totals[winners[-1]]}) "
-            f"and {losers[0]!r} ({totals[losers[0]]})"
-        )
-    margins = {(w, l): totals[w] - totals[l] for w in winners for l in losers}
-    return ContestTotals(totals=totals, winners=winners, losers=losers,
-                         pairwise_margins=margins)
+    return prepare_contest(setup, returns).totals
 
 
-def pool_candidates(
-    setup: ContestSetup,
-    returns: Sequence[PrecinctReturns],
-    pool: Iterable[Candidate],
-    pooled_id: Candidate,
-) -> tuple[ContestSetup, list[PrecinctReturns]]:
-    """Merge losing candidates into a single pseudo-candidate.
-
-    The pooled candidate's votes in each precinct are the sum of the pool's
-    votes; all other entries, ballot bounds and county assignments are
-    unchanged.  Margins between unpooled candidates are preserved.
-
-    Raises:
-        PoolContainsWinner: the pool intersects the apparent winner set, or
-            the pooled total would not trail the smallest winner's total
-            (the pseudo-candidate would win or tie for a seat).
-        ValidationError: empty pool, unknown pool member, ``pooled_id``
-            colliding with an existing candidate, or a pooled count above
-            its precinct's ballot bound.
-    """
-    pool = set(pool)
+def _check_pool(setup: ContestSetup, pool: set[Candidate],
+                pooled_id: Candidate) -> None:
     if not pool:
         raise ValidationError("candidate pool is empty")
     unknown = pool - set(setup.candidates)
@@ -243,7 +287,33 @@ def pool_candidates(
     if pooled_id in setup.candidates:
         raise ValidationError(f"pooled id {pooled_id!r} is already a candidate")
 
-    totals = compute_totals(setup, returns)
+
+def pool_contest(contest: Contest, pool: Iterable[Candidate],
+                 pooled_id: Candidate) -> Contest:
+    """Merge losing candidates into a single pseudo-candidate.
+
+    The pooled candidate's votes in each precinct are the sum of the pool's
+    votes; all other entries, ballot bounds and county assignments are
+    unchanged.  Margins between unpooled candidates are preserved.  The
+    pooled totals are summed from the contest's totals; the returns are not
+    validated or tabulated again.
+
+    The pool arguments are checked before the contest's outcome is taken,
+    so a bad pool is reported ahead of a tie.
+
+    Raises:
+        PoolContainsWinner: the pool intersects the apparent winner set, or
+            the pooled total would not trail the smallest winner's total
+            (the pseudo-candidate would win or tie for a seat).
+        ValidationError: empty pool, unknown pool member, ``pooled_id``
+            colliding with an existing candidate, or a pooled count above
+            its precinct's ballot bound.
+        AmbiguousOutcome: the contest itself has no strict outcome.
+    """
+    setup = contest.setup
+    pool = set(pool)
+    _check_pool(setup, pool, pooled_id)
+    totals = contest.totals
     winners_in_pool = pool & set(totals.winners)
     if winners_in_pool:
         raise PoolContainsWinner(
@@ -257,24 +327,20 @@ def pool_candidates(
         precinct_count=setup.precinct_count,
     )
     new_returns = []
-    for ret in returns:
-        votes = {c: ret.machine_votes[c] for c in kept}
-        pooled = votes[pooled_id] = sum(ret.machine_votes[c] for c in pool)
-        # The one invariant pooling can break; the pooled returns are
-        # re-validated when next tabulated, but this error comes first.
+    for ret in contest.returns:
+        machine = ret.machine_votes
+        votes = {c: machine[c] for c in kept}
+        pooled = votes[pooled_id] = sum(map(machine.__getitem__, pool))
+        # The one invariant pooling can break: every other count, and each
+        # precinct's sum, is unchanged.
         if ret.ballot_bound is not None and pooled > ret.ballot_bound:
             raise ValidationError(
                 f"precinct {ret.precinct_id}: count {pooled} for "
                 f"{pooled_id!r} exceeds ballot bound {ret.ballot_bound}"
             )
-        new_returns.append(
-            PrecinctReturns(
-                precinct_id=ret.precinct_id,
-                county_id=ret.county_id,
-                ballot_bound=ret.ballot_bound,
-                machine_votes=votes,
-            )
-        )
+        new_returns.append(PrecinctReturns(
+            ret.precinct_id, ret.county_id, ret.ballot_bound, votes
+        ))
     pooled_total = sum(totals.totals[c] for c in pool)
     weakest = totals.winners[-1]
     if pooled_total >= totals.totals[weakest]:
@@ -282,7 +348,26 @@ def pool_candidates(
             f"pooled total {pooled_total} for {pooled_id!r} does not trail "
             f"winner {weakest!r} ({totals.totals[weakest]})"
         )
-    return new_setup, new_returns
+    new_votes = {c: totals.totals[c] for c in kept}
+    new_votes[pooled_id] = pooled_total
+    return Contest(new_setup, new_returns, new_votes)
+
+
+def pool_candidates(
+    setup: ContestSetup,
+    returns: Sequence[PrecinctReturns],
+    pool: Iterable[Candidate],
+    pooled_id: Candidate,
+) -> tuple[ContestSetup, list[PrecinctReturns]]:
+    """:func:`pool_contest` for hand-built returns, which it validates first.
+
+    The pool arguments are checked before the returns, as in
+    :func:`pool_contest`; raises what it and :func:`prepare_contest` raise.
+    """
+    pool = set(pool)
+    _check_pool(setup, pool, pooled_id)
+    pooled = pool_contest(prepare_contest(setup, returns), pool, pooled_id)
+    return pooled.setup, pooled.returns
 
 
 def pool_audit_records(
@@ -292,8 +377,12 @@ def pool_audit_records(
 ) -> list[AuditRecord]:
     """Apply the same candidate pooling to hand-count records.
 
-    Mechanical companion to :func:`pool_candidates` for audit data; the
+    Mechanical companion to :func:`pool_contest` for audit data; the
     winner checks happened when the returns were pooled.
+
+    Raises:
+        CandidateMismatch: a record lacks a pool member, or already has a
+            column named ``pooled_id``.
     """
     pool = set(pool)
     pooled = []
@@ -303,6 +392,11 @@ def pool_audit_records(
             raise CandidateMismatch(
                 f"audit of precinct {audit.precinct_id}: pool members "
                 f"{sorted(missing)} not in the hand counts"
+            )
+        if pooled_id in audit.hand_votes:
+            raise CandidateMismatch(
+                f"audit of precinct {audit.precinct_id}: pooled id "
+                f"{pooled_id!r} is already a hand-count column"
             )
         votes = {c: v for c, v in audit.hand_votes.items() if c not in pool}
         votes[pooled_id] = sum(audit.hand_votes[c] for c in pool)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .core import AuditRecord, ContestSetup, PrecinctReturns
+from .core import AuditRecord, Contest, ContestSetup, PrecinctReturns, tabulate
 from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
 
@@ -50,6 +50,13 @@ def _int_cell(value: str, path: str, row: int, column: str) -> int:
             f"expected an integer, got {value!r}",
             path=path, row=row, column=column,
         ) from None
+
+
+def _check_candidate_columns(candidates: tuple[str, ...], path: str) -> None:
+    if len(set(candidates)) != len(candidates) or any(not c for c in candidates):
+        raise ParseError(
+            "candidate columns must be unique and nonempty", path=path, row=1
+        )
 
 
 def load_returns(
@@ -83,10 +90,7 @@ def load_returns(
         raise ParseError(
             "need at least two candidate columns", path=path, row=1
         )
-    if len(set(candidates)) != len(candidates) or any(not c for c in candidates):
-        raise ParseError(
-            "candidate columns must be unique and nonempty", path=path, row=1
-        )
+    _check_candidate_columns(candidates, path)
 
     returns: list[PrecinctReturns] = []
     seen: set[str] = set()
@@ -151,13 +155,24 @@ def load_returns(
     return setup, returns
 
 
+def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
+    """Load a returns CSV as a prepared :class:`~mro_audit.core.Contest`.
+
+    :func:`load_returns` has checked every row, so the contest only adds the
+    tabulation; nothing is validated twice.  Raises what it raises.
+    """
+    setup, returns = load_returns(path, votes_per_voter)
+    return Contest(setup, returns, tabulate(setup, returns))
+
+
 def load_audits(path: str | Path) -> list[AuditRecord]:
     """Load hand-count records; candidate consistency is checked at join time.
 
     An empty file with just a header yields an empty list.
 
     Raises:
-        ParseError: structural problems, including duplicated precinct ids.
+        ParseError: structural problems, including duplicated precinct ids
+            and duplicated or empty candidate columns.
     """
     path = str(path)
     rows = _read_rows(path)
@@ -171,6 +186,7 @@ def load_audits(path: str | Path) -> list[AuditRecord]:
     candidates = tuple(header[1:])
     if not candidates:
         raise ParseError("need at least one candidate column", path=path, row=1)
+    _check_candidate_columns(candidates, path)
 
     audits: list[AuditRecord] = []
     seen: set[str] = set()

@@ -20,7 +20,13 @@ from pathlib import Path
 from .core import ContestSetup, ContestTotals, PrecinctReturns
 from .discrepancy import PrecinctDiscrepancy
 from .errors import ValidationError
-from .risk import RiskReport, SamplingDesign, p_value
+from .risk import (
+    RiskReport,
+    SamplingDesign,
+    WeightFunction,
+    p_value,
+    taint_count,
+)
 
 SCHEMA = "mro-audit/1"
 
@@ -123,9 +129,17 @@ def document_json(document: Mapping) -> str:
 def verify_document(document: Mapping) -> bool:
     """Re-derive the P-value and tabulation facts from the document itself.
 
+    The observed statistic is re-derived from the sampled rows' ``mro`` and
+    ``bound`` under the stored weight, and the taint count (and whether the
+    null is infeasible) from every row's ``bound``, that statistic and the
+    stored margin threshold; the P-value from the stored count.
+
     Raises:
         ValidationError: any stored number disagrees with its recomputation,
             including a P-value that does not match bit for bit.
+        ZeroBoundWithTaintWeight, InconsistentBounds: a stored bound that no
+            risk computation could have produced (zero under the taint
+            weight, or negative).
     """
     risk = document["risk"]
     design = SamplingDesign(
@@ -149,10 +163,39 @@ def verify_document(document: Mapping) -> bool:
                 f"margin for ({entry['winner']}, {entry['loser']}) is "
                 f"{entry['margin']}, recomputed {margin}"
             )
-    sampled = sum(1 for row in document["precincts"] if row["sampled"])
-    if sampled != risk["sample_size"]:
+    rows = document["precincts"]
+    sampled = [row for row in rows if row["sampled"]]
+    if len(sampled) != risk["sample_size"]:
         raise ValidationError(
-            f"{sampled} precincts flagged sampled but sample_size is "
+            f"{len(sampled)} precincts flagged sampled but sample_size is "
             f"{risk['sample_size']}"
+        )
+    if not sampled:
+        raise ValidationError("no precinct is flagged sampled")
+    if len(rows) != risk["population_size"]:
+        raise ValidationError(
+            f"{len(rows)} precinct rows but population_size is "
+            f"{risk['population_size']}"
+        )
+    weight = WeightFunction(risk["weight"])
+    statistic = max(
+        weight.apply(Fraction(row["mro"]), Fraction(row["bound"]))
+        for row in sampled
+    )
+    if fraction_str(statistic) != risk["observed_statistic"]:
+        raise ValidationError(
+            f"stored observed_statistic {risk['observed_statistic']} != "
+            f"recomputed {fraction_str(statistic)}"
+        )
+    raw_count = taint_count(
+        [Fraction(row["bound"]) for row in rows], statistic, weight,
+        Fraction(risk["margin_threshold"]),
+    )
+    count = min(raw_count, len(rows))
+    infeasible = raw_count > len(rows)
+    if (count, infeasible) != (risk["taint_count"], risk["null_infeasible"]):
+        raise ValidationError(
+            f"stored taint_count {risk['taint_count']} (null_infeasible "
+            f"{risk['null_infeasible']}) != recomputed {count} ({infeasible})"
         )
     return True

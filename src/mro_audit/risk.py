@@ -23,10 +23,11 @@ from typing import Literal, NamedTuple
 
 from .core import (
     AuditRecord,
+    Contest,
     ContestSetup,
     ContestTotals,
     PrecinctReturns,
-    compute_totals,
+    prepare_contest,
     validate_audit,
 )
 from .discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
@@ -393,6 +394,15 @@ def run_test(
     audits: Sequence[AuditRecord],
     config: TestConfig,
 ) -> RiskReport:
+    """:func:`run_contest_test` for hand-built returns, which it validates first."""
+    return run_contest_test(prepare_contest(setup, returns), audits, config)
+
+
+def run_contest_test(
+    contest: Contest,
+    audits: Sequence[AuditRecord],
+    config: TestConfig,
+) -> RiskReport:
     """Full pipeline: discrepancies -> statistic -> taint count -> P-value.
 
     Every precinct's a priori MRO bound is computed from the returns.  The
@@ -406,7 +416,7 @@ def run_test(
     discrepancies built on the way, so a caller that reports them need not
     compute them again.
     """
-    totals = compute_totals(setup, returns)
+    setup, returns, totals = contest.setup, contest.returns, contest.totals
     margins = totals.pairwise_margins
     by_id = {ret.precinct_id: ret for ret in returns}
     bounds = {ret.precinct_id: precinct_bound(ret, margins) for ret in returns}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minnesota
-from mro_audit import __version__
+from mro_audit import __version__, core
 from mro_audit.cli import cli
 from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
+from mro_audit.errors import ValidationError
 from mro_audit.io import load_audits, load_returns
 from mro_audit.oracle import gen_instance
 from mro_audit.report import (
@@ -22,7 +24,14 @@ from mro_audit.report import (
     file_digest,
     verify_document,
 )
-from mro_audit.risk import IDENTITY, TAINT, SamplingDesign, TestConfig, run_test
+from mro_audit.risk import (
+    IDENTITY,
+    TAINT,
+    SamplingDesign,
+    TestConfig,
+    p_value,
+    run_test,
+)
 
 
 @pytest.fixture()
@@ -57,6 +66,24 @@ class TestMargins:
     def test_usage_error_exits_two(self, runner):
         result = runner.invoke(cli, ["margins", "--no-such-flag"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue", "report"])
+    def test_bad_pool_reported_before_a_tie(self, runner, tmp_path, command):
+        returns_path = tmp_path / "tied.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C\np1,c1,100,40,40,10\n",
+            encoding="utf-8",
+        )
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text("precinct_id,A,B,C\np1,40,40,10\n",
+                               encoding="utf-8")
+        args = [command, str(returns_path)]
+        if command in ("pvalue", "report"):
+            args += [str(audits_path), "--sampling", "wr:1"]
+        result = runner.invoke(cli, args + ["--pool", "Z"])
+        assert result.exit_code == 1
+        assert ("ValidationError: pool members not in contest: ['Z']"
+                in result.output)
 
     def test_minnesota_aggregate_pooled(self, runner, minnesota_aggregate_path):
         result = invoke(runner, [
@@ -167,6 +194,43 @@ class TestPoolThatWouldWin:
         assert "PoolContainsWinner: pooled total 120 for 'Minor'" in (
             result.output
         )
+
+
+class TestAuditColumns:
+    def test_duplicated_candidate_column_exits_one(self, runner, tmp_path,
+                                                   docs_returns_path):
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text(
+            "precinct_id,Alpha,Alpha,Beta,Gamma\nP-102,999,150,160,55\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(cli, [
+            "pvalue", str(docs_returns_path), str(audits_path),
+            "--sampling", "wr:2",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "ParseError" in result.output and "row 1" in result.output
+        assert "candidate columns must be unique and nonempty" in result.output
+
+    @pytest.mark.parametrize("command", ["pvalue", "report"])
+    def test_column_named_like_the_pooled_id_exits_one(self, runner, tmp_path,
+                                                       docs_returns_path,
+                                                       command):
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text(
+            "precinct_id,Alpha,Beta,Gamma,Minor\nP-102,150,160,55,7777\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(cli, [
+            command, str(docs_returns_path), str(audits_path),
+            "--sampling", "wr:2", "--pool", "Gamma", "--pooled-id", "Minor",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert ("CandidateMismatch: audit of precinct P-102: pooled id "
+                "'Minor' is already a hand-count column") in result.output
 
 
 class TestPlan:
@@ -434,6 +498,57 @@ class TestReport:
         sampled = [p for p in document["precincts"] if p["sampled"]]
         assert len(sampled) == 202
 
+    @pytest.mark.parametrize("contest, weight", [
+        ("docs", "identity"), ("docs", "taint"), ("vote_for_three", "taint"),
+    ])
+    def test_report_verifies(self, runner, tmp_path, docs_returns_path,
+                             docs_audits_path, contest, weight):
+        document = self.document(runner, tmp_path, docs_returns_path,
+                                 docs_audits_path, contest, weight)
+        assert verify_document(document) is True
+
+    @pytest.mark.parametrize("weight, field, value, message", [
+        # P-104 sets the statistic: 1/45, or 2/305 under the taint weight.
+        ("identity", "mro", "1/10", "observed_statistic"),
+        ("taint", "bound", "61/9", "observed_statistic"),
+    ])
+    def test_tampered_row_detected(self, runner, tmp_path, docs_returns_path,
+                                   docs_audits_path, weight, field, value,
+                                   message):
+        document = self.document(runner, tmp_path, docs_returns_path,
+                                 docs_audits_path, "docs", weight)
+        row = next(r for r in document["precincts"]
+                   if r["precinct_id"] == "P-104")
+        row[field] = value
+        with pytest.raises(ValidationError, match=message):
+            verify_document(document)
+
+    @pytest.mark.parametrize("taint_count, infeasible", [(2, False), (1, True)])
+    def test_tampered_taint_count_detected(self, runner, tmp_path,
+                                           docs_returns_path, docs_audits_path,
+                                           taint_count, infeasible):
+        document = self.document(runner, tmp_path, docs_returns_path,
+                                 docs_audits_path, "docs", "identity")
+        risk = document["risk"]
+        assert (risk["taint_count"], risk["null_infeasible"]) == (1, False)
+        # A P-value that matches the tampered count, so only re-deriving
+        # the count catches it.
+        risk["taint_count"] = taint_count
+        risk["null_infeasible"] = infeasible
+        risk["p_value"] = p_value(taint_count, 4,
+                                  SamplingDesign("with_replacement", 2))
+        with pytest.raises(ValidationError, match="taint_count"):
+            verify_document(document)
+
+    @staticmethod
+    def document(runner, tmp_path, docs_returns_path, docs_audits_path,
+                 contest, weight):
+        args = command_args("report", contest, tmp_path, docs_returns_path,
+                            docs_audits_path)
+        result = invoke(runner, args + ["--weight", weight])
+        assert result.exit_code == 0
+        return json.loads(result.output)
+
 
 def pooled_vote_for_three(pool):
     """A vote-for-3 synthetic contest whose ``pool`` still trails C03 pooled.
@@ -544,6 +659,89 @@ class TestReportEquivalence:
         assert expected["risk"]["weight"] == "taint"
         assert len(expected["pairwise_margins"]) == 6
         assert result.output == document_json(expected) + "\n"
+
+
+# Each command's stdout SHA-256, recorded from the validating path that the
+# prepared contest replaced.
+STDOUT_SHA256 = {
+    ("docs", "margins"):
+        "9b02c2f0763a9006bfc8c90c7d989dbe207198bfa3511e69f73229806dc5dc66",
+    ("docs", "pvalue"):
+        "c48a9e4a5427cf018dba2aa9a85d3c45b15ec0716f838963a1f7d904d2e632fd",
+    ("docs", "report"):
+        "1dc28bdcdfd5db01d3f8141ce0b10e5b91d5dbeac6f7b6192db48dd822712e96",
+    ("vote_for_three", "margins"):
+        "5d398739ae0bfdb9d52e9bee974fa7c306efb226117c1a5c112ec6b0fd6b4e5a",
+    ("vote_for_three", "pvalue"):
+        "5c7e0e5c00f49413cec4523e216fdb1d5ca121e122a4506319d5580e8c9d09bb",
+    ("vote_for_three", "report"):
+        "f2dd0512237243d2ead06ddec16fa082e3d78f8bb18188abdcf3d8ed700ba642",
+}
+VOTE_FOR_THREE_POOL = ["C04", "C05", "C06"]
+
+
+def command_args(command, contest, tmp_path, docs_returns_path,
+                 docs_audits_path):
+    """Arguments for ``command`` on the docs example (with its config file)
+    or on the pooled vote-for-3 contest under the taint weight."""
+    if contest == "docs":
+        returns_path, audits_path = docs_returns_path, docs_audits_path
+        flags = ["--config", str(docs_returns_path.parent / "audit.cfg")]
+    else:
+        returns_path, audits_path = write_contest(
+            tmp_path, *pooled_vote_for_three(VOTE_FOR_THREE_POOL)
+        )
+        flags = ["--votes-per-voter", "3", "--pool",
+                 ",".join(VOTE_FOR_THREE_POOL), "--pooled-id", "Minor"]
+        if command in ("pvalue", "report"):
+            flags += ["--weight", "taint", "--sampling", "wr:14"]
+    args = [command, str(returns_path)]
+    if command in ("pvalue", "report"):
+        args.append(str(audits_path))
+    return args + flags
+
+
+@pytest.mark.parametrize("contest, command", list(STDOUT_SHA256))
+def test_stdout_bytes(runner, tmp_path, docs_returns_path, docs_audits_path,
+                      contest, command):
+    result = invoke(runner, command_args(command, contest, tmp_path,
+                                         docs_returns_path, docs_audits_path))
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        STDOUT_SHA256[contest, command]
+    )
+
+
+def test_commands_validate_and_tabulate_once(runner, tmp_path, monkeypatch,
+                                             docs_returns_path,
+                                             docs_audits_path):
+    """The loader's checks are the only validation on the CLI path."""
+    calls = []
+    modules = [m for name, m in list(sys.modules.items())
+               if name.partition(".")[0] == "mro_audit"]
+    for name in ("validate_returns", "compute_totals"):
+        original = getattr(core, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for contest in ("docs", "vote_for_three"):
+        for command in ("margins", "bounds", "pvalue", "report"):
+            result = invoke(runner, command_args(
+                command, contest, tmp_path, docs_returns_path,
+                docs_audits_path,
+            ))
+            assert result.exit_code == 0
+    assert calls == []
+    # The counters do see the library entry points.
+    setup, returns = load_returns(docs_returns_path)
+    run_test(setup, returns, load_audits(docs_audits_path),
+             TestConfig(IDENTITY, SamplingDesign("with_replacement", 2)))
+    assert calls == ["validate_returns"]
 
 
 class TestSimulate:

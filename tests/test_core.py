@@ -1,7 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minnesota
@@ -13,15 +14,20 @@ from mro_audit.core import (
     compute_totals,
     pool_audit_records,
     pool_candidates,
+    pool_contest,
+    prepare_contest,
 )
 from mro_audit.errors import (
     AmbiguousOutcome,
+    AuditError,
     CandidateMismatch,
     IncompleteTally,
     PoolContainsWinner,
     UnknownPrecinct,
     ValidationError,
 )
+from mro_audit.io import load_contest, load_returns
+from mro_audit.oracle import gen_instance
 
 
 def two_candidate_contest(votes_a, votes_b, bound=None):
@@ -270,3 +276,116 @@ class TestVoteArithmeticProperties:
         except AmbiguousOutcome:
             return
         assert sum(totals.totals.values()) <= sum(r.ballot_bound for r in returns)
+
+
+def _write_returns(path, setup, returns):
+    candidates = setup.candidates
+    lines = [f"precinct_id,county_id,ballot_bound,{','.join(candidates)}\n"]
+    lines += [
+        f"{r.precinct_id},{r.county_id},{r.ballot_bound},"
+        + ",".join(str(r.machine_votes[c]) for c in candidates) + "\n"
+        for r in returns
+    ]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _tightest_bounds(returns, votes_per_voter):
+    """The smallest legal ballot bounds, so that a pooled count can exceed one."""
+    return [replace(r, ballot_bound=max(
+        max(r.machine_votes.values()),
+        -(-sum(r.machine_votes.values()) // votes_per_voter),
+    )) for r in returns]
+
+
+@st.composite
+def pooling_requests(draw):
+    """A synthetic contest, maybe tied or with tight bounds, and a pool.
+
+    The pool is mostly losers, sometimes with a winner or an unknown name
+    added, and the pooled id sometimes collides with a candidate, so every
+    pooling error is drawn as well as valid pools.
+    """
+    n_candidates = draw(st.integers(2, 6))
+    votes_per_voter = draw(st.integers(1, n_candidates - 1))
+    setup, returns, _ = gen_instance(
+        draw(st.integers(1, 6)), n_candidates, votes_per_voter,
+        seed=draw(st.integers(0, 2**30)),
+    )
+    candidates = setup.candidates
+    if draw(st.integers(0, 3)) == 0:
+        # Tie the weakest winner with the strongest loser.
+        totals = compute_totals(setup, returns)
+        weakest, strongest = totals.winners[-1], totals.losers[0]
+        returns = [replace(r, machine_votes={
+            **r.machine_votes, weakest: r.machine_votes[strongest]
+        }) for r in returns]
+    if draw(st.booleans()):
+        returns = _tightest_bounds(returns, votes_per_voter)
+    # gen_instance makes the first votes_per_voter candidates the winners.
+    winners, losers = candidates[:votes_per_voter], candidates[votes_per_voter:]
+    pool = draw(st.lists(st.sampled_from(losers), min_size=1, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        pool.append(draw(st.sampled_from(winners + ("Zed",))))
+    pooled_id = draw(st.sampled_from(("Pooled",) * 5 + candidates[:1]))
+    return setup, returns, pool, pooled_id
+
+
+def _tight_vote_for_three():
+    """Three pooled losers that together exceed p0000's ballot bound."""
+    setup, returns, _ = gen_instance(4, 6, 3, seed=0)
+    return setup, _tightest_bounds(returns, 3), ["C03", "C04", "C05"], "Pooled"
+
+
+def _outcome(call):
+    try:
+        return call()
+    except AuditError as exc:
+        return type(exc), str(exc)
+
+
+class TestPreparedContest:
+    """``pool_contest(load_contest(...))`` against the validating path."""
+
+    @given(request=pooling_requests())
+    @example(request=_tight_vote_for_three())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_validating_path(self, tmp_path_factory, request):
+        setup, returns, pool, pooled_id = request
+        path = tmp_path_factory.mktemp("contest") / "returns.csv"
+        _write_returns(path, setup, returns)
+        votes_per_voter = setup.votes_per_voter
+
+        def prepared():
+            contest = pool_contest(load_contest(path, votes_per_voter),
+                                   pool, pooled_id)
+            return contest.setup, contest.returns, contest.totals
+
+        def validating():
+            pooled = pool_candidates(*load_returns(path, votes_per_voter),
+                                     pool, pooled_id)
+            return (*pooled, compute_totals(*pooled))
+
+        got, expected = _outcome(prepared), _outcome(validating)
+        assert got == expected
+        if isinstance(expected[0], ContestSetup):
+            # Output bytes follow dict order, which == does not compare.
+            _, got_returns, got_totals = got
+            _, expected_returns, expected_totals = expected
+            assert [list(r.machine_votes) for r in got_returns] == [
+                list(r.machine_votes) for r in expected_returns
+            ]
+            assert list(got_totals.totals) == list(expected_totals.totals)
+            assert list(got_totals.pairwise_margins) == list(
+                expected_totals.pairwise_margins
+            )
+
+    def test_pool_arguments_checked_before_the_outcome(self):
+        setup = ContestSetup(("A", "B", "C"), votes_per_voter=1,
+                             precinct_count=1)
+        returns = [PrecinctReturns("p1", "c1", 100, {"A": 40, "B": 40, "C": 10})]
+        contest = prepare_contest(setup, returns)
+        with pytest.raises(ValidationError,
+                           match=r"pool members not in contest: \['Z'\]"):
+            pool_contest(contest, ["Z"], "Rest")
+        with pytest.raises(AmbiguousOutcome):
+            pool_contest(contest, ["C"], "Rest")

@@ -3,7 +3,13 @@ import pytest
 import minnesota
 from mro_audit.core import compute_totals
 from mro_audit.errors import ParseError, UnknownPrecinct, ValidationError
-from mro_audit.io import load_audits, load_config, load_county_plans, load_returns
+from mro_audit.io import (
+    load_audits,
+    load_config,
+    load_contest,
+    load_county_plans,
+    load_returns,
+)
 from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
 
 
@@ -83,6 +89,24 @@ class TestLoadReturns:
             assert totals.pairwise_margins[("Klobuchar", loser)] == margin
 
 
+class TestLoadContest:
+    def test_matches_load_returns_and_compute_totals(self, docs_returns_path):
+        contest = load_contest(docs_returns_path)
+        setup, returns = load_returns(docs_returns_path)
+        assert (contest.setup, contest.returns) == (setup, returns)
+        assert contest.totals == compute_totals(setup, returns)
+
+    def test_loader_errors_unchanged(self, tmp_path):
+        path = write(tmp_path, "bad.csv",
+                     "precinct_id,county_id,ballot_bound,A,B\n"
+                     "p1,c1,10,11,0\n")
+        with pytest.raises(ValidationError) as from_returns:
+            load_returns(path)
+        with pytest.raises(ValidationError) as from_contest:
+            load_contest(path)
+        assert str(from_contest.value) == str(from_returns.value)
+
+
 class TestLoadAudits:
     def test_empty_file_with_header(self, tmp_path):
         path = write(tmp_path, "audits.csv", "precinct_id,A,B\n")
@@ -93,6 +117,15 @@ class TestLoadAudits:
                      "precinct_id,A,B\np1,1,2\np1,1,2\n")
         with pytest.raises(ParseError):
             load_audits(path)
+
+    @pytest.mark.parametrize("header", ["precinct_id,A,A,B", "precinct_id,A,,B"])
+    def test_duplicate_or_empty_candidate_column_rejected(self, tmp_path,
+                                                          header):
+        path = write(tmp_path, "audits.csv", f"{header}\np1,999,1,2\n")
+        with pytest.raises(ParseError) as err:
+            load_audits(path)
+        assert err.value.row == 1
+        assert "candidate columns must be unique and nonempty" in str(err.value)
 
     def test_unknown_precinct_surfaces_at_join_time(self, tmp_path):
         returns_path = write(tmp_path, "returns.csv",
