@@ -140,9 +140,19 @@ option_pooled_id = click.option(
     "--pooled-id", default="Pooled", show_default=True,
     help="Name for the pooled pseudo-candidate.",
 )
+
+
+def _at_least_one(ctx, param, value):
+    # Not click.IntRange, which reports a non-integer as "not a valid
+    # integer range"; the upper limit depends on the contest.
+    if value < 1:
+        raise click.BadParameter(f"{value} is not in the range x>=1.")
+    return value
+
+
 option_votes_per_voter = click.option(
     "--votes-per-voter", type=int, default=1, show_default=True,
-    help="Votes each voter may cast.",
+    callback=_at_least_one, help="Votes each voter may cast.",
 )
 
 
@@ -169,7 +179,7 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
             {"winner": w, "loser": l, "margin": m}
             for (w, l), m in totals.pairwise_margins.items()
         ],
-        "total_ballot_bound": sum(r.ballot_bound or 0 for r in contest.returns),
+        "total_ballot_bound": sum(r.ballot_bound for r in contest.returns),
     }
     if pooled_info:
         payload["pooled"] = pooled_info

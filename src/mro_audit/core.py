@@ -5,6 +5,14 @@ the apparent winner/loser partition, pairwise margins, candidate pooling and
 full-hand-tally comparison.  Everything here is exact integer arithmetic;
 ratios appear only in :mod:`mro_audit.discrepancy`.
 
+It is also the one statement of the count rules every precinct obeys (see
+:func:`_count_problem`): the ballot bound is nonnegative, each count is
+nonnegative and at most the bound, and the counts sum to at most
+``votes_per_voter`` times the bound.  The returns loader, return and audit
+validation and report verification all apply them through that function.
+A bound above 10**18 is rejected too: no precinct comes near it, and
+larger ones give MRO bounds that overflow a float in the output.
+
 A :class:`Contest` is the one validated, tabulated value a run works from:
 the setup, the returns and their totals, built once (by
 :func:`prepare_contest`, or ``io.load_contest`` for a returns file) and
@@ -35,6 +43,8 @@ from .errors import (
 
 Candidate = str
 Pair = tuple[Candidate, Candidate]
+
+MAX_BALLOT_BOUND = 10**18
 
 
 @dataclass(frozen=True)
@@ -74,14 +84,13 @@ class PrecinctReturns:
     """Machine counts for one precinct.
 
     ``ballot_bound`` is the a priori cap on valid ballots cast in the
-    precinct.  It is required for any bound computation; ``None`` is allowed
-    only for pure tabulation flows and makes bound-dependent operations fail
-    with :class:`~mro_audit.errors.MissingBallotBound`.
+    precinct, an integer that every precinct has: each precinct's a priori
+    MRO bound comes from it.
     """
 
     precinct_id: str
     county_id: str
-    ballot_bound: int | None
+    ballot_bound: int
     machine_votes: Mapping[Candidate, int]
 
     def total_votes(self) -> int:
@@ -151,10 +160,37 @@ class Contest:
         return self._totals
 
 
+def _count_problem(votes: Mapping[Candidate, int], ballot_bound: int,
+                   votes_per_voter: int) -> str | None:
+    """The first count rule one precinct's integer counts break, or ``None``.
+
+    The rules: the ballot bound is nonnegative (and at most
+    :data:`MAX_BALLOT_BOUND`), each count is nonnegative and at most the
+    bound, and the counts sum to at most ``votes_per_voter`` times the
+    bound.  The caller adds the location.
+    """
+    if ballot_bound < 0:
+        return f"negative ballot bound {ballot_bound}"
+    if ballot_bound > MAX_BALLOT_BOUND:
+        return f"ballot bound {ballot_bound} above 10**18"
+    total = 0
+    for candidate, count in votes.items():
+        if count < 0:
+            return f"negative count {count} for {candidate!r}"
+        if count > ballot_bound:
+            return (f"count {count} for {candidate!r} exceeds "
+                    f"ballot bound {ballot_bound}")
+        total += count
+    if total > votes_per_voter * ballot_bound:
+        return (f"{total} votes exceed {votes_per_voter} "
+                f"per ballot times bound {ballot_bound}")
+    return None
+
+
 def _check_vote_map(
     setup: ContestSetup,
     votes: Mapping[Candidate, int],
-    ballot_bound: int | None,
+    ballot_bound: int,
     where: str,
 ) -> None:
     """Validate one precinct's vote map against the contest invariants."""
@@ -171,24 +207,13 @@ def _check_vote_map(
     for candidate, count in votes.items():
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValidationError(f"{where}: count for {candidate!r} is not an integer")
-        if count < 0:
-            raise ValidationError(f"{where}: negative count {count} for {candidate!r}")
-    if ballot_bound is not None:
-        if ballot_bound < 0:
-            raise ValidationError(f"{where}: negative ballot bound {ballot_bound}")
-        for candidate, count in votes.items():
-            if count > ballot_bound:
-                raise ValidationError(
-                    f"{where}: count {count} for {candidate!r} exceeds "
-                    f"ballot bound {ballot_bound}"
-                )
-        total = sum(votes.values())
-        cap = setup.votes_per_voter * ballot_bound
-        if total > cap:
-            raise ValidationError(
-                f"{where}: {total} votes exceed {setup.votes_per_voter} "
-                f"per ballot times bound {ballot_bound}"
-            )
+    if not isinstance(ballot_bound, int) or isinstance(ballot_bound, bool):
+        raise ValidationError(
+            f"{where}: ballot bound {ballot_bound!r} is not an integer"
+        )
+    problem = _count_problem(votes, ballot_bound, setup.votes_per_voter)
+    if problem is not None:
+        raise ValidationError(f"{where}: {problem}")
 
 
 def validate_returns(setup: ContestSetup, returns: Sequence[PrecinctReturns]) -> None:
@@ -224,13 +249,12 @@ def validate_audit(setup: ContestSetup, returns_p: PrecinctReturns,
                     f"audit of precinct {audit.precinct_id}")
 
 
-def tabulate(setup: ContestSetup,
-             returns: Sequence[PrecinctReturns]) -> dict[Candidate, int]:
-    """Each candidate's total over returns already validated for ``setup``."""
-    votes = [ret.machine_votes for ret in returns]
+def tabulate(candidates: Iterable[Candidate],
+             vote_maps: Sequence[Mapping[Candidate, int]]) -> dict[Candidate, int]:
+    """Each candidate's total over vote maps already checked to cover them."""
     return {
-        candidate: sum(map(itemgetter(candidate), votes))
-        for candidate in setup.candidates
+        candidate: sum(map(itemgetter(candidate), vote_maps))
+        for candidate in candidates
     }
 
 
@@ -258,7 +282,8 @@ def prepare_contest(setup: ContestSetup,
         ValidationError, CandidateMismatch: as :func:`validate_returns`.
     """
     validate_returns(setup, returns)
-    return Contest(setup, returns, tabulate(setup, returns))
+    votes = [ret.machine_votes for ret in returns]
+    return Contest(setup, returns, tabulate(setup.candidates, votes))
 
 
 def compute_totals(setup: ContestSetup,
@@ -333,7 +358,7 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
         pooled = votes[pooled_id] = sum(map(machine.__getitem__, pool))
         # The one invariant pooling can break: every other count, and each
         # precinct's sum, is unchanged.
-        if ret.ballot_bound is not None and pooled > ret.ballot_bound:
+        if pooled > ret.ballot_bound:
             raise ValidationError(
                 f"precinct {ret.precinct_id}: count {pooled} for "
                 f"{pooled_id!r} exceeds ballot bound {ret.ballot_bound}"
@@ -436,12 +461,9 @@ def actual_margins(
             f"e.g. {sorted(missing)[:3]}"
         )
 
-    totals = {candidate: 0 for candidate in setup.candidates}
     for ret in returns:
-        audit = by_id[ret.precinct_id]
-        validate_audit(setup, ret, audit)
-        for candidate, count in audit.hand_votes.items():
-            totals[candidate] += count
+        validate_audit(setup, ret, by_id[ret.precinct_id])
+    totals = tabulate(setup.candidates, [audit.hand_votes for audit in audits])
 
     margins = {
         (w, l): totals[w] - totals[l]

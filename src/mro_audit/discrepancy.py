@@ -29,7 +29,6 @@ from .core import AuditRecord, Pair, PrecinctReturns
 from .errors import (
     CandidateMismatch,
     EmptyPairSet,
-    MissingBallotBound,
     UnknownPrecinct,
     ValidationError,
 )
@@ -100,19 +99,10 @@ def precinct_bound(
 
     Valid hand counts keep each candidate between 0 and the ballot bound, so
     no audit can push the precinct MRO above this value.  Needs no hand
-    counts, which is what makes pre-audit planning possible.
-
-    Raises:
-        MissingBallotBound: the precinct has no ballot bound.
+    counts, which is what makes pre-audit planning possible.  The returns
+    must obey the count rules of :mod:`mro_audit.core`, as every validated
+    or loaded contest's do.
     """
-    if returns_p.ballot_bound is None:
-        raise MissingBallotBound(
-            f"precinct {returns_p.precinct_id} has no ballot bound"
-        )
-    if returns_p.ballot_bound < 0:
-        raise ValidationError(
-            f"precinct {returns_p.precinct_id}: negative ballot bound"
-        )
     machine = returns_p.machine_votes
     cap = returns_p.ballot_bound
     # With positive margins, n/m > bn/bm exactly when n*bm > bn*m: pick the

@@ -56,10 +56,6 @@ class EmptyPairSet(AuditError):
     """A maximum was requested over zero winner/loser pairs."""
 
 
-class MissingBallotBound(AuditError):
-    """A per-precinct ballot bound is required but was not supplied."""
-
-
 class EmptySample(AuditError):
     """A test statistic was requested over an empty sample."""
 

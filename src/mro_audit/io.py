@@ -24,7 +24,14 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .core import AuditRecord, Contest, ContestSetup, PrecinctReturns, tabulate
+from .core import (
+    AuditRecord,
+    Contest,
+    ContestSetup,
+    PrecinctReturns,
+    _count_problem,
+    tabulate,
+)
 from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
 
@@ -34,7 +41,12 @@ RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 def _read_rows(path: str | Path) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            return [row for row in csv.reader(handle)]
+            reader = csv.reader(handle)
+            try:
+                return list(reader)
+            except csv.Error as exc:
+                raise ParseError(str(exc), path=str(path),
+                                 row=reader.line_num) from exc
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     except UnicodeDecodeError as exc:
@@ -66,13 +78,12 @@ def load_returns(
 
     The candidate set is inferred from the header columns after the three
     fixed columns.  Every cell must be an integer; duplicate precinct ids are
-    rejected; counts must be nonnegative, at most the ballot bound, and sum
-    to at most votes_per_voter times the bound.
+    rejected; each row's counts must obey the count rules of
+    :mod:`mro_audit.core`.
 
     Raises:
         ParseError: structural problems, located by row and column.
-        ValidationError: counts violating the contest invariants, naming the
-            offending precinct and candidate.
+        ValidationError: counts breaking a count rule, located by row.
     """
     path = str(path)
     rows = _read_rows(path)
@@ -112,39 +123,13 @@ def load_returns(
             )
         seen.add(precinct_id)
         bound = _int_cell(row[2], path, index, "ballot_bound")
-        if bound < 0:
-            raise ValidationError(
-                f"{path}, row {index}, column 'ballot_bound': "
-                f"negative ballot bound {bound}"
-            )
         votes: dict[str, int] = {}
         for candidate, cell in zip(candidates, row[3:]):
-            count = _int_cell(cell, path, index, candidate)
-            if count < 0:
-                raise ValidationError(
-                    f"{path}, row {index}, column {candidate!r}: "
-                    f"negative count {count}"
-                )
-            if count > bound:
-                raise ValidationError(
-                    f"{path}, row {index}, column {candidate!r}: count "
-                    f"{count} exceeds ballot bound {bound}"
-                )
-            votes[candidate] = count
-        total = sum(votes.values())
-        if total > votes_per_voter * bound:
-            raise ValidationError(
-                f"{path}, row {index}: {total} votes exceed "
-                f"{votes_per_voter} per ballot times bound {bound}"
-            )
-        returns.append(
-            PrecinctReturns(
-                precinct_id=precinct_id,
-                county_id=county_id,
-                ballot_bound=bound,
-                machine_votes=votes,
-            )
-        )
+            votes[candidate] = _int_cell(cell, path, index, candidate)
+        problem = _count_problem(votes, bound, votes_per_voter)
+        if problem is not None:
+            raise ValidationError(f"{path}, row {index}: {problem}")
+        returns.append(PrecinctReturns(precinct_id, county_id, bound, votes))
     if not returns:
         raise ValidationError(f"{path}: no precinct rows")
     setup = ContestSetup(
@@ -162,7 +147,8 @@ def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
     tabulation; nothing is validated twice.  Raises what it raises.
     """
     setup, returns = load_returns(path, votes_per_voter)
-    return Contest(setup, returns, tabulate(setup, returns))
+    votes = [ret.machine_votes for ret in returns]
+    return Contest(setup, returns, tabulate(setup.candidates, votes))
 
 
 def load_audits(path: str | Path) -> list[AuditRecord]:

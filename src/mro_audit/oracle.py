@@ -93,10 +93,6 @@ def random_audits(
     audits = []
     for ret in returns:
         bound = ret.ballot_bound
-        if bound is None:
-            raise InfeasibleSpec(
-                f"precinct {ret.precinct_id} has no ballot bound to respect"
-            )
         budget = setup.votes_per_voter * bound
         hand: dict[str, int] = {}
         order = list(setup.candidates)
@@ -181,7 +177,6 @@ def gen_instance(
             if to_move == 0:
                 break
             bound = returns[p].ballot_bound
-            assert bound is not None
             movable = min(hand[victim][p], bound - hand[target][p], to_move)
             if movable > 0:
                 hand[victim][p] -= movable

@@ -17,8 +17,14 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from pathlib import Path
 
-from .core import ContestSetup, ContestTotals, PrecinctReturns
-from .discrepancy import PrecinctDiscrepancy
+from .core import (
+    ContestSetup,
+    ContestTotals,
+    PrecinctReturns,
+    _check_vote_map,
+    tabulate,
+)
+from .discrepancy import PrecinctDiscrepancy, precinct_bound
 from .errors import ValidationError
 from .risk import (
     RiskReport,
@@ -129,17 +135,24 @@ def document_json(document: Mapping) -> str:
 def verify_document(document: Mapping) -> bool:
     """Re-derive the P-value and tabulation facts from the document itself.
 
-    The observed statistic is re-derived from the sampled rows' ``mro`` and
-    ``bound`` under the stored weight, and the taint count (and whether the
-    null is infeasible) from every row's ``bound``, that statistic and the
-    stored margin threshold; the P-value from the stored count.
+    Every row's ``votes`` must cover exactly the contest's candidates and
+    obey the count rules of :mod:`mro_audit.core` with its
+    ``ballot_bound``; the totals and margins are tabulated from them.  The
+    observed statistic is re-derived from the sampled rows' ``mro`` and
+    ``bound`` under the stored weight, each row's ``bound`` from its votes,
+    its ballot bound and the stored margins, and the taint count (and
+    whether the null is infeasible) from those bounds, that statistic and
+    the stored margin threshold; the P-value from the stored count.
 
     Raises:
         ValidationError: any stored number disagrees with its recomputation,
-            including a P-value that does not match bit for bit.
-        ZeroBoundWithTaintWeight, InconsistentBounds: a stored bound that no
-            risk computation could have produced (zero under the taint
-            weight, or negative).
+            including a P-value that does not match bit for bit, or a row
+            breaks a count rule.
+        CandidateMismatch: a row's votes name other candidates than the
+            contest's.
+        ZeroBoundWithTaintWeight: a sampled row's stored bound is zero
+            under the taint weight.
+        EmptyPairSet: the document lists no winner/loser pairs.
     """
     risk = document["risk"]
     design = SamplingDesign(
@@ -150,20 +163,25 @@ def verify_document(document: Mapping) -> bool:
         raise ValidationError(
             f"stored p_value {risk['p_value']!r} != recomputed {recomputed!r}"
         )
-    totals = {candidate: 0 for candidate in document["contest"]["candidates"]}
-    for row in document["precincts"]:
-        for candidate, count in row["votes"].items():
-            totals[candidate] += count
+    contest = document["contest"]
+    setup = ContestSetup(contest["candidates"], contest["votes_per_voter"],
+                         contest["precinct_count"])
+    rows = document["precincts"]
+    for row in rows:
+        _check_vote_map(setup, row["votes"], row["ballot_bound"],
+                        f"precinct {row['precinct_id']}")
+    totals = tabulate(setup.candidates, [row["votes"] for row in rows])
     if totals != document["totals"]:
         raise ValidationError("per-precinct votes do not add up to the totals")
+    margins = {}
     for entry in document["pairwise_margins"]:
-        margin = totals[entry["winner"]] - totals[entry["loser"]]
-        if margin != entry["margin"]:
+        pair = (entry["winner"], entry["loser"])
+        margins[pair] = totals[pair[0]] - totals[pair[1]]
+        if margins[pair] != entry["margin"]:
             raise ValidationError(
                 f"margin for ({entry['winner']}, {entry['loser']}) is "
-                f"{entry['margin']}, recomputed {margin}"
+                f"{entry['margin']}, recomputed {margins[pair]}"
             )
-    rows = document["precincts"]
     sampled = [row for row in rows if row["sampled"]]
     if len(sampled) != risk["sample_size"]:
         raise ValidationError(
@@ -187,9 +205,21 @@ def verify_document(document: Mapping) -> bool:
             f"stored observed_statistic {risk['observed_statistic']} != "
             f"recomputed {fraction_str(statistic)}"
         )
+    bounds = []
+    for row in rows:
+        bound = precinct_bound(
+            PrecinctReturns(row["precinct_id"], row["county_id"],
+                            row["ballot_bound"], row["votes"]),
+            margins,
+        )
+        if fraction_str(bound) != row["bound"]:
+            raise ValidationError(
+                f"precinct {row['precinct_id']}: stored bound {row['bound']} "
+                f"!= recomputed {fraction_str(bound)}"
+            )
+        bounds.append(bound)
     raw_count = taint_count(
-        [Fraction(row["bound"]) for row in rows], statistic, weight,
-        Fraction(risk["margin_threshold"]),
+        bounds, statistic, weight, Fraction(risk["margin_threshold"]),
     )
     count = min(raw_count, len(rows))
     infeasible = raw_count > len(rows)

@@ -80,8 +80,8 @@ def draw_sample(
 
     Construction per county, resampling-free: the eligible precinct (>= 150
     votes) with the smallest ticket is taken first, then the remaining draws
-    are the smallest-ticket precincts among all others.  Output size is the sum of the counties' required
-    samples, with no duplicates.
+    are the smallest-ticket precincts among all others.  Output size is the
+    sum of the counties' required samples, with no duplicates.
 
     Raises:
         InfeasibleConstraint: a county has no precinct with >= 150 votes.

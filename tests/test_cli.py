@@ -4,6 +4,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -15,7 +16,7 @@ from mro_audit import __version__, core
 from mro_audit.cli import cli
 from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
-from mro_audit.errors import ValidationError
+from mro_audit.errors import CandidateMismatch, ValidationError
 from mro_audit.io import load_audits, load_returns
 from mro_audit.oracle import gen_instance
 from mro_audit.report import (
@@ -418,6 +419,24 @@ class TestConfigResolution:
         assert result.exit_code == 1
         assert "NUL character" in result.output
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_votes_per_voter_below_one_exits_two(self, runner, tmp_path,
+                                                 docs_returns_path, value,
+                                                 source):
+        args = ["margins", str(docs_returns_path)]
+        if source == "flag":
+            args.append(f"--votes-per-voter={value}")
+        else:
+            cfg = tmp_path / "audit.cfg"
+            cfg.write_text(f"votes-per-voter={value}\n", encoding="utf-8")
+            args += ["--config", str(cfg)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert (f"Invalid value for '--votes-per-voter': {value} is not in "
+                "the range x>=1." in result.output)
+
     def test_empty_population_exits_one(self, runner):
         result = runner.invoke(cli, ["simulate", "--taint-count", "0",
                                      "--population", "0", "--sampling", "wr:1"])
@@ -479,6 +498,117 @@ def test_any_config_value_exits_cleanly(docs_returns_path, docs_audits_path,
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+_FUZZ_COUNTIES = "county_id,registered_voters\nNorth,1000\nSouth,1000\n"
+# bounds and pvalue pool Gamma through the docs config file.
+_FUZZ_COMMANDS = {
+    "margins": ["margins", "returns.csv"],
+    "bounds": ["bounds", "returns.csv", "--config", "audit.cfg"],
+    "plan": ["plan", "returns.csv", "--counties", "counties.csv", "--seed", "1"],
+    "pvalue": ["pvalue", "returns.csv", "audits.csv", "--config", "audit.cfg"],
+}
+
+
+def _docs_inputs(docs_returns_path, docs_audits_path):
+    """The docs example's files, and a county table for them, by name."""
+    return {
+        "returns.csv": docs_returns_path.read_text(encoding="utf-8"),
+        "audits.csv": docs_audits_path.read_text(encoding="utf-8"),
+        "counties.csv": _FUZZ_COUNTIES,
+        "audit.cfg": (docs_returns_path.parent / "audit.cfg").read_text(
+            encoding="utf-8"),
+    }
+
+
+_FUZZ_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(-10**400, 10**400).map(str),
+    # Past the csv module's 131,072-character field limit, and past
+    # Python's 4,300-digit limit on parsing an int.
+    st.sampled_from(["7" * 140_000, "9" * 4_301, "1" + "0" * 4_299]),
+)
+
+
+@st.composite
+def _mutated_csv(draw, text):
+    """``text`` as bytes after a few random edits, or random bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=300))
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["replace", "drop", "extra", "blank"]))
+        if edit == "replace" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_FUZZ_CELLS)
+        elif edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "extra":
+            row.insert(draw(st.integers(0, len(row))), draw(_FUZZ_CELLS))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    return "\n".join(",".join(row) for row in rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("command", list(_FUZZ_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_any_input_file_exits_cleanly(docs_returns_path, docs_audits_path,
+                                      command, data):
+    files = _docs_inputs(docs_returns_path, docs_audits_path)
+    target = data.draw(st.sampled_from(["audits.csv", "counties.csv",
+                                        "returns.csv"]))
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, text in files.items():
+            content = text.encode("utf-8")
+            if name == target:
+                content = data.draw(_mutated_csv(text), label=name)
+            with open(name, "wb") as handle:
+                handle.write(content)
+        result = runner.invoke(cli, _FUZZ_COMMANDS[command])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestOutsizedInput:
+    @pytest.mark.parametrize("name, row", [
+        ("returns.csv", 3), ("audits.csv", 2), ("counties.csv", 2),
+    ])
+    def test_field_over_the_csv_limit_exits_one(self, runner, name, row,
+                                                 docs_returns_path,
+                                                 docs_audits_path):
+        texts = _docs_inputs(docs_returns_path, docs_audits_path)
+        lines = texts[name].splitlines()
+        lines[row - 1] = lines[row - 1].replace(",", "," + "7" * 140_000, 1)
+        texts[name] = "\n".join(lines) + "\n"
+        command = {"returns.csv": "margins", "audits.csv": "pvalue",
+                   "counties.csv": "plan"}[name]
+        with runner.isolated_filesystem():
+            for file_name, text in texts.items():
+                Path(file_name).write_text(text, encoding="utf-8")
+            result = runner.invoke(cli, _FUZZ_COMMANDS[command])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (f"ParseError: {name}, row {row}: field larger than field "
+                "limit" in result.output)
+
+    @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue", "report"])
+    def test_bound_too_large_for_a_float_exits_one(self, runner, tmp_path,
+                                                   docs_audits_path, command):
+        # The bound (1 - 0 + 10**400) / 1 would overflow float().
+        returns = tmp_path / "returns.csv"
+        returns.write_text("precinct_id,county_id,ballot_bound,Alpha,Beta,Gamma\n"
+                           f"P-102,c1,{10**400},1,0,0\n", encoding="utf-8")
+        args = [command, str(returns)]
+        if command in ("pvalue", "report"):
+            args += [str(docs_audits_path), "--sampling", "wr:2"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "ValidationError" in result.output
+        assert "above 10**18" in result.output
+
+
 class TestReport:
     def test_document_verifies(self, runner, minnesota_files):
         result = invoke(runner, [
@@ -521,6 +651,31 @@ class TestReport:
                    if r["precinct_id"] == "P-104")
         row[field] = value
         with pytest.raises(ValidationError, match=message):
+            verify_document(document)
+
+    @pytest.mark.parametrize("edit, error, message", [
+        # Under the identity weight this bound moves neither the statistic
+        # nor the taint count.
+        (lambda row: row.update(bound="1000/1"), ValidationError,
+         r"precinct P-104: stored bound 1000/1 != recomputed"),
+        (lambda row: row.update(ballot_bound=296), ValidationError,
+         r"precinct P-104: stored bound .* != recomputed"),
+        (lambda row: row.update(ballot_bound=100), ValidationError,
+         r"precinct P-104: count 120 for 'Alpha' exceeds ballot bound 100"),
+        (lambda row: row["votes"].update(Zed=0), CandidateMismatch,
+         r"precinct P-104: candidate set mismatch, unexpected \['Zed'\]"),
+        (lambda row: row["votes"].pop("Alpha"), CandidateMismatch,
+         r"precinct P-104: candidate set mismatch, missing \['Alpha'\]"),
+    ], ids=["bound", "ballot-bound", "count-over-bound", "extra-candidate",
+            "missing-candidate"])
+    def test_tampered_precinct_row_detected(self, runner, tmp_path,
+                                            docs_returns_path, docs_audits_path,
+                                            edit, error, message):
+        document = self.document(runner, tmp_path, docs_returns_path,
+                                 docs_audits_path, "docs", "identity")
+        edit(next(r for r in document["precincts"]
+                  if r["precinct_id"] == "P-104"))
+        with pytest.raises(error, match=message):
             verify_document(document)
 
     @pytest.mark.parametrize("taint_count, infeasible", [(2, False), (1, True)])

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import minnesota
 from mro_audit.core import (
+    MAX_BALLOT_BOUND,
     AuditRecord,
     ContestSetup,
     PrecinctReturns,
@@ -38,6 +40,75 @@ def two_candidate_contest(votes_a, votes_b, bound=None):
         PrecinctReturns("p1", "c1", bound, {"A": votes_a, "B": votes_b})
     ]
     return setup, returns
+
+
+class TestBallotBound:
+    @pytest.mark.parametrize("bound", [None, True, 10.5])
+    def test_non_integer_bound_rejected(self, bound):
+        setup = ContestSetup(("A", "B"), votes_per_voter=1, precinct_count=1)
+        returns = [PrecinctReturns("p1", "c1", bound, {"A": 3, "B": 1})]
+        with pytest.raises(ValidationError,
+                           match=r"^precinct p1: ballot bound .* is not an integer$"):
+            prepare_contest(setup, returns)
+
+    def test_bound_above_cap_rejected(self):
+        setup, returns = two_candidate_contest(3, 1, bound=MAX_BALLOT_BOUND)
+        assert prepare_contest(setup, returns).totals.winners == ("A",)
+        setup, returns = two_candidate_contest(3, 1, bound=MAX_BALLOT_BOUND + 1)
+        with pytest.raises(ValidationError,
+                           match=r"^precinct p1: ballot bound \d+ above 10\*\*18$"):
+            prepare_contest(setup, returns)
+
+
+@st.composite
+def small_contests(draw):
+    """A few precincts with bounds in [-2, 12] and counts in [-2, 14]."""
+    votes_per_voter = draw(st.integers(1, 2))
+    candidates = ("A", "B", "C")[:draw(st.integers(votes_per_voter + 1, 3))]
+    returns = [
+        PrecinctReturns(f"p{i}", "c1", draw(st.integers(-2, 12)),
+                        {c: draw(st.integers(-2, 14)) for c in candidates})
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    setup = ContestSetup(candidates, votes_per_voter, len(returns))
+    return setup, returns
+
+
+def _error_text(call):
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneCountCheck:
+    """The returns loader and ``prepare_contest`` apply the same count rules."""
+
+    @given(contest=small_contests())
+    @settings(max_examples=300, deadline=None)
+    def test_loader_and_prepare_contest_agree(self, tmp_path_factory, contest):
+        setup, returns = contest
+        path = Path(tmp_path_factory.getbasetemp()) / "count_rules.csv"
+        path.write_text(
+            f"precinct_id,county_id,ballot_bound,{','.join(setup.candidates)}\n"
+            + "".join(
+                f"{r.precinct_id},{r.county_id},{r.ballot_bound},"
+                + ",".join(str(r.machine_votes[c]) for c in setup.candidates)
+                + "\n"
+                for r in returns
+            ),
+            encoding="utf-8",
+        )
+        loaded = _error_text(lambda: load_returns(path, setup.votes_per_voter))
+        prepared = _error_text(lambda: prepare_contest(setup, returns))
+        assert (loaded is None) == (prepared is None)
+        if loaded is not None:
+            where, problem = loaded.split(": ", 1)
+            precinct, same_problem = prepared.split(": ", 1)
+            assert problem == same_problem
+            row = int(where.rpartition("row ")[2])
+            assert precinct == f"precinct {returns[row - 2].precinct_id}"
 
 
 class TestContestSetup:

@@ -16,7 +16,6 @@ from mro_audit.discrepancy import (
 from mro_audit.errors import (
     CandidateMismatch,
     EmptyPairSet,
-    MissingBallotBound,
     UnknownPrecinct,
     ValidationError,
 )
@@ -112,11 +111,6 @@ class TestPrecinctBound:
     def test_empty_precinct_bound_is_zero(self):
         ret = precinct({"W": 0, "L": 0}, bound=0)
         assert precinct_bound(ret, {("W", "L"): 100}) == 0
-
-    def test_missing_ballot_bound_rejected(self):
-        ret = precinct({"W": 1, "L": 0}, bound=None)
-        with pytest.raises(MissingBallotBound):
-            precinct_bound(ret, {("W", "L"): 100})
 
     @pytest.mark.parametrize("margins, error", [
         ({}, EmptyPairSet),
