@@ -28,10 +28,10 @@ from .io import (
     load_returns,
 )
 from .report import (
+    bounds_json,
     build_document,
     document_json,
     file_digest,
-    fraction_str,
     percent,
     risk_block,
 )
@@ -197,27 +197,9 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
     """Per-precinct a priori MRO bounds (no hand counts needed)."""
     contest, _ = _load_contest(returns_file, votes_per_voter, pool, pooled_id)
     margins = contest.totals.pairwise_margins
-    rows = []
-    for ret in contest.returns:
-        bound = precinct_bound(ret, margins)
-        rows.append(
-            {
-                "precinct_id": ret.precinct_id,
-                "county_id": ret.county_id,
-                "bound": fraction_str(bound),
-                "bound_float": float(bound),
-            }
-        )
-    _echo_json(
-        {
-            "schema": "mro-audit/1",
-            "precincts": rows,
-            # float() is monotone, so this is float(max(bounds)).
-            "max_bound_float": max(
-                (row["bound_float"] for row in rows), default=0.0
-            ),
-        }
-    )
+    click.echo(bounds_json(
+        contest.returns, (precinct_bound(r, margins) for r in contest.returns)
+    ))
 
 
 @cli.command()

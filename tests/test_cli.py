@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -816,8 +817,41 @@ class TestReportEquivalence:
         assert result.output == document_json(expected) + "\n"
 
 
+def awkward_contest(tmp_path):
+    """A contest whose ids and candidate names need quoting and escaping.
+
+    Cells hold commas, quotes, backslashes, a tab, U+2028, accented and
+    CJK letters and a character outside the Basic Multilingual Plane.
+    """
+    candidates = ['\u014ctsuka, "K\u014d"', "Back\\slash", "Zo\u00eb \U0001d504"]
+    rows = [
+        ('P-1, "north"', "Comt\u00e9\\A", 500, 260, 180, 40),
+        ("P\\2", "Comt\u00e9\\A", 400, 200, 150, 30),
+        ("\u6771-3", "Sud\u2028B", 300, 150, 120, 20),
+        ('\U0001d513-4 "q"', "Sud\u2028B", 350, 170, 140, 25),
+        ("p5\t\u00e9", "Sud\u2028B", 250, 120, 100, 15),
+    ]
+    audits = [
+        ('P-1, "north"', 255, 185, 40),
+        ("\u6771-3", 150, 120, 20),
+        ("p5\t\u00e9", 118, 103, 14),
+    ]
+    returns_path = tmp_path / "awkward_returns.csv"
+    audits_path = tmp_path / "awkward_audits.csv"
+    for path, header, body in (
+        (returns_path, ["precinct_id", "county_id", "ballot_bound"], rows),
+        (audits_path, ["precinct_id"], audits),
+    ):
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC)
+            writer.writerow(header + candidates)
+            writer.writerows(body)
+    return returns_path, audits_path
+
+
 # Each command's stdout SHA-256, recorded from the validating path that the
-# prepared contest replaced.
+# prepared contest replaced; the awkward contest's from the generic indent
+# encoder that the row templates replaced.
 STDOUT_SHA256 = {
     ("docs", "margins"):
         "9b02c2f0763a9006bfc8c90c7d989dbe207198bfa3511e69f73229806dc5dc66",
@@ -831,17 +865,29 @@ STDOUT_SHA256 = {
         "5c7e0e5c00f49413cec4523e216fdb1d5ca121e122a4506319d5580e8c9d09bb",
     ("vote_for_three", "report"):
         "f2dd0512237243d2ead06ddec16fa082e3d78f8bb18188abdcf3d8ed700ba642",
+    ("awkward", "margins"):
+        "aac2206ef0ef042fbc3c9341fbc36b1ecabd8c03776ea1dabfe243b3a708124b",
+    ("awkward", "bounds"):
+        "8e03f90ce8a40537109c5f6605cb24b3e75d7669908b50d04978688fe5488afc",
+    ("awkward", "pvalue"):
+        "a1cc39034c42392a1420894cccc6dd3c77ad8fde3a48edd2725144be1b5f5897",
+    ("awkward", "report"):
+        "6ce84623e78a1135ec48006ae8c23e4839d6fb57e40aa39a0ff1c9ba7fb88bf9",
 }
 VOTE_FOR_THREE_POOL = ["C04", "C05", "C06"]
 
 
 def command_args(command, contest, tmp_path, docs_returns_path,
                  docs_audits_path):
-    """Arguments for ``command`` on the docs example (with its config file)
-    or on the pooled vote-for-3 contest under the taint weight."""
+    """Arguments for ``command`` on the docs example (with its config file),
+    on the pooled vote-for-3 contest under the taint weight, or on the
+    awkward contest."""
     if contest == "docs":
         returns_path, audits_path = docs_returns_path, docs_audits_path
         flags = ["--config", str(docs_returns_path.parent / "audit.cfg")]
+    elif contest == "awkward":
+        returns_path, audits_path = awkward_contest(tmp_path)
+        flags = ["--sampling", "wr:3"] if command in ("pvalue", "report") else []
     else:
         returns_path, audits_path = write_contest(
             tmp_path, *pooled_vote_for_three(VOTE_FOR_THREE_POOL)

@@ -1,11 +1,25 @@
+import csv
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mro_audit.core import AuditRecord, ContestSetup, PrecinctReturns, compute_totals
+from mro_audit.cli import cli
+from mro_audit.core import (
+    MAX_BALLOT_BOUND,
+    AuditRecord,
+    ContestSetup,
+    PrecinctReturns,
+    compute_totals,
+)
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
-from mro_audit.errors import ValidationError
+from mro_audit.errors import CandidateMismatch, ValidationError
+from mro_audit.io import load_contest
 from mro_audit.report import (
     SCHEMA,
     build_document,
@@ -106,3 +120,166 @@ class TestFileDigest:
         a2 = tmp_path / "a2.csv"
         a2.write_text("one\n")
         assert file_digest(a) == file_digest(a2)
+
+
+@pytest.fixture()
+def docs_report(docs_returns_path, docs_audits_path):
+    """The docs example's report document, as the CLI writes it."""
+    result = CliRunner().invoke(cli, [
+        "report", str(docs_returns_path), str(docs_audits_path),
+        "--config", str(docs_returns_path.parent / "audit.cfg"),
+    ], catch_exceptions=False)
+    assert result.exit_code == 0
+    document = json.loads(result.output)
+    assert verify_document(document) is True
+    return document
+
+
+def row_of(document, precinct_id):
+    return next(row for row in document["precincts"]
+                if row["precinct_id"] == precinct_id)
+
+
+class TestMalformedDocument:
+    """A malformed document ends in a domain error that locates the fault."""
+
+    def test_unknown_pair_candidate(self, docs_report):
+        docs_report["pairwise_margins"][0]["loser"] = "Zed"
+        with pytest.raises(CandidateMismatch,
+                           match=r"pairwise_margins\[0\] names 'Zed'"):
+            verify_document(docs_report)
+
+    def test_missing_sample_size(self, docs_report):
+        del docs_report["risk"]["sample_size"]
+        with pytest.raises(ValidationError,
+                           match="risk has no field 'sample_size'"):
+            verify_document(docs_report)
+
+    def test_missing_totals(self, docs_report):
+        del docs_report["totals"]
+        with pytest.raises(ValidationError,
+                           match="document has no field 'totals'"):
+            verify_document(docs_report)
+
+    def test_malformed_mro(self, docs_report):
+        row_of(docs_report, "P-104")["mro"] = "x/y"
+        with pytest.raises(ValidationError,
+                           match="precinct P-104: mro 'x/y' is not an"):
+            verify_document(docs_report)
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None])
+    def test_sampled_not_a_boolean(self, docs_report, flag):
+        row_of(docs_report, "P-101")["sampled"] = flag
+        with pytest.raises(ValidationError,
+                           match="precinct P-101: sampled is .*, not true"):
+            verify_document(docs_report)
+
+
+# Names that need escaping: quotes, backslashes, control characters, the
+# JSON-legal line separator, accented and non-BMP letters, and "%", which a
+# row template must not read as a slot.
+AWKWARD = '"\\\x00\x01\x1f\t\n\r\u2028\u00e9\U0001f5f3%'
+any_names = st.text(
+    st.sampled_from(AWKWARD) | st.characters(), min_size=1, max_size=6,
+)
+# What a UTF-8 CSV cell can carry to the CLI: no lone surrogate, no NUL
+# (which the csv module rejects before Python 3.11), and nothing that the
+# loader's stripping would change.
+csv_names = st.text(
+    st.sampled_from(AWKWARD.replace("\x00", ""))
+    | st.characters(codec="utf-8", exclude_characters="\x00"),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def contests(draw, names):
+    """A vote-for-1 contest whose first candidate leads every other.
+
+    Counts reach 10**18, and each row's vote map has its own key order.
+    """
+    candidates = draw(st.lists(names, min_size=2, max_size=4, unique=True))
+    ids = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    returns = []
+    for index, precinct_id in enumerate(ids):
+        others = [draw(st.integers(0, 10**17)) for _ in candidates[1:]]
+        # The first row gives the leader a strict lead over each rival.
+        leader = max(others) + draw(st.integers(int(index == 0), 10**17))
+        used = leader + sum(others)
+        bound = used + draw(st.integers(0, MAX_BALLOT_BOUND - used))
+        counts = dict(zip(candidates, [leader, *others]))
+        order = draw(st.permutations(candidates))
+        returns.append(PrecinctReturns(precinct_id, draw(names), bound,
+                                       {c: counts[c] for c in order}))
+    return ContestSetup(tuple(candidates), 1, len(returns)), returns
+
+
+class TestRenderingReference:
+    """The row templates give exactly the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_document_json(self, data):
+        setup, returns = data.draw(contests(any_names))
+        flags = data.draw(st.lists(st.booleans(), min_size=len(returns),
+                                   max_size=len(returns)))
+        flags[data.draw(st.integers(0, len(returns) - 1))] = True
+        audits = []
+        for ret, sampled in zip(returns, flags):
+            if sampled:
+                hand = {c: data.draw(st.integers(0, ret.ballot_bound
+                                                 // len(setup.candidates)))
+                        for c in data.draw(st.permutations(setup.candidates))}
+                audits.append(AuditRecord(ret.precinct_id, hand))
+        config = TestConfig(IDENTITY, SamplingDesign(
+            "with_replacement", data.draw(st.integers(1, 50))))
+        report = run_test(setup, returns, audits, config)
+        pooled = data.draw(st.none() | st.fixed_dictionaries({
+            "members": st.lists(any_names, min_size=1, max_size=3),
+            "pooled_id": any_names,
+        }))
+        document = build_document(
+            setup, returns, report.totals, report.bounds,
+            report.discrepancies, report,
+            tool_version=data.draw(any_names),
+            input_digests={"returns": data.draw(any_names)},
+            pooled=pooled,
+        )
+        assert document_json(document) == json.dumps(document, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(contest=contests(csv_names))
+    def test_bounds_stdout(self, contest):
+        setup, returns = contest
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "returns.csv"
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["precinct_id", "county_id", "ballot_bound",
+                                 *setup.candidates])
+                writer.writerows(
+                    [r.precinct_id, r.county_id, r.ballot_bound,
+                     *(r.machine_votes[c] for c in setup.candidates)]
+                    for r in returns
+                )
+            result = CliRunner().invoke(cli, ["bounds", str(path)],
+                                        catch_exceptions=False)
+            loaded = load_contest(path).returns
+        assert result.exit_code == 0
+        margins = compute_totals(setup, returns).pairwise_margins
+        rows = []
+        for ret in loaded:
+            bound = precinct_bound(ret, margins)
+            rows.append({
+                "precinct_id": ret.precinct_id,
+                "county_id": ret.county_id,
+                "bound": fraction_str(bound),
+                "bound_float": float(bound),
+            })
+        payload = {
+            "schema": SCHEMA,
+            "precincts": rows,
+            "max_bound_float": max((row["bound_float"] for row in rows),
+                                   default=0.0),
+        }
+        assert result.output == json.dumps(payload, indent=2) + "\n"
