@@ -32,6 +32,7 @@ from .report import (
     build_document,
     document_json,
     file_digest,
+    outcome_block,
     percent,
     risk_block,
 )
@@ -168,17 +169,10 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
     contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
-    totals = contest.totals
     payload = {
         "schema": "mro-audit/1",
         "candidates": list(contest.setup.candidates),
-        "totals": dict(totals.totals),
-        "winners": list(totals.winners),
-        "losers": list(totals.losers),
-        "pairwise_margins": [
-            {"winner": w, "loser": l, "margin": m}
-            for (w, l), m in totals.pairwise_margins.items()
-        ],
+        **outcome_block(contest.totals),
         "total_ballot_bound": sum(r.ballot_bound for r in contest.returns),
     }
     if pooled_info:

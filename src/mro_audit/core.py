@@ -226,7 +226,7 @@ def validate_returns(setup: ContestSetup, returns: Sequence[PrecinctReturns]) ->
     """
     if len(returns) != setup.precinct_count:
         raise ValidationError(
-            f"expected {setup.precinct_count} precincts, got {len(returns)}"
+            f"precinct_count is {setup.precinct_count}, got {len(returns)} precincts"
         )
     seen: set[str] = set()
     for ret in returns:
@@ -237,16 +237,32 @@ def validate_returns(setup: ContestSetup, returns: Sequence[PrecinctReturns]) ->
                         f"precinct {ret.precinct_id}")
 
 
-def validate_audit(setup: ContestSetup, returns_p: PrecinctReturns,
-                   audit: AuditRecord) -> None:
-    """Check a hand-count record against its precinct's ballot bound."""
-    if audit.precinct_id != returns_p.precinct_id:
-        raise UnknownPrecinct(
-            f"audit for {audit.precinct_id!r} checked against "
-            f"precinct {returns_p.precinct_id!r}"
-        )
-    _check_vote_map(setup, audit.hand_votes, returns_p.ballot_bound,
-                    f"audit of precinct {audit.precinct_id}")
+def join_audits(
+    contest: Contest, audits: Iterable[AuditRecord]
+) -> list[tuple[PrecinctReturns, AuditRecord]]:
+    """Pair each hand-count record with its precinct's returns, in order,
+    checking the hand counts against that precinct's ballot bound.
+
+    Raises:
+        UnknownPrecinct: a record names a precinct not in the returns.
+        ValidationError, CandidateMismatch: a second record for a precinct,
+            or hand counts that break the count rules or miss a candidate.
+    """
+    by_id = {ret.precinct_id: ret for ret in contest.returns}
+    joined: dict[str, tuple[PrecinctReturns, AuditRecord]] = {}
+    for audit in audits:
+        precinct_id = audit.precinct_id
+        ret = by_id.get(precinct_id)
+        if ret is None:
+            raise UnknownPrecinct(
+                f"audited precinct {precinct_id!r} not in the returns"
+            )
+        if precinct_id in joined:
+            raise ValidationError(f"duplicate audit for precinct {precinct_id!r}")
+        _check_vote_map(contest.setup, audit.hand_votes, ret.ballot_bound,
+                        f"audit of precinct {precinct_id}")
+        joined[precinct_id] = ret, audit
+    return list(joined.values())
 
 
 def tabulate(candidates: Iterable[Candidate],
@@ -443,27 +459,20 @@ def actual_margins(
 
     Raises:
         IncompleteTally: some precinct has no audit record.
-        UnknownPrecinct: an audit record names a precinct not in the returns.
+        UnknownPrecinct, ValidationError, CandidateMismatch: as
+            :func:`join_audits`.
     """
-    apparent = compute_totals(setup, returns)
-    by_id: dict[str, AuditRecord] = {}
-    known = {ret.precinct_id for ret in returns}
-    for audit in audits:
-        if audit.precinct_id not in known:
-            raise UnknownPrecinct(f"audit for unknown precinct {audit.precinct_id!r}")
-        if audit.precinct_id in by_id:
-            raise ValidationError(f"duplicate audit for precinct {audit.precinct_id!r}")
-        by_id[audit.precinct_id] = audit
-    missing = known - set(by_id)
+    contest = prepare_contest(setup, returns)
+    apparent = contest.totals
+    joined = join_audits(contest, audits)
+    missing = sorted({ret.precinct_id for ret in returns}
+                     - {audit.precinct_id for _, audit in joined})
     if missing:
         raise IncompleteTally(
             f"{len(missing)} precinct(s) lack an audit record, "
-            f"e.g. {sorted(missing)[:3]}"
+            f"e.g. {missing[:3]}"
         )
-
-    for ret in returns:
-        validate_audit(setup, ret, by_id[ret.precinct_id])
-    totals = tabulate(setup.candidates, [audit.hand_votes for audit in audits])
+    totals = tabulate(setup.candidates, [audit.hand_votes for _, audit in joined])
 
     margins = {
         (w, l): totals[w] - totals[l]

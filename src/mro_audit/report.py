@@ -2,8 +2,13 @@
 
 The document embeds every intermediate the risk computation used plus
 SHA-256 digests of the input files, so an audit is a reproducible artifact:
-re-loading the document and re-deriving the P-value from its own fields must
-give the stored float back bit for bit.
+:func:`verify_document` rebuilds its outputs (``schema``, ``totals``,
+``winners``, ``losers``, ``pairwise_margins``, each row's ``bound`` and
+``risk``) from its inputs (``contest.candidates``, ``votes_per_voter`` and
+``precinct_count``; each row's ``precinct_id``, ``county_id``,
+``ballot_bound``, ``votes``, ``sampled`` and ``mro``; ``risk.weight``,
+``sampling`` and ``margin_threshold``) with the code that built them.
+``tool_version``, ``inputs`` and ``contest.pooled`` are carried.
 
 Rationals are serialized as ``"numerator/denominator"`` strings (lossless);
 a float rendering sits alongside wherever humans read the number.
@@ -18,21 +23,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
-from .core import (
-    ContestSetup,
-    ContestTotals,
-    PrecinctReturns,
-    _check_vote_map,
-    tabulate,
-)
+from .core import ContestSetup, ContestTotals, PrecinctReturns, prepare_contest
 from .discrepancy import PrecinctDiscrepancy, precinct_bound
-from .errors import CandidateMismatch, ValidationError
+from .errors import ValidationError
 from .risk import (
     RiskReport,
     SamplingDesign,
+    TestConfig,
     WeightFunction,
-    p_value,
-    taint_count,
+    assess_sample,
 )
 
 SCHEMA = "mro-audit/1"
@@ -71,6 +70,20 @@ def risk_block(report: RiskReport) -> dict:
         "margin_threshold": fraction_str(report.config.margin_threshold),
         "sample_size": report.sample_size,
         "null_infeasible": report.null_infeasible,
+    }
+
+
+def outcome_block(totals: ContestTotals) -> dict:
+    """The ``totals``, ``winners``, ``losers`` and ``pairwise_margins``
+    members of the ``margins`` and ``report`` documents."""
+    return {
+        "totals": dict(totals.totals),
+        "winners": list(totals.winners),
+        "losers": list(totals.losers),
+        "pairwise_margins": [
+            {"winner": w, "loser": l, "margin": margin}
+            for (w, l), margin in totals.pairwise_margins.items()
+        ],
     }
 
 
@@ -114,13 +127,7 @@ def build_document(
             "votes_per_voter": setup.votes_per_voter,
             "precinct_count": setup.precinct_count,
         },
-        "totals": dict(totals.totals),
-        "winners": list(totals.winners),
-        "losers": list(totals.losers),
-        "pairwise_margins": [
-            {"winner": w, "loser": l, "margin": margin}
-            for (w, l), margin in totals.pairwise_margins.items()
-        ],
+        **outcome_block(totals),
         "precincts": precinct_rows,
         "risk": risk_block(report),
     }
@@ -243,151 +250,143 @@ def bounds_json(returns: Iterable[PrecinctReturns],
     ))
 
 
-def _fields(part: object, where: str, *keys: str) -> list:
-    """The values of ``keys`` in the document object at ``where``."""
-    if not isinstance(part, Mapping):
-        raise ValidationError(f"{where} is not a JSON object")
-    for key in keys:
-        if key not in part:
-            raise ValidationError(f"{where} has no field {key!r}")
-    return [part[key] for key in keys]
+_KINDS = {str: "a string", int: "an integer", float: "a float",
+          bool: "true or false", type(None): "null", list: "a list",
+          dict: "an object"}
 
 
-def _stored_fraction(text: object, where: str) -> Fraction:
-    """A stored ``"n/d"`` string, in lowest terms as :func:`fraction_str`
-    writes it."""
-    if isinstance(text, str):
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-        else:
-            if fraction_str(value) == text:
-                return value
-    raise ValidationError(f"{where} {text!r} is not an \"n/d\" fraction")
+def _check_kind(value: object, kind: type, where: str, key: str) -> None:
+    """Raise unless ``value`` has the JSON type ``kind`` (a bool is no int)."""
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, Mapping if kind is dict else kind)):
+        raise ValidationError(f"{where}: {key} is {value!r}, not {_KINDS[kind]}")
+
+
+def _read(part: Mapping, where: str, key: str, kind: type | None = None):
+    """``part[key]`` of the object at ``where``, of JSON type ``kind``."""
+    if key not in part:
+        raise ValidationError(f"{where} has no field {key!r}")
+    if kind is not None:
+        _check_kind(part[key], kind, where, key)
+    return part[key]
+
+
+def _strings(part: Mapping, where: str, key: str) -> list[str]:
+    values = _read(part, where, key, list)
+    for index, value in enumerate(values):
+        _check_kind(value, str, where, f"{key}[{index}]")
+    return values
+
+
+def _fraction(part: Mapping, where: str, key: str) -> Fraction:
+    """``part[key]``, an ``"n/d"`` string as :func:`fraction_str` writes it."""
+    text = _read(part, where, key)
+    try:
+        value = Fraction(text) if isinstance(text, str) else None
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or fraction_str(value) != text:
+        raise ValidationError(f"{where}: {key} {text!r} is not an \"n/d\" fraction")
+    return value
+
+
+def _match(stored: object, rebuilt: object, where: str, key: str) -> None:
+    """Raise unless the stored output equals its rebuilt value, JSON type
+    for JSON type (``1``, ``1.0`` and ``true`` differ) and field for field."""
+    _check_kind(stored, type(rebuilt), where, key)
+    if isinstance(rebuilt, dict):
+        path = key if where == "document" else f"{where}.{key}"
+        for name, value in rebuilt.items():
+            _match(_read(stored, path, name), value, path, name)
+        for name in stored:
+            if name not in rebuilt:
+                raise ValidationError(f"{path} has unexpected field {name!r}")
+    elif isinstance(rebuilt, list) and len(stored) == len(rebuilt):
+        for index, pair in enumerate(zip(stored, rebuilt)):
+            _match(*pair, where, f"{key}[{index}]")
+    elif stored != rebuilt:
+        raise ValidationError(
+            f"{where}: stored {key} {stored} != recomputed {rebuilt}")
 
 
 def verify_document(document: Mapping) -> bool:
-    """Re-derive the P-value and tabulation facts from the document itself.
+    """Check the document by rebuilding it from its inputs.
 
-    Every row's ``votes`` must cover exactly the contest's candidates and
-    obey the count rules of :mod:`mro_audit.core` with its
-    ``ballot_bound``; the totals and margins are tabulated from them.  The
-    observed statistic is re-derived from the sampled rows' ``mro`` and
-    ``bound`` under the stored weight, each row's ``bound`` from its votes,
-    its ballot bound and the stored margins, and the taint count (and
-    whether the null is infeasible) from those bounds, that statistic and
-    the stored margin threshold; the P-value from the stored count.
+    The inputs, each read once with its JSON type checked, are
+    ``contest.candidates``, ``votes_per_voter`` and ``precinct_count``;
+    each row's ``precinct_id``, ``county_id``, ``ballot_bound``, ``votes``,
+    ``sampled`` and ``mro`` (``null`` unless sampled); and ``risk.weight``,
+    ``sampling`` and ``margin_threshold``.  They go through the code that
+    built the document (``prepare_contest``, :func:`outcome_block`,
+    ``precinct_bound``, ``assess_sample`` and :func:`risk_block`), and each
+    output must equal its rebuilt value, JSON type and all: ``schema``,
+    ``totals``, ``winners``, ``losers``, ``pairwise_margins``, each row's
+    ``bound`` and the whole ``risk`` block, P-value bit for bit.
+    ``tool_version``, ``inputs`` and ``contest.pooled`` are carried, with
+    only their types checked.
 
     Raises:
-        ValidationError: any stored number disagrees with its recomputation,
-            including a P-value that does not match bit for bit; a row
-            breaks a count rule; a field is missing; a fraction is not an
-            ``"n/d"`` string; or a row's ``sampled`` is not a boolean.
-        CandidateMismatch: a row's votes, or a winner/loser pair, name
-            other candidates than the contest's.
-        ZeroBoundWithTaintWeight: a sampled row's stored bound is zero
-            under the taint weight.
-        EmptyPairSet: the document lists no winner/loser pairs.
+        ValidationError: a field is missing or of the wrong type, or an
+            output differs (``"<where>: stored <field> X != recomputed Y"``).
+        AuditError: what building the document from these inputs raises:
+            a broken count rule, a tie, no sampled row, ...
     """
-    contest, stored_totals, pair_entries, rows, risk = _fields(
-        document, "document",
-        "contest", "totals", "pairwise_margins", "precincts", "risk",
+    if not isinstance(document, Mapping):
+        raise ValidationError("document is not a JSON object")
+    contest = _read(document, "document", "contest", dict)
+    setup = ContestSetup(
+        tuple(_strings(contest, "contest", "candidates")),
+        _read(contest, "contest", "votes_per_voter", int),
+        _read(contest, "contest", "precinct_count", int),
     )
-    (sampling, stored_p, stored_count, population, sample_size, weight_kind,
-     stored_statistic, threshold, stored_infeasible) = _fields(
-        risk, "risk", "sampling", "p_value", "taint_count", "population_size",
-        "sample_size", "weight", "observed_statistic", "margin_threshold",
-        "null_infeasible",
+    if "pooled" in contest:
+        pooled = _read(contest, "contest", "pooled", dict)
+        _strings(pooled, "contest.pooled", "members")
+        _read(pooled, "contest.pooled", "pooled_id", str)
+    _read(document, "document", "tool_version", str)
+    inputs = _read(document, "document", "inputs", dict)
+    for name in inputs:
+        _read(_read(inputs, "inputs", name, dict), f"inputs.{name}",
+              "sha256", str)
+    risk = _read(document, "document", "risk", dict)
+    sampling = _read(risk, "risk", "sampling", dict)
+    config = TestConfig(
+        WeightFunction(_read(risk, "risk", "weight", str)),
+        SamplingDesign(_read(sampling, "risk.sampling", "method", str),
+                       _read(sampling, "risk.sampling", "draws", int)),
+        _fraction(risk, "risk", "margin_threshold"),
     )
-    design = SamplingDesign(*_fields(sampling, "risk.sampling",
-                                     "method", "draws"))
-    recomputed = p_value(stored_count, population, design)
-    if recomputed != stored_p:
-        raise ValidationError(
-            f"stored p_value {stored_p!r} != recomputed {recomputed!r}"
-        )
-    setup = ContestSetup(*_fields(contest, "contest", "candidates",
-                                  "votes_per_voter", "precinct_count"))
-    sampled = []
+
+    rows = _read(document, "document", "precincts", list)
+    returns, mros = [], {}
     for index, row in enumerate(rows):
-        precinct_id, _, ballot_bound, votes, _, is_sampled, _ = _fields(
-            row, f"precincts[{index}]", "precinct_id", "county_id",
-            "ballot_bound", "votes", "bound", "sampled", "mro",
-        )
+        _check_kind(row, dict, "document", f"precincts[{index}]")
+        precinct_id = _read(row, f"precincts[{index}]", "precinct_id", str)
         where = f"precinct {precinct_id}"
-        _check_vote_map(setup, votes, ballot_bound, where)
-        if not isinstance(is_sampled, bool):
-            raise ValidationError(
-                f"{where}: sampled is {is_sampled!r}, not true or false"
-            )
-        if is_sampled:
-            sampled.append(row)
-    totals = tabulate(setup.candidates, [row["votes"] for row in rows])
-    if totals != stored_totals:
-        raise ValidationError("per-precinct votes do not add up to the totals")
-    margins = {}
-    for index, entry in enumerate(pair_entries):
-        where = f"pairwise_margins[{index}]"
-        winner, loser, stored_margin = _fields(entry, where, "winner",
-                                               "loser", "margin")
-        for name in (winner, loser):
-            if name not in totals:
-                raise CandidateMismatch(
-                    f"{where} names {name!r}, not a candidate of the contest"
-                )
-        margins[winner, loser] = margin = totals[winner] - totals[loser]
-        if margin != stored_margin:
-            raise ValidationError(
-                f"margin for ({winner}, {loser}) is {stored_margin}, "
-                f"recomputed {margin}"
-            )
-    if len(sampled) != sample_size:
-        raise ValidationError(
-            f"{len(sampled)} precincts flagged sampled but sample_size is "
-            f"{sample_size}"
-        )
-    if not sampled:
-        raise ValidationError("no precinct is flagged sampled")
-    if len(rows) != population:
-        raise ValidationError(
-            f"{len(rows)} precinct rows but population_size is {population}"
-        )
-    weight = WeightFunction(weight_kind)
-    statistic = max(
-        weight.apply(*(
-            _stored_fraction(row[key], f"precinct {row['precinct_id']}: {key}")
-            for key in ("mro", "bound")
+        returns.append(PrecinctReturns(
+            precinct_id, _read(row, where, "county_id", str),
+            _read(row, where, "ballot_bound", int),
+            _read(row, where, "votes", dict),
         ))
-        for row in sampled
-    )
-    if fraction_str(statistic) != stored_statistic:
-        raise ValidationError(
-            f"stored observed_statistic {stored_statistic} != "
-            f"recomputed {fraction_str(statistic)}"
-        )
-    bounds = []
-    for row in rows:
-        bound = precinct_bound(
-            PrecinctReturns(row["precinct_id"], row["county_id"],
-                            row["ballot_bound"], row["votes"]),
-            margins,
-        )
-        if fraction_str(bound) != row["bound"]:
-            raise ValidationError(
-                f"precinct {row['precinct_id']}: stored bound {row['bound']} "
-                f"!= recomputed {fraction_str(bound)}"
-            )
+        if _read(row, where, "sampled", bool):
+            mros[precinct_id] = _fraction(row, where, "mro")
+        else:
+            _match(_read(row, where, "mro"), None, where, "mro")
+
+    totals = prepare_contest(setup, returns).totals
+    for key, value in {"schema": SCHEMA, **outcome_block(totals)}.items():
+        _match(_read(document, "document", key), value, "document", key)
+    bounds, sample = [], []
+    for row, ret in zip(rows, returns):
+        bound = precinct_bound(ret, totals.pairwise_margins)
+        where = f"precinct {ret.precinct_id}"
+        _match(_read(row, where, "bound"), fraction_str(bound), where, "bound")
         bounds.append(bound)
-    raw_count = taint_count(
-        bounds, statistic, weight,
-        _stored_fraction(threshold, "risk.margin_threshold"),
-    )
-    count = min(raw_count, len(rows))
-    infeasible = raw_count > len(rows)
-    if (count, infeasible) != (stored_count, stored_infeasible):
-        raise ValidationError(
-            f"stored taint_count {stored_count} (null_infeasible "
-            f"{stored_infeasible}) != recomputed {count} ({infeasible})"
-        )
+        if ret.precinct_id in mros:
+            # The document keeps a sampled precinct's MRO, not the
+            # per-pair overstatements it is the maximum of.
+            sample.append(PrecinctDiscrepancy(
+                ret.precinct_id, {}, mros[ret.precinct_id], bound))
+    _match(risk, risk_block(assess_sample(bounds, sample, config)),
+           "document", "risk")
     return True

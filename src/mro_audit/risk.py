@@ -16,7 +16,7 @@ without it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, lcm, sqrt
 from typing import Literal, NamedTuple
@@ -27,15 +27,14 @@ from .core import (
     ContestSetup,
     ContestTotals,
     PrecinctReturns,
+    join_audits,
     prepare_contest,
-    validate_audit,
 )
 from .discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
 from .errors import (
     EmptySample,
     InconsistentBounds,
     InvalidCount,
-    UnknownPrecinct,
     ValidationError,
     ZeroBoundWithTaintWeight,
 )
@@ -403,45 +402,46 @@ def run_contest_test(
     audits: Sequence[AuditRecord],
     config: TestConfig,
 ) -> RiskReport:
-    """Full pipeline: discrepancies -> statistic -> taint count -> P-value.
+    """Full pipeline: bounds and discrepancies, then :func:`assess_sample`.
 
-    Every precinct's a priori MRO bound is computed from the returns.  The
-    audited precincts must be a subset of the population.
+    Each audit is joined to its precinct by ``core.join_audits``.  The
+    report also carries the totals, the bounds map and the per-audit
+    discrepancies built on the way, so a caller that reports them need not
+    compute them again.
+    """
+    totals = contest.totals
+    margins = totals.pairwise_margins
+    bounds = {ret.precinct_id: precinct_bound(ret, margins)
+              for ret in contest.returns}
+    discrepancies = tuple(
+        analyze_precinct(ret, audit, margins, bounds[ret.precinct_id])
+        for ret, audit in join_audits(contest, audits)
+    )
+    report = assess_sample(list(bounds.values()), discrepancies, config)
+    return replace(report, totals=totals, bounds=bounds,
+                   discrepancies=discrepancies)
+
+
+def assess_sample(
+    bounds: Sequence[Fraction],
+    sample: Sequence[PrecinctDiscrepancy],
+    config: TestConfig,
+) -> RiskReport:
+    """Statistic -> taint count -> P-value, for a sample of the precincts
+    whose a priori bounds are ``bounds``.
 
     When even a fully adversarial population cannot reach the margin
     threshold, the report carries ``null_infeasible=True``, the taint count
     saturates at the population size, and the P-value is 0.
 
-    The report also carries the totals, the bounds map and the per-audit
-    discrepancies built on the way, so a caller that reports them need not
-    compute them again.
+    Raises:
+        EmptySample, ZeroBoundWithTaintWeight: as :func:`observed_statistic`.
+        InvalidCount: as :func:`p_value`.
     """
-    setup, returns, totals = contest.setup, contest.returns, contest.totals
-    margins = totals.pairwise_margins
-    by_id = {ret.precinct_id: ret for ret in returns}
-    bounds = {ret.precinct_id: precinct_bound(ret, margins) for ret in returns}
-
-    discrepancies = []
-    for audit in audits:
-        ret = by_id.get(audit.precinct_id)
-        if ret is None:
-            raise UnknownPrecinct(
-                f"audited precinct {audit.precinct_id!r} not in the returns"
-            )
-        validate_audit(setup, ret, audit)
-        discrepancies.append(
-            analyze_precinct(ret, audit, margins, bounds[audit.precinct_id])
-        )
-
-    statistic = observed_statistic(discrepancies, config.weight)
-    population = setup.precinct_count
-    raw_count = taint_count(
-        [bounds[ret.precinct_id] for ret in returns],
-        statistic,
-        config.weight,
-        config.margin_threshold,
-    )
-    infeasible = raw_count > population
+    statistic = observed_statistic(sample, config.weight)
+    population = len(bounds)
+    raw_count = taint_count(bounds, statistic, config.weight,
+                            config.margin_threshold)
     count = min(raw_count, population)
     return RiskReport(
         observed_statistic=statistic,
@@ -450,9 +450,6 @@ def run_contest_test(
         effective_n=config.sampling.draws,
         p_value=p_value(count, population, config.sampling),
         config=config,
-        sample_size=len(discrepancies),
-        null_infeasible=infeasible,
-        totals=totals,
-        bounds=bounds,
-        discrepancies=tuple(discrepancies),
+        sample_size=len(sample),
+        null_infeasible=raw_count > population,
     )

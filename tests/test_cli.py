@@ -641,8 +641,10 @@ class TestReport:
     @pytest.mark.parametrize("weight, field, value, message", [
         # P-104 sets the statistic: 1/45, or 2/305 under the taint weight.
         ("identity", "mro", "1/10", "observed_statistic"),
-        ("taint", "bound", "61/9", "observed_statistic"),
-    ])
+        ("taint", "bound", "61/9",
+         "precinct P-104: stored bound 61/9 != recomputed 61/18"),
+    ], ids=["identity-mro-1/10-observed_statistic",
+            "taint-bound-61/9-stored-bound"])
     def test_tampered_row_detected(self, runner, tmp_path, docs_returns_path,
                                    docs_audits_path, weight, field, value,
                                    message):
@@ -679,10 +681,12 @@ class TestReport:
         with pytest.raises(error, match=message):
             verify_document(document)
 
-    @pytest.mark.parametrize("taint_count, infeasible", [(2, False), (1, True)])
+    @pytest.mark.parametrize("taint_count, infeasible, message", [
+        (2, False, "taint_count"), (1, True, "null_infeasible"),
+    ], ids=["2-False", "1-True"])
     def test_tampered_taint_count_detected(self, runner, tmp_path,
                                            docs_returns_path, docs_audits_path,
-                                           taint_count, infeasible):
+                                           taint_count, infeasible, message):
         document = self.document(runner, tmp_path, docs_returns_path,
                                  docs_audits_path, "docs", "identity")
         risk = document["risk"]
@@ -693,7 +697,7 @@ class TestReport:
         risk["null_infeasible"] = infeasible
         risk["p_value"] = p_value(taint_count, 4,
                                   SamplingDesign("with_replacement", 2))
-        with pytest.raises(ValidationError, match="taint_count"):
+        with pytest.raises(ValidationError, match=message):
             verify_document(document)
 
     @staticmethod

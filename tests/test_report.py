@@ -18,7 +18,7 @@ from mro_audit.core import (
     compute_totals,
 )
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
-from mro_audit.errors import CandidateMismatch, ValidationError
+from mro_audit.errors import AuditError, ValidationError
 from mro_audit.io import load_contest
 from mro_audit.report import (
     SCHEMA,
@@ -145,8 +145,8 @@ class TestMalformedDocument:
 
     def test_unknown_pair_candidate(self, docs_report):
         docs_report["pairwise_margins"][0]["loser"] = "Zed"
-        with pytest.raises(CandidateMismatch,
-                           match=r"pairwise_margins\[0\] names 'Zed'"):
+        with pytest.raises(ValidationError, match=r"pairwise_margins\[0\]: "
+                           r"stored loser Zed != recomputed Beta"):
             verify_document(docs_report)
 
     def test_missing_sample_size(self, docs_report):
@@ -172,6 +172,47 @@ class TestMalformedDocument:
         row_of(docs_report, "P-101")["sampled"] = flag
         with pytest.raises(ValidationError,
                            match="precinct P-101: sampled is .*, not true"):
+            verify_document(docs_report)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(winners=d["losers"], losers=d["winners"]),
+         r"document: stored winners \["),
+        (lambda d: d.update(winners=[]), r"document: stored winners \[\]"),
+        (lambda d: d.update(losers=[]), r"document: stored losers \[\]"),
+        (lambda d: d["pairwise_margins"].pop(),
+         r"document: stored pairwise_margins \["),
+        (lambda d: d["precincts"][1].update(precinct_id="P-101"),
+         r"duplicate precinct id 'P-101'"),
+        (lambda d: d["contest"].update(precinct_count=5),
+         r"precinct_count is 5, got 4 precincts"),
+        (lambda d: row_of(d, "P-101").update(mro="1/45"),
+         r"precinct P-101: mro is '1/45', not null"),
+        (lambda d: d["risk"].update(effective_n=3),
+         r"risk: stored effective_n 3 != recomputed 2"),
+        (lambda d: d["risk"].update(p_value_percent="9.99%"),
+         r"risk: stored p_value_percent 9.99% != recomputed"),
+        (lambda d: d["risk"].update(observed_statistic_float=0.5),
+         r"risk: stored observed_statistic_float 0.5 != recomputed"),
+        (lambda d: d.update(schema="mro-audit/2"),
+         r"document: stored schema mro-audit/2 != recomputed mro-audit/1"),
+        (lambda d: d["risk"].update(taint_count="1"),
+         r"risk: taint_count is '1', not an integer"),
+        (lambda d: d["risk"]["sampling"].update(draws="2"),
+         r"risk.sampling: draws is '2', not an integer"),
+        (lambda d: d["contest"].update(votes_per_voter="1"),
+         r"contest: votes_per_voter is '1', not an integer"),
+        (lambda d: d["pairwise_margins"][0].update(winner=["x"]),
+         r"pairwise_margins\[0\]: winner is \['x'\], not a string"),
+        (lambda d: d["risk"].update(note="n/a"),
+         r"risk has unexpected field 'note'"),
+    ], ids=["swapped-partition", "no-winners", "no-losers", "dropped-pair",
+            "duplicate-id", "precinct-count", "unsampled-mro", "effective-n",
+            "p-value-percent", "statistic-float", "schema",
+            "taint-count-type", "draws-type", "votes-per-voter-type",
+            "pair-winner-type", "extra-risk-field"])
+    def test_tampering_named(self, docs_report, edit, message):
+        edit(docs_report)
+        with pytest.raises(AuditError, match=message):
             verify_document(docs_report)
 
 
@@ -214,37 +255,43 @@ def contests(draw, names):
     return ContestSetup(tuple(candidates), 1, len(returns)), returns
 
 
+@st.composite
+def documents(draw):
+    """A report document, as :func:`build_document` builds it, over a
+    :func:`contests` contest with at least one audited precinct."""
+    setup, returns = draw(contests(any_names))
+    flags = draw(st.lists(st.booleans(), min_size=len(returns),
+                          max_size=len(returns)))
+    flags[draw(st.integers(0, len(returns) - 1))] = True
+    audits = []
+    for ret, sampled in zip(returns, flags):
+        if sampled:
+            hand = {c: draw(st.integers(0, ret.ballot_bound
+                                        // len(setup.candidates)))
+                    for c in draw(st.permutations(setup.candidates))}
+            audits.append(AuditRecord(ret.precinct_id, hand))
+    config = TestConfig(IDENTITY, SamplingDesign(
+        "with_replacement", draw(st.integers(1, 50))))
+    report = run_test(setup, returns, audits, config)
+    pooled = draw(st.none() | st.fixed_dictionaries({
+        "members": st.lists(any_names, min_size=1, max_size=3),
+        "pooled_id": any_names,
+    }))
+    return build_document(
+        setup, returns, report.totals, report.bounds,
+        report.discrepancies, report,
+        tool_version=draw(any_names),
+        input_digests={"returns": draw(any_names)},
+        pooled=pooled,
+    )
+
+
 class TestRenderingReference:
     """The row templates give exactly the bytes of ``json.dumps(indent=2)``."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_document_json(self, data):
-        setup, returns = data.draw(contests(any_names))
-        flags = data.draw(st.lists(st.booleans(), min_size=len(returns),
-                                   max_size=len(returns)))
-        flags[data.draw(st.integers(0, len(returns) - 1))] = True
-        audits = []
-        for ret, sampled in zip(returns, flags):
-            if sampled:
-                hand = {c: data.draw(st.integers(0, ret.ballot_bound
-                                                 // len(setup.candidates)))
-                        for c in data.draw(st.permutations(setup.candidates))}
-                audits.append(AuditRecord(ret.precinct_id, hand))
-        config = TestConfig(IDENTITY, SamplingDesign(
-            "with_replacement", data.draw(st.integers(1, 50))))
-        report = run_test(setup, returns, audits, config)
-        pooled = data.draw(st.none() | st.fixed_dictionaries({
-            "members": st.lists(any_names, min_size=1, max_size=3),
-            "pooled_id": any_names,
-        }))
-        document = build_document(
-            setup, returns, report.totals, report.bounds,
-            report.discrepancies, report,
-            tool_version=data.draw(any_names),
-            input_digests={"returns": data.draw(any_names)},
-            pooled=pooled,
-        )
+    @given(document=documents())
+    def test_document_json(self, document):
         assert document_json(document) == json.dumps(document, indent=2)
 
     @settings(max_examples=100, deadline=None)
@@ -283,3 +330,77 @@ class TestRenderingReference:
                                    default=0.0),
         }
         assert result.output == json.dumps(payload, indent=2) + "\n"
+
+
+def leaves(value, path=()):
+    """``(path, value)`` for each scalar in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def replaced(document, path, value):
+    """A copy of the document with the leaf at ``path`` set to ``value``."""
+    copy = json.loads(json.dumps(document))
+    part = copy
+    for key in path[:-1]:
+        part = part[key]
+    part[path[-1]] = value
+    return copy
+
+
+def is_output(path):
+    """Whether the leaf at ``path`` is rebuilt, not read or carried."""
+    head = path[0]
+    if head == "precincts":
+        return path[-1] == "bound"
+    if head == "risk":
+        return path[1] not in ("weight", "sampling", "margin_threshold")
+    return head in ("schema", "totals", "winners", "losers",
+                    "pairwise_margins")
+
+
+JSON_VALUES = {
+    str: st.text(max_size=4), int: st.integers(), bool: st.booleans(),
+    float: st.floats(allow_nan=False), type(None): st.none(),
+    list: st.just([]), dict: st.just({}),
+}
+
+
+class TestMutatedDocument:
+    """A built document verifies, and any one changed leaf of it ends in a
+    domain error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), document=documents())
+    def test_one_changed_leaf(self, data, document):
+        assert verify_document(document) is True
+        assert verify_document(json.loads(document_json(document))) is True
+
+        path, value = data.draw(st.sampled_from(list(leaves(document))))
+        kinds = [kind for kind in JSON_VALUES if kind is not type(value)]
+        # Python finds 1, 1.0 and True equal; JSON types do not.
+        lookalikes = [cast(value) for cast in (int, float, bool)
+                      if isinstance(value, (int, float))
+                      and cast is not type(value)]
+        other = data.draw(st.one_of(
+            st.sampled_from(kinds).flatmap(JSON_VALUES.get),
+            *map(st.just, lookalikes),
+        ))
+        with pytest.raises(AuditError):
+            verify_document(replaced(document, path, other))
+
+        outputs = [leaf for leaf in leaves(document) if is_output(leaf[0])]
+        path, value = data.draw(st.sampled_from(outputs))
+        if isinstance(value, bool):
+            other = not value
+        else:
+            other = data.draw(JSON_VALUES[type(value)].filter(
+                lambda v: v != value))
+        with pytest.raises(ValidationError):
+            verify_document(replaced(document, path, other))

@@ -17,6 +17,7 @@ from mro_audit.errors import (
     InconsistentBounds,
     InvalidCount,
     UnknownPrecinct,
+    ValidationError,
     ZeroBoundWithTaintWeight,
 )
 from mro_audit import risk
@@ -398,6 +399,15 @@ class TestRunTest:
         audits = [AuditRecord("nope", {"W": 1, "L": 1})]
         with pytest.raises(UnknownPrecinct):
             run_test(setup, returns, audits, TestConfig(IDENTITY, WR(5)))
+
+    def test_duplicate_audit_rejected(self):
+        # Counted twice, one audit would make sample_size 2 for one sampled
+        # precinct, and the report built from it would not verify.
+        setup, returns = small_contest()
+        audit = AuditRecord("p0", {"W": 10, "L": 5})
+        with pytest.raises(ValidationError,
+                           match="duplicate audit for precinct 'p0'"):
+            run_test(setup, returns, [audit, audit], TestConfig(IDENTITY, WR(5)))
 
     def test_statewide_zero_discrepancy_sample_of_78(self, minnesota_files):
         from mro_audit.core import AuditRecord, pool_candidates
