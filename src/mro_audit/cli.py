@@ -28,6 +28,7 @@ from .io import (
     load_returns,
 )
 from .report import (
+    SCHEMA,
     bounds_json,
     build_document,
     document_json,
@@ -170,7 +171,7 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
         returns_file, votes_per_voter, pool, pooled_id
     )
     payload = {
-        "schema": "mro-audit/1",
+        "schema": SCHEMA,
         "candidates": list(contest.setup.candidates),
         **outcome_block(contest.totals),
         "total_ballot_bound": sum(r.ballot_bound for r in contest.returns),
@@ -224,7 +225,7 @@ def plan(returns_file, counties, seed, votes_per_voter):
         cursor += take
     _echo_json(
         {
-            "schema": "mro-audit/1",
+            "schema": SCHEMA,
             "seed": str(seed),
             "total_samples": len(sample),
             "conservative_effective_n": conservative_effective_n(
@@ -277,7 +278,7 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
 def pvalue(returns_file, audits_file, **options):
     """Conservative P-value that the apparent outcome is wrong."""
     *_, report, pooled_info = _run_pipeline(returns_file, audits_file, **options)
-    payload = {"schema": "mro-audit/1", **risk_block(report)}
+    payload = {"schema": SCHEMA, **risk_block(report)}
     if pooled_info:
         payload["pooled"] = pooled_info
     _echo_json(payload)
@@ -333,7 +334,7 @@ def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
     expected_se = sqrt(closed * (1.0 - closed) / reps)
     agrees = abs(estimate - closed) <= 3.0 * expected_se + 1e-12
     payload = {
-        "schema": "mro-audit/1",
+        "schema": SCHEMA,
         "closed_form": closed,
         "closed_form_percent": percent(closed),
         "monte_carlo": {

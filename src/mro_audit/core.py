@@ -419,11 +419,14 @@ def pool_audit_records(
     """Apply the same candidate pooling to hand-count records.
 
     Mechanical companion to :func:`pool_contest` for audit data; the
-    winner checks happened when the returns were pooled.
+    winner checks happened when the returns were pooled.  A negative count
+    for a pool member is rejected here, since the sum would hide it from
+    :func:`join_audits`, which checks every other count.
 
     Raises:
         CandidateMismatch: a record lacks a pool member, or already has a
             column named ``pooled_id``.
+        ValidationError: a pool member's count is negative.
     """
     pool = set(pool)
     pooled = []
@@ -439,8 +442,18 @@ def pool_audit_records(
                 f"audit of precinct {audit.precinct_id}: pooled id "
                 f"{pooled_id!r} is already a hand-count column"
             )
-        votes = {c: v for c, v in audit.hand_votes.items() if c not in pool}
-        votes[pooled_id] = sum(audit.hand_votes[c] for c in pool)
+        votes, pooled_count = {}, 0
+        for candidate, count in audit.hand_votes.items():
+            if candidate not in pool:
+                votes[candidate] = count
+            elif count < 0:
+                raise ValidationError(
+                    f"audit of precinct {audit.precinct_id}: "
+                    f"negative count {count} for {candidate!r}"
+                )
+            else:
+                pooled_count += count
+        votes[pooled_id] = pooled_count
         pooled.append(AuditRecord(audit.precinct_id, votes))
     return pooled
 

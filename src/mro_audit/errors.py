@@ -2,19 +2,19 @@
 
 Every domain failure raises a subclass of :class:`AuditError`, so callers
 (notably the CLI) can distinguish bad input from bugs with one except clause.
+An error found in an input file carries its location (``path``, ``row``,
+``column``), and :class:`AuditError` writes it in front of the message in
+one format: ``<path>, row N, column 'X': <message>``, where row N counts
+CSV records (or config lines) and the header is row 1.
 """
 
 
 class AuditError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
 
-
-class ValidationError(AuditError):
-    """Input violates a structural invariant (negative count, count over bound, ...)."""
-
-
-class ParseError(AuditError):
-    """A file could not be parsed.  Carries row/column context when known."""
+    ``path``, ``row`` and ``column`` locate the error when known; the ones
+    given prefix the message.
+    """
 
     def __init__(self, message: str, *, path: str | None = None,
                  row: int | None = None, column: str | None = None):
@@ -30,6 +30,14 @@ class ParseError(AuditError):
             where.append(f"column {column!r}")
         prefix = ", ".join(where)
         super().__init__(f"{prefix}: {message}" if prefix else message)
+
+
+class ValidationError(AuditError):
+    """Input violates a structural invariant (negative count, count over bound, ...)."""
+
+
+class ParseError(AuditError):
+    """A file could not be read or parsed."""
 
 
 class AmbiguousOutcome(AuditError):

@@ -17,11 +17,17 @@ minimum for the county's registered voters applies):
 Config files are plain ``key=value`` lines (``#`` comments allowed); keys
 mirror the CLI flag names.  The loaders reject exactly what the domain
 invariants reject; nothing is silently repaired.
+
+Every file is read through :func:`_lines`, so one that cannot be opened
+or is not UTF-8 is a ``ParseError`` naming it.  :func:`_records` walks the
+three tables, checking row widths and unique keys; row N counts CSV records
+and the header is row 1.  Returns and audits share :func:`_count_table`.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from pathlib import Path
 
 from .core import (
@@ -38,37 +44,99 @@ from .sampling import CountyPlan, statutory_minimum
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _lines(path: str, newline: str | None = None) -> Iterator[str]:
+    """Lines of a UTF-8 file; failing to open or decode it is a ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                return list(reader)
-            except csv.Error as exc:
-                raise ParseError(str(exc), path=str(path),
-                                 row=reader.line_num) from exc
+        with open(path, newline=newline, encoding="utf-8") as handle:
+            yield from handle
     except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from exc
+        raise ParseError(str(exc), path=path) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=str(path)) from exc
+        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
+
+
+def _records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """Walk a CSV table as ``(row, cells)``, numbering rows by record.
+
+    The header comes first, as row 1 with its cells stripped.  Each later
+    row comes once it has the header's width and a key (its first cell,
+    stored stripped) that no earlier row has; the header names the key
+    column.  A csv-module error names the record being read.
+    """
+    reader = csv.reader(_lines(path, newline=""))
+    row = 0  # the last record read
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty file, expected a header row", path=path)
+        row = 1
+        header = [cell.strip() for cell in first]
+        yield row, header
+        width, key_column, seen = len(header), header[0], set()
+        for row, cells in enumerate(reader, start=2):
+            if len(cells) != width:
+                raise ParseError(f"expected {width} cells, got {len(cells)}",
+                                 path=path, row=row)
+            key = cells[0] = cells[0].strip()
+            if key in seen:
+                raise ParseError(f"duplicate {key_column} {key!r}",
+                                 path=path, row=row, column=key_column)
+            seen.add(key)
+            yield row, cells
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path, row=row + 1) from exc
 
 
 def _int_cell(value: str, path: str, row: int, column: str) -> int:
-    text = value.strip()
     try:
-        return int(text)
+        return int(value.strip())
     except ValueError:
+        raise ParseError(f"expected an integer, got {value!r}",
+                         path=path, row=row, column=column) from None
+
+
+def _count_table(
+    path: str, fixed: tuple[str, ...], text_columns: int, at_least: int
+) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str], list[int]]]]:
+    """Read the header of a precinct count table; return the candidates and
+    the walk over its rows as ``(row, cells, counts)``.
+
+    The header is the ``fixed`` columns, then at least ``at_least`` (one or
+    two) candidate columns, unique and nonempty.  Each row has a nonempty
+    ``precinct_id``; ``counts`` are its cells after ``text_columns`` as ints.
+    """
+    records = _records(path)
+    _, header = next(records)
+    if tuple(header[:len(fixed)]) != fixed:
         raise ParseError(
-            f"expected an integer, got {value!r}",
-            path=path, row=row, column=column,
-        ) from None
-
-
-def _check_candidate_columns(candidates: tuple[str, ...], path: str) -> None:
-    if len(set(candidates)) != len(candidates) or any(not c for c in candidates):
+            f"header must start with {','.join(fixed)}, "
+            f"got {','.join(header[:len(fixed)])}",
+            path=path, row=1,
+        )
+    candidates = tuple(header[len(fixed):])
+    if len(candidates) < at_least:
+        need = ("one candidate column", "two candidate columns")[at_least - 1]
+        raise ParseError(f"need at least {need}", path=path, row=1)
+    if len(set(candidates)) != len(candidates) or not all(candidates):
         raise ParseError(
             "candidate columns must be unique and nonempty", path=path, row=1
         )
+    columns = header[text_columns:]
+
+    def rows() -> Iterator[tuple[int, list[str], list[int]]]:
+        for row, cells in records:
+            if not cells[0]:
+                raise ParseError("empty precinct_id", path=path, row=row,
+                                 column="precinct_id")
+            try:
+                counts = list(map(int, map(str.strip, cells[text_columns:])))
+            except ValueError:
+                for column, cell in zip(columns, cells[text_columns:]):
+                    _int_cell(cell, path, row, column)
+                raise
+            yield row, cells, counts
+
+    return candidates, rows()
 
 
 def load_returns(
@@ -86,52 +154,17 @@ def load_returns(
         ValidationError: counts breaking a count rule, located by row.
     """
     path = str(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError("empty file, expected a header row", path=path)
-    header = [cell.strip() for cell in rows[0]]
-    if tuple(header[:3]) != RETURNS_FIXED_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(RETURNS_FIXED_COLUMNS)}, "
-            f"got {','.join(header[:3])}",
-            path=path, row=1,
-        )
-    candidates = tuple(header[3:])
-    if len(candidates) < 2:
-        raise ParseError(
-            "need at least two candidate columns", path=path, row=1
-        )
-    _check_candidate_columns(candidates, path)
-
+    candidates, rows = _count_table(path, RETURNS_FIXED_COLUMNS, 2, 2)
     returns: list[PrecinctReturns] = []
-    seen: set[str] = set()
-    for index, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}",
-                path=path, row=index,
-            )
-        precinct_id = row[0].strip()
-        county_id = row[1].strip()
-        if not precinct_id:
-            raise ParseError("empty precinct_id", path=path, row=index,
-                             column="precinct_id")
-        if precinct_id in seen:
-            raise ParseError(
-                f"duplicate precinct_id {precinct_id!r}",
-                path=path, row=index, column="precinct_id",
-            )
-        seen.add(precinct_id)
-        bound = _int_cell(row[2], path, index, "ballot_bound")
-        votes: dict[str, int] = {}
-        for candidate, cell in zip(candidates, row[3:]):
-            votes[candidate] = _int_cell(cell, path, index, candidate)
+    for row, cells, counts in rows:
+        bound = counts[0]
+        votes = dict(zip(candidates, counts[1:]))
         problem = _count_problem(votes, bound, votes_per_voter)
         if problem is not None:
-            raise ValidationError(f"{path}, row {index}: {problem}")
-        returns.append(PrecinctReturns(precinct_id, county_id, bound, votes))
+            raise ValidationError(problem, path=path, row=row)
+        returns.append(PrecinctReturns(cells[0], cells[1].strip(), bound, votes))
     if not returns:
-        raise ValidationError(f"{path}: no precinct rows")
+        raise ValidationError("no precinct rows", path=path)
     setup = ContestSetup(
         candidates=candidates,
         votes_per_voter=votes_per_voter,
@@ -152,7 +185,8 @@ def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
 
 
 def load_audits(path: str | Path) -> list[AuditRecord]:
-    """Load hand-count records; candidate consistency is checked at join time.
+    """Load hand-count records; the count rules and candidate consistency
+    are checked when the records are pooled or joined to the returns.
 
     An empty file with just a header yields an empty list.
 
@@ -161,49 +195,9 @@ def load_audits(path: str | Path) -> list[AuditRecord]:
             and duplicated or empty candidate columns.
     """
     path = str(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError("empty file, expected a header row", path=path)
-    header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != "precinct_id":
-        raise ParseError(
-            "header must start with precinct_id", path=path, row=1
-        )
-    candidates = tuple(header[1:])
-    if not candidates:
-        raise ParseError("need at least one candidate column", path=path, row=1)
-    _check_candidate_columns(candidates, path)
-
-    audits: list[AuditRecord] = []
-    seen: set[str] = set()
-    for index, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}",
-                path=path, row=index,
-            )
-        precinct_id = row[0].strip()
-        if not precinct_id:
-            raise ParseError("empty precinct_id", path=path, row=index,
-                             column="precinct_id")
-        if precinct_id in seen:
-            raise ParseError(
-                f"duplicate precinct_id {precinct_id!r}",
-                path=path, row=index, column="precinct_id",
-            )
-        seen.add(precinct_id)
-        votes = {
-            candidate: _int_cell(cell, path, index, candidate)
-            for candidate, cell in zip(candidates, row[1:])
-        }
-        for candidate, count in votes.items():
-            if count < 0:
-                raise ValidationError(
-                    f"{path}, row {index}, column {candidate!r}: "
-                    f"negative count {count}"
-                )
-        audits.append(AuditRecord(precinct_id=precinct_id, hand_votes=votes))
-    return audits
+    candidates, rows = _count_table(path, ("precinct_id",), 1, 1)
+    return [AuditRecord(cells[0], dict(zip(candidates, counts)))
+            for _, cells, counts in rows]
 
 
 def load_county_plans(
@@ -217,10 +211,8 @@ def load_county_plans(
     nonempty it overrides the statutory minimum (counties may audit more).
     """
     path = str(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError("empty file, expected a header row", path=path)
-    header = [cell.strip() for cell in rows[0]]
+    records = _records(path)
+    _, header = next(records)
     if header[:2] != ["county_id", "registered_voters"] or len(header) > 3 or (
         len(header) == 3 and header[2] != "required_samples"
     ):
@@ -235,33 +227,22 @@ def load_county_plans(
         precincts_by_county.setdefault(ret.county_id, []).append(ret.precinct_id)
 
     plans: list[CountyPlan] = []
-    seen: set[str] = set()
-    for index, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(row)}",
-                path=path, row=index,
-            )
-        county_id = row[0].strip()
-        if county_id in seen:
-            raise ParseError(
-                f"duplicate county_id {county_id!r}",
-                path=path, row=index, column="county_id",
-            )
-        seen.add(county_id)
-        voters = _int_cell(row[1], path, index, "registered_voters")
+    for row, cells in records:
+        county_id = cells[0]
+        voters = _int_cell(cells[1], path, row, "registered_voters")
         if county_id not in precincts_by_county:
             raise ValidationError(
-                f"{path}, row {index}: county {county_id!r} has no precincts "
-                f"in the returns"
+                f"county {county_id!r} has no precincts in the returns",
+                path=path, row=row,
             )
         required = statutory_minimum(voters)
-        if has_required and row[2].strip():
-            required = _int_cell(row[2], path, index, "required_samples")
+        if has_required and cells[2].strip():
+            required = _int_cell(cells[2], path, row, "required_samples")
             if required < statutory_minimum(voters):
                 raise ValidationError(
-                    f"{path}, row {index}: required_samples {required} below "
-                    f"the statutory minimum {statutory_minimum(voters)}"
+                    f"required_samples {required} below the statutory "
+                    f"minimum {statutory_minimum(voters)}",
+                    path=path, row=row,
                 )
         plans.append(
             CountyPlan(
@@ -271,11 +252,11 @@ def load_county_plans(
                 required_samples=required,
             )
         )
-    missing = set(precincts_by_county) - seen
+    missing = set(precincts_by_county) - {plan.county_id for plan in plans}
     if missing:
         raise ValidationError(
-            f"{path}: counties in returns but not in the table: "
-            f"{sorted(missing)[:5]}"
+            f"counties in returns but not in the table: {sorted(missing)[:5]}",
+            path=path,
         )
     return plans
 
@@ -284,24 +265,16 @@ def load_config(path: str | Path) -> dict[str, str]:
     """Read a key=value config file; keys mirror the CLI flag names."""
     config: dict[str, str] = {}
     path = str(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "\0" in line:
-                    raise ParseError("NUL character in line", path=path,
-                                     row=lineno)
-                if "=" not in line:
-                    raise ParseError(
-                        f"expected key=value, got {line!r}",
-                        path=path, row=lineno,
-                    )
-                key, _, value = line.partition("=")
-                config[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "\0" in line:
+            raise ParseError("NUL character in line", path=path, row=lineno)
+        if "=" not in line:
+            raise ParseError(
+                f"expected key=value, got {line!r}", path=path, row=lineno
+            )
+        key, _, value = line.partition("=")
+        config[key.strip()] = value.strip()
     return config

@@ -235,6 +235,41 @@ class TestAuditColumns:
                 "'Minor' is already a hand-count column") in result.output
 
 
+class TestNegativeHandCount:
+    """A negative hand count is rejected whether or not it is pooled.
+
+    Pooled into ``Minor``, C = -1 and D = 16 would sum to a plausible 15.
+    """
+
+    @pytest.mark.parametrize("hand_counts, pool, candidate", [
+        ("50,30,-1,16", None, "C"),
+        ("50,30,-1,16", "C,D", "C"),
+        ("50,-1,5,10", "C,D", "B"),
+    ])
+    def test_pvalue_exits_one(self, runner, tmp_path, hand_counts, pool,
+                              candidate):
+        returns_path = tmp_path / "returns.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C,D\n"
+            "p1,c1,100,50,30,5,10\np2,c1,100,50,30,5,10\n",
+            encoding="utf-8",
+        )
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text(f"precinct_id,A,B,C,D\np1,{hand_counts}\n",
+                               encoding="utf-8")
+        args = ["pvalue", str(returns_path), str(audits_path),
+                "--sampling", "wr:1"]
+        if pool:
+            args += ["--pool", pool, "--pooled-id", "Minor"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "Error: ValidationError: audit of precinct p1: negative count -1 "
+            f"for {candidate!r}\n"
+        )
+
+
 class TestPlan:
     def test_deterministic_and_sized(self, runner, minnesota_files):
         args = [

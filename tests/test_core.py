@@ -271,6 +271,18 @@ class TestPooling:
         with pytest.raises(CandidateMismatch):
             pool_audit_records(audits, {"C"}, "Rest")
 
+    def test_audit_pooling_rejects_a_negative_pool_member(self):
+        # Summed, C = -1 and D = 16 would read as a plausible Rest = 15.
+        audits = [AuditRecord("p1", {"A": 40, "B": 20, "C": -1, "D": 16})]
+        with pytest.raises(ValidationError) as err:
+            pool_audit_records(audits, {"C", "D"}, "Rest")
+        assert str(err.value) == "audit of precinct p1: negative count -1 for 'C'"
+
+    def test_audit_pooling_leaves_kept_counts_to_the_join(self):
+        audits = [AuditRecord("p1", {"A": 40, "B": -1, "C": 5, "D": 2})]
+        pooled = pool_audit_records(audits, {"C", "D"}, "Rest")
+        assert pooled[0].hand_votes == {"A": 40, "B": -1, "Rest": 7}
+
 
 class TestActualMargins:
     def test_zero_error_tally_confirms(self):

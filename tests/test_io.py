@@ -1,8 +1,13 @@
 import pytest
 
 import minnesota
-from mro_audit.core import compute_totals
-from mro_audit.errors import ParseError, UnknownPrecinct, ValidationError
+from mro_audit.core import PrecinctReturns, compute_totals
+from mro_audit.errors import (
+    AuditError,
+    ParseError,
+    UnknownPrecinct,
+    ValidationError,
+)
 from mro_audit.io import (
     load_audits,
     load_config,
@@ -11,6 +16,14 @@ from mro_audit.io import (
     load_returns,
 )
 from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
+
+
+R = "precinct_id,county_id,ballot_bound,A,B\n"
+H = "precinct_id,A,B\n"
+C = "county_id,registered_voters\n"
+CR = "county_id,registered_voters,required_samples\n"
+LONG = "9" * 131_073  # one character over the csv module's field limit
+TWO_LINE = '"p\n1",c1,10,5,1\n'  # one record on two lines
 
 
 def write(tmp_path, name, text):
@@ -67,6 +80,24 @@ class TestLoadReturns:
             load_returns(path)
         assert err.value.row == 2
         assert err.value.column == "A"
+
+    @pytest.mark.parametrize("line, error, message", [
+        (f"p2,c1,10,{LONG},0", ParseError,
+         "field larger than field limit (131072)"),
+        ("p2,c1,10,x,0", ParseError,
+         "column 'A': expected an integer, got 'x'"),
+        ("p2,c1,10,11,0", ValidationError,
+         "count 11 for 'A' exceeds ballot bound 10"),
+    ], ids=["over-limit-field", "non-integer-cell", "count-rule"])
+    def test_rows_count_records_not_lines(self, tmp_path, line, error,
+                                          message):
+        # The record after the two-line id is row 3, but line 4.
+        path = write(tmp_path, "bad.csv", R + TWO_LINE + line + "\n")
+        with pytest.raises(error) as err:
+            load_returns(path)
+        assert err.value.row == 3
+        assert str(err.value).startswith(f"{path}, row 3")
+        assert str(err.value).endswith(message)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = write(tmp_path, "bad.csv", "precinct,county,bound,A,B\np,c,1,0,0\n")
@@ -138,6 +169,10 @@ class TestLoadAudits:
         with pytest.raises(UnknownPrecinct):
             run_test(setup, returns, audits,
                      TestConfig(IDENTITY, SamplingDesign("with_replacement", 1)))
+
+    def test_count_rules_left_to_pooling_and_the_join(self, tmp_path):
+        path = write(tmp_path, "audits.csv", "precinct_id,A,B\np1,-1,2\n")
+        assert load_audits(path)[0].hand_votes == {"A": -1, "B": 2}
 
     def test_docs_sample(self, docs_audits_path):
         audits = load_audits(docs_audits_path)
@@ -222,3 +257,289 @@ class TestLoadConfig:
         path = write(tmp_path, "audit.cfg", "sampling=wr:2\ncounties=a\0b\n")
         with pytest.raises(ParseError, match="row 2"):
             load_config(path)
+
+
+COUNTY_RETURNS = [PrecinctReturns("p1", "c1", 400, {"A": 200, "B": 100}),
+                  PrecinctReturns("p2", "c2", 400, {"A": 180, "B": 90})]
+LOADERS = {
+    "returns": load_returns,
+    "audits": load_audits,
+    "counties": lambda path: load_county_plans(path, COUNTY_RETURNS),
+    "config": load_config,
+}
+
+
+class TestMessageCorpus:
+    """Each malformed input and the exact error its loader raises.
+
+    ``{path}`` stands for the file's path; content ``None`` is a missing
+    file.  Rows count CSV records, the header being row 1.
+    """
+
+    @pytest.mark.parametrize("kind, content, error, message", [
+        pytest.param(
+            "returns", "precinct,county,bound,A,B\np,c,1,0,0\n",
+            ParseError, "{path}, row 1: header must start with "
+                        "precinct_id,county_id,ballot_bound, got "
+                        "precinct,county,bound",
+            id="returns-bad-header"),
+        pytest.param(
+            "returns", "precinct_id,county_id,ballot_bound,A\np1,c1,5,3\n",
+            ParseError, "{path}, row 1: need at least two candidate columns",
+            id="returns-one-candidate"),
+        pytest.param(
+            "returns", "precinct_id,county_id,ballot_bound,A,A\np1,c1,5,3,1\n",
+            ParseError, "{path}, row 1: candidate columns must be unique and "
+                        "nonempty",
+            id="returns-duplicate-candidate"),
+        pytest.param(
+            "returns", "precinct_id,county_id,ballot_bound,A,,B\np1,c1,5,3,1,0\n",
+            ParseError, "{path}, row 1: candidate columns must be unique and "
+                        "nonempty",
+            id="returns-empty-candidate"),
+        pytest.param(
+            "returns", R + "p1,c1,10,5\n",
+            ParseError, "{path}, row 2: expected 5 cells, got 4",
+            id="returns-short-row"),
+        pytest.param(
+            "returns", R + "p1,c1,10,5,1\n\np2,c1,10,5,1\n",
+            ParseError, "{path}, row 3: expected 5 cells, got 0",
+            id="returns-blank-row"),
+        pytest.param(
+            "returns", R + " ,c1,10,5,1\n",
+            ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
+            id="returns-empty-id"),
+        pytest.param(
+            "returns", R + "p1,c1,10,5,0\n p1 ,c1,10,4,1\n",
+            ParseError, "{path}, row 3, column 'precinct_id': duplicate "
+                        "precinct_id 'p1'",
+            id="returns-duplicate-id"),
+        pytest.param(
+            "returns", R + "p1,c1,ten,five,0\n",
+            ParseError, "{path}, row 2, column 'ballot_bound': expected an "
+                        "integer, got 'ten'",
+            id="returns-non-integer-bound"),
+        pytest.param(
+            "returns", R + "p1,c1,10,5,1\np2,c1,10,five,0\n",
+            ParseError, "{path}, row 3, column 'A': expected an integer, got "
+                        "'five'",
+            id="returns-non-integer-cell"),
+        pytest.param(
+            "returns", R + TWO_LINE + "p2,c1,10,x,1\n",
+            ParseError, "{path}, row 3, column 'A': expected an integer, got "
+                        "'x'",
+            id="returns-non-integer-after-two-line-id"),
+        pytest.param(
+            "returns", R + f"p1,c1,10,{LONG},0\n",
+            ParseError, "{path}, row 2: field larger than field limit (131072)",
+            id="returns-over-limit-field"),
+        pytest.param(
+            "returns", R + TWO_LINE + f"p2,c1,10,{LONG},0\n",
+            ParseError, "{path}, row 3: field larger than field limit (131072)",
+            id="returns-over-limit-after-two-line-id"),
+        pytest.param(
+            "returns", R.encode() + b"p\xe9,c1,10,5,1\n",
+            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xe9 in position 40: invalid continuation byte",
+            id="returns-non-utf8"),
+        pytest.param(
+            "returns", None,
+            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+            id="returns-missing-file"),
+        pytest.param(
+            "returns", "",
+            ParseError, "{path}: empty file, expected a header row",
+            id="returns-empty-file"),
+        pytest.param(
+            "returns", R,
+            ValidationError, "{path}: no precinct rows",
+            id="returns-no-rows"),
+        pytest.param(
+            "returns", R + "p1,c1,-1,0,0\n",
+            ValidationError, "{path}, row 2: negative ballot bound -1",
+            id="returns-negative-bound"),
+        pytest.param(
+            "returns", R + f"p1,c1,{10**18 + 1},0,0\n",
+            ValidationError, "{path}, row 2: ballot bound 1000000000000000001 "
+                             "above 10**18",
+            id="returns-bound-above-cap"),
+        pytest.param(
+            "returns", R + "p1,c1,10,3,-1\n",
+            ValidationError, "{path}, row 2: negative count -1 for 'B'",
+            id="returns-negative-count"),
+        pytest.param(
+            "returns", R + "p1,c1,10,11,0\n",
+            ValidationError, "{path}, row 2: count 11 for 'A' exceeds ballot "
+                             "bound 10",
+            id="returns-count-over-bound"),
+        pytest.param(
+            "returns", R + "p1,c1,10,6,5\n",
+            ValidationError, "{path}, row 2: 11 votes exceed 1 per ballot "
+                             "times bound 10",
+            id="returns-votes-over-cap"),
+        pytest.param(
+            "audits", "precinct,A,B\np1,1,2\n",
+            ParseError, "{path}, row 1: header must start with precinct_id, "
+                        "got precinct",
+            id="audits-bad-header"),
+        pytest.param(
+            "audits", "precinct_id\np1\n",
+            ParseError, "{path}, row 1: need at least one candidate column",
+            id="audits-no-candidate"),
+        pytest.param(
+            "audits", "precinct_id,A,A\np1,1,2\n",
+            ParseError, "{path}, row 1: candidate columns must be unique and "
+                        "nonempty",
+            id="audits-duplicate-candidate"),
+        pytest.param(
+            "audits", "precinct_id,A,\np1,1,2\n",
+            ParseError, "{path}, row 1: candidate columns must be unique and "
+                        "nonempty",
+            id="audits-empty-candidate"),
+        pytest.param(
+            "audits", H + "p1,1\n",
+            ParseError, "{path}, row 2: expected 3 cells, got 2",
+            id="audits-short-row"),
+        pytest.param(
+            "audits", H + "p1,1,2,3\n",
+            ParseError, "{path}, row 2: expected 3 cells, got 4",
+            id="audits-long-row"),
+        pytest.param(
+            "audits", H + ",1,2\n",
+            ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
+            id="audits-empty-id"),
+        pytest.param(
+            "audits", H + "p1,1,2\np1,1,2\n",
+            ParseError, "{path}, row 3, column 'precinct_id': duplicate "
+                        "precinct_id 'p1'",
+            id="audits-duplicate-id"),
+        pytest.param(
+            "audits", H + "p1,1,two\n",
+            ParseError, "{path}, row 2, column 'B': expected an integer, got "
+                        "'two'",
+            id="audits-non-integer-cell"),
+        pytest.param(
+            "audits", H + f"p1,{LONG},2\n",
+            ParseError, "{path}, row 2: field larger than field limit (131072)",
+            id="audits-over-limit-field"),
+        pytest.param(
+            "audits", H + '"p\n1",1,2\n' + f"p2,{LONG},2\n",
+            ParseError, "{path}, row 3: field larger than field limit (131072)",
+            id="audits-over-limit-after-two-line-id"),
+        pytest.param(
+            "audits", H.encode() + b"p1,1,2\xff\n",
+            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xff in position 22: invalid start byte",
+            id="audits-non-utf8"),
+        pytest.param(
+            "audits", None,
+            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+            id="audits-missing-file"),
+        pytest.param(
+            "audits", "",
+            ParseError, "{path}: empty file, expected a header row",
+            id="audits-empty-file"),
+        pytest.param(
+            "counties", "county,voters\nc1,10000\n",
+            ParseError, "{path}, row 1: header must be "
+                        "county_id,registered_voters[,required_samples]",
+            id="counties-bad-header"),
+        pytest.param(
+            "counties", "county_id,registered_voters,extra\nc1,10000,2\n",
+            ParseError, "{path}, row 1: header must be "
+                        "county_id,registered_voters[,required_samples]",
+            id="counties-bad-third-column"),
+        pytest.param(
+            "counties", CR.replace("\n", ",x\n"),
+            ParseError, "{path}, row 1: header must be "
+                        "county_id,registered_voters[,required_samples]",
+            id="counties-four-columns"),
+        pytest.param(
+            "counties", C + "c1\n",
+            ParseError, "{path}, row 2: expected 2 cells, got 1",
+            id="counties-short-row"),
+        pytest.param(
+            "counties", C + "c1,10000\nc2,10000\nc1,10000\n",
+            ParseError, "{path}, row 4, column 'county_id': duplicate "
+                        "county_id 'c1'",
+            id="counties-duplicate-id"),
+        pytest.param(
+            "counties", C + ",10000\n",
+            ValidationError, "{path}, row 2: county '' has no precincts in the "
+                             "returns",
+            id="counties-empty-id"),
+        pytest.param(
+            "counties", C + "c1,many\n",
+            ParseError, "{path}, row 2, column 'registered_voters': expected "
+                        "an integer, got 'many'",
+            id="counties-non-integer-voters"),
+        pytest.param(
+            "counties", CR + "c1,10000,x\n",
+            ParseError, "{path}, row 2, column 'required_samples': expected an "
+                        "integer, got 'x'",
+            id="counties-non-integer-required"),
+        pytest.param(
+            "counties", C + f"c1,{LONG}\n",
+            ParseError, "{path}, row 2: field larger than field limit (131072)",
+            id="counties-over-limit-field"),
+        pytest.param(
+            "counties", C.encode() + b"c\xe91,10000\n",
+            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xe9 in position 29: invalid continuation byte",
+            id="counties-non-utf8"),
+        pytest.param(
+            "counties", None,
+            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+            id="counties-missing-file"),
+        pytest.param(
+            "counties", "",
+            ParseError, "{path}: empty file, expected a header row",
+            id="counties-empty-file"),
+        pytest.param(
+            "counties", C,
+            ValidationError, "{path}: counties in returns but not in the "
+                             "table: ['c1', 'c2']",
+            id="counties-no-rows"),
+        pytest.param(
+            "counties", C + "c1,10000\nc2,10000\nc9,10000\n",
+            ValidationError, "{path}, row 4: county 'c9' has no precincts in "
+                             "the returns",
+            id="counties-unknown-county"),
+        pytest.param(
+            "counties", CR + "c1,60000,2\nc2,10000,\n",
+            ValidationError, "{path}, row 2: required_samples 2 below the "
+                             "statutory minimum 3",
+            id="counties-required-below-statute"),
+        pytest.param(
+            "counties", C + "c1,10000\n",
+            ValidationError, "{path}: counties in returns but not in the "
+                             "table: ['c2']",
+            id="counties-county-missing"),
+        pytest.param(
+            "config", "# comment\n\njust words\n",
+            ParseError, "{path}, row 3: expected key=value, got 'just words'",
+            id="config-malformed-line"),
+        pytest.param(
+            "config", "sampling=wr:2\ncounties=a\0b\n",
+            ParseError, "{path}, row 2: NUL character in line",
+            id="config-nul"),
+        pytest.param(
+            "config", b"pool=Caf\xe9\n",
+            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xe9 in position 8: invalid continuation byte",
+            id="config-non-utf8"),
+        pytest.param(
+            "config", None,
+            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+            id="config-missing-file"),
+    ])
+    def test_message(self, tmp_path, kind, content, error, message):
+        path = tmp_path / "input.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(AuditError) as err:
+            LOADERS[kind](path)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(path=path)
