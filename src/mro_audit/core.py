@@ -160,6 +160,11 @@ class Contest:
         return self._totals
 
 
+def _negative_count(candidate: Candidate, count: int) -> str:
+    """The negative-count rule's message, shared by pooling and the join."""
+    return f"negative count {count} for {candidate!r}"
+
+
 def _count_problem(votes: Mapping[Candidate, int], ballot_bound: int,
                    votes_per_voter: int) -> str | None:
     """The first count rule one precinct's integer counts break, or ``None``.
@@ -176,7 +181,7 @@ def _count_problem(votes: Mapping[Candidate, int], ballot_bound: int,
     total = 0
     for candidate, count in votes.items():
         if count < 0:
-            return f"negative count {count} for {candidate!r}"
+            return _negative_count(candidate, count)
         if count > ballot_bound:
             return (f"count {count} for {candidate!r} exceeds "
                     f"ballot bound {ballot_bound}")
@@ -447,10 +452,8 @@ def pool_audit_records(
             if candidate not in pool:
                 votes[candidate] = count
             elif count < 0:
-                raise ValidationError(
-                    f"audit of precinct {audit.precinct_id}: "
-                    f"negative count {count} for {candidate!r}"
-                )
+                raise ValidationError(f"audit of precinct {audit.precinct_id}: "
+                                      f"{_negative_count(candidate, count)}")
             else:
                 pooled_count += count
         votes[pooled_id] = pooled_count

@@ -18,17 +18,19 @@ Config files are plain ``key=value`` lines (``#`` comments allowed); keys
 mirror the CLI flag names.  The loaders reject exactly what the domain
 invariants reject; nothing is silently repaired.
 
-Every file is read through :func:`_lines`, so one that cannot be opened
-or is not UTF-8 is a ``ParseError`` naming it.  :func:`_records` walks the
-three tables, checking row widths and unique keys; row N counts CSV records
-and the header is row 1.  Returns and audits share :func:`_count_table`.
+Every file is opened through :func:`_opened`: one that cannot be opened or
+is not UTF-8 is a ``ParseError``.  :func:`_records` reads a table whole,
+then checks row widths and unique keys; row N counts CSV records, the
+header being row 1.  Returns and audits share :func:`_count_table`.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from .core import (
     AuditRecord,
@@ -44,11 +46,12 @@ from .sampling import CountyPlan, statutory_minimum
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 
 
-def _lines(path: str, newline: str | None = None) -> Iterator[str]:
-    """Lines of a UTF-8 file; failing to open or decode it is a ParseError."""
+@contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 file; failing to open or decode it is a ParseError."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as handle:
-            yield from handle
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
     except UnicodeDecodeError as exc:
@@ -58,33 +61,33 @@ def _lines(path: str, newline: str | None = None) -> Iterator[str]:
 def _records(path: str) -> Iterator[tuple[int, list[str]]]:
     """Walk a CSV table as ``(row, cells)``, numbering rows by record.
 
-    The header comes first, as row 1 with its cells stripped.  Each later
-    row comes once it has the header's width and a key (its first cell,
-    stored stripped) that no earlier row has; the header names the key
-    column.  A csv-module error names the record being read.
+    The file is read whole, and closed, before any row is checked.  The
+    header comes first, as row 1 with its cells stripped; each later row
+    comes once it has the header's width and a key (its first cell, stored
+    stripped) that no earlier row has.
     """
-    reader = csv.reader(_lines(path, newline=""))
-    row = 0  # the last record read
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise ParseError("empty file, expected a header row", path=path)
-        row = 1
-        header = [cell.strip() for cell in first]
-        yield row, header
-        width, key_column, seen = len(header), header[0], set()
-        for row, cells in enumerate(reader, start=2):
-            if len(cells) != width:
-                raise ParseError(f"expected {width} cells, got {len(cells)}",
-                                 path=path, row=row)
-            key = cells[0] = cells[0].strip()
-            if key in seen:
-                raise ParseError(f"duplicate {key_column} {key!r}",
-                                 path=path, row=row, column=key_column)
-            seen.add(key)
-            yield row, cells
-    except csv.Error as exc:
-        raise ParseError(str(exc), path=path, row=row + 1) from exc
+    table: list[list[str]] = []
+    with _opened(path) as handle:
+        try:
+            for cells in csv.reader(handle):
+                table.append(cells)
+        except csv.Error as exc:
+            raise ParseError(str(exc), path=path, row=len(table) + 1) from exc
+    if not table:
+        raise ParseError("empty file, expected a header row", path=path)
+    header = [cell.strip() for cell in table[0]]
+    yield 1, header
+    width, key_column, seen = len(header), header[0], set()
+    for row, cells in enumerate(table[1:], start=2):
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}",
+                             path=path, row=row)
+        key = cells[0] = cells[0].strip()
+        if key in seen:
+            raise ParseError(f"duplicate {key_column} {key!r}",
+                             path=path, row=row, column=key_column)
+        seen.add(key)
+        yield row, cells
 
 
 def _int_cell(value: str, path: str, row: int, column: str) -> int:
@@ -128,12 +131,8 @@ def _count_table(
             if not cells[0]:
                 raise ParseError("empty precinct_id", path=path, row=row,
                                  column="precinct_id")
-            try:
-                counts = list(map(int, map(str.strip, cells[text_columns:])))
-            except ValueError:
-                for column, cell in zip(columns, cells[text_columns:]):
-                    _int_cell(cell, path, row, column)
-                raise
+            counts = [_int_cell(cell, path, row, column)
+                      for column, cell in zip(columns, cells[text_columns:])]
             yield row, cells, counts
 
     return candidates, rows()
@@ -265,16 +264,18 @@ def load_config(path: str | Path) -> dict[str, str]:
     """Read a key=value config file; keys mirror the CLI flag names."""
     config: dict[str, str] = {}
     path = str(path)
-    for lineno, raw in enumerate(_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\0" in line:
-            raise ParseError("NUL character in line", path=path, row=lineno)
-        if "=" not in line:
-            raise ParseError(
-                f"expected key=value, got {line!r}", path=path, row=lineno
-            )
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+    with _opened(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "\0" in line:
+                raise ParseError("NUL character in line", path=path,
+                                 row=lineno)
+            if "=" not in line:
+                raise ParseError(
+                    f"expected key=value, got {line!r}", path=path, row=lineno
+                )
+            key, _, value = line.partition("=")
+            config[key.strip()] = value.strip()
     return config

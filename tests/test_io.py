@@ -1,6 +1,7 @@
 import pytest
 
 import minnesota
+import mro_audit.io
 from mro_audit.core import PrecinctReturns, compute_totals
 from mro_audit.errors import (
     AuditError,
@@ -543,3 +544,60 @@ class TestMessageCorpus:
             LOADERS[kind](path)
         assert type(err.value) is error
         assert str(err.value) == message.format(path=path)
+
+
+# Over 8 KB of valid rows, so the decoder reaches the bad byte only after
+# the rows before it could have been checked.
+PADDING = "".join(f"q{i},c1,10,1,1\n" for i in range(700))
+
+
+class TestReadBeforeCheck:
+    """A table is read whole before any row is checked, so a decode or
+    csv-module error wins over an earlier row's fault; config lines are
+    checked as they are read.  Either way the file is closed on error."""
+
+    @pytest.mark.parametrize("kind, content, error, message", [
+        pytest.param(
+            "returns", (R + "p1,c1,10,11,0\n" + PADDING).encode()
+            + b"z\xe9,c1,10,1,1\n",
+            ParseError, "{path}: not valid UTF-8: ",
+            id="returns-count-rule-then-bad-byte"),
+        pytest.param(
+            "returns", R + "p1,c1,10,11,0\n" + f"p2,c1,10,{LONG},0\n",
+            ParseError, "{path}, row 3: field larger than field limit (131072)",
+            id="returns-count-rule-then-over-limit-field"),
+        pytest.param(
+            "audits", H + "p1,x,0\n" + f"p2,{LONG},0\n",
+            ParseError, "{path}, row 3: field larger than field limit (131072)",
+            id="audits-non-integer-then-over-limit-field"),
+        pytest.param(
+            "config", ("just words\n" + "# pad\n" * 2000).encode()
+            + b"pool=Caf\xe9\n",
+            ParseError, "{path}, row 1: expected key=value, got 'just words'",
+            id="config-bad-line-then-bad-byte"),
+        pytest.param(
+            "returns", R + "p1,c1,10,11,0\n",
+            ValidationError, "{path}, row 2: count 11 for 'A' exceeds ballot "
+                             "bound 10",
+            id="returns-count-rule"),
+    ])
+    def test_first_error_and_file_closed(self, tmp_path, monkeypatch, kind,
+                                         content, error, message):
+        path = tmp_path / "input.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        handles = []
+
+        def tracking_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(mro_audit.io, "open", tracking_open, raising=False)
+        with pytest.raises(AuditError) as err:
+            LOADERS[kind](path)
+        assert type(err.value) is error
+        assert str(err.value).startswith(message.format(path=path))
+        # err keeps the traceback, and with it every frame, alive.
+        assert len(handles) == 1 and handles[0].closed
