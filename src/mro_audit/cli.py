@@ -17,7 +17,7 @@ from math import sqrt
 import click
 
 from . import __version__
-from .core import pool_audit_records, pool_contest
+from .core import pool_audit_records
 from .discrepancy import analyze_precinct, mro_sum, precinct_bound, precinct_mro
 from .errors import AuditError
 from .io import (
@@ -97,10 +97,9 @@ def _parse_pool(text: str | None) -> list[str]:
 def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
     """Load the returns as a contest and merge the ``--pool`` members, if any."""
     members = _parse_pool(pool)
-    contest = load_contest(returns_path, votes_per_voter)
+    contest = load_contest(returns_path, votes_per_voter, members, pooled_id)
     if not members:
         return contest, None
-    contest = pool_contest(contest, members, pooled_id)
     return contest, {"members": members, "pooled_id": pooled_id}
 
 

@@ -15,15 +15,17 @@ larger ones give MRO bounds that overflow a float in the output.
 
 A :class:`Contest` is the one validated, tabulated value a run works from:
 the setup, the returns and their totals, built once (by
-:func:`prepare_contest`, or ``io.load_contest`` for a returns file) and
-handed to pooling, bounds and the risk test, none of which validates or
-tabulates the returns again.  :func:`compute_totals`,
-:func:`pool_candidates` and ``risk.run_test`` keep taking bare setups and
-returns; each builds the contest and calls the same code.
+:func:`prepare_contest`, or ``io.load_contest`` for a returns file, which
+pools in the same pass) and handed to bounds and the risk test, none of
+which validates or tabulates the returns again.  :func:`pool_contest` and
+``io.load_contest`` share one statement of the pool rules.
+:func:`compute_totals`, :func:`pool_candidates` and ``risk.run_test`` keep
+taking bare setups and returns; each builds the contest and calls the same
+code.
 
-All values are immutable after construction (a contest works out its
-outcome once, on first use) and all operations are pure, so they are safe
-to share across threads.
+All values are immutable after construction (the row types are named
+tuples; a contest works out its outcome once, on first use) and all
+operations are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousOutcome,
@@ -79,8 +82,7 @@ class ContestSetup:
             raise ValidationError("precinct_count must be at least 1")
 
 
-@dataclass(frozen=True)
-class PrecinctReturns:
+class PrecinctReturns(NamedTuple):
     """Machine counts for one precinct.
 
     ``ballot_bound`` is the a priori cap on valid ballots cast in the
@@ -97,8 +99,7 @@ class PrecinctReturns:
         return sum(self.machine_votes.values())
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """Hand-count results for one audited precinct."""
 
     precinct_id: str
@@ -165,11 +166,18 @@ def _negative_count(candidate: Candidate, count: int) -> str:
     return f"negative count {count} for {candidate!r}"
 
 
-def _count_problem(votes: Mapping[Candidate, int], ballot_bound: int,
+def _check_int_count(candidate: Candidate, count: object, where: str) -> None:
+    """Reject a count that is not an ``int`` (or is a ``bool``)."""
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValidationError(f"{where}: count for {candidate!r} is not an integer")
+
+
+def _count_problem(counts: Iterable[tuple[Candidate, int]], ballot_bound: int,
                    votes_per_voter: int) -> str | None:
     """The first count rule one precinct's integer counts break, or ``None``.
 
-    The rules: the ballot bound is nonnegative (and at most
+    ``counts`` are ``(candidate, count)`` pairs, in column order.  The
+    rules: the ballot bound is nonnegative (and at most
     :data:`MAX_BALLOT_BOUND`), each count is nonnegative and at most the
     bound, and the counts sum to at most ``votes_per_voter`` times the
     bound.  The caller adds the location.
@@ -179,7 +187,7 @@ def _count_problem(votes: Mapping[Candidate, int], ballot_bound: int,
     if ballot_bound > MAX_BALLOT_BOUND:
         return f"ballot bound {ballot_bound} above 10**18"
     total = 0
-    for candidate, count in votes.items():
+    for candidate, count in counts:
         if count < 0:
             return _negative_count(candidate, count)
         if count > ballot_bound:
@@ -210,13 +218,13 @@ def _check_vote_map(
             + (f", unexpected {extra}" if extra else "")
         )
     for candidate, count in votes.items():
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ValidationError(f"{where}: count for {candidate!r} is not an integer")
+        _check_int_count(candidate, count, where)
     if not isinstance(ballot_bound, int) or isinstance(ballot_bound, bool):
         raise ValidationError(
             f"{where}: ballot bound {ballot_bound!r} is not an integer"
         )
-    problem = _count_problem(votes, ballot_bound, setup.votes_per_voter)
+    problem = _count_problem(votes.items(), ballot_bound,
+                             setup.votes_per_voter)
     if problem is not None:
         raise ValidationError(f"{where}: {problem}")
 
@@ -334,6 +342,40 @@ def _check_pool(setup: ContestSetup, pool: set[Candidate],
         raise ValidationError(f"pooled id {pooled_id!r} is already a candidate")
 
 
+def _pooled_contest(setup: ContestSetup, votes: dict[Candidate, int],
+                    pool: set[Candidate], pooled_id: Candidate,
+                    returns: Sequence[PrecinctReturns]) -> Contest:
+    """The pool rules, in order, then the pooled contest: ``setup`` and
+    ``votes`` are unpooled, ``returns`` already merge the pool's known
+    members into ``pooled_id`` and are trusted only once every rule holds.
+    A pooled count above its bound is the one count rule pooling can break.
+    """
+    _check_pool(setup, pool, pooled_id)
+    outcome = _outcome(setup, votes)
+    winners_in_pool = pool & set(outcome.winners)
+    if winners_in_pool:
+        raise PoolContainsWinner(
+            f"pool contains apparent winner(s): {sorted(winners_in_pool)}"
+        )
+    for ret in returns:
+        pooled = ret.machine_votes[pooled_id]
+        if pooled > ret.ballot_bound:
+            problem = _count_problem([(pooled_id, pooled)], ret.ballot_bound,
+                                     setup.votes_per_voter)
+            raise ValidationError(f"precinct {ret.precinct_id}: {problem}")
+    pooled_total = sum(votes[c] for c in pool)
+    weakest = outcome.winners[-1]
+    if pooled_total >= votes[weakest]:
+        raise PoolContainsWinner(
+            f"pooled total {pooled_total} for {pooled_id!r} does not trail "
+            f"winner {weakest!r} ({votes[weakest]})"
+        )
+    new_votes = {c: votes[c] for c in setup.candidates if c not in pool}
+    new_votes[pooled_id] = pooled_total
+    return Contest(ContestSetup(tuple(new_votes), setup.votes_per_voter,
+                                setup.precinct_count), returns, new_votes)
+
+
 def pool_contest(contest: Contest, pool: Iterable[Candidate],
                  pooled_id: Candidate) -> Contest:
     """Merge losing candidates into a single pseudo-candidate.
@@ -356,47 +398,16 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
             its precinct's ballot bound.
         AmbiguousOutcome: the contest itself has no strict outcome.
     """
-    setup = contest.setup
-    pool = set(pool)
-    _check_pool(setup, pool, pooled_id)
-    totals = contest.totals
-    winners_in_pool = pool & set(totals.winners)
-    if winners_in_pool:
-        raise PoolContainsWinner(
-            f"pool contains apparent winner(s): {sorted(winners_in_pool)}"
-        )
-
-    kept = tuple(c for c in setup.candidates if c not in pool)
-    new_setup = ContestSetup(
-        candidates=kept + (pooled_id,),
-        votes_per_voter=setup.votes_per_voter,
-        precinct_count=setup.precinct_count,
-    )
-    new_returns = []
+    setup, pool = contest.setup, set(pool)
+    kept = [c for c in setup.candidates if c not in pool]
+    members = pool.intersection(setup.candidates)
+    returns = []
     for ret in contest.returns:
         machine = ret.machine_votes
         votes = {c: machine[c] for c in kept}
-        pooled = votes[pooled_id] = sum(map(machine.__getitem__, pool))
-        # The one invariant pooling can break: every other count, and each
-        # precinct's sum, is unchanged.
-        if pooled > ret.ballot_bound:
-            raise ValidationError(
-                f"precinct {ret.precinct_id}: count {pooled} for "
-                f"{pooled_id!r} exceeds ballot bound {ret.ballot_bound}"
-            )
-        new_returns.append(PrecinctReturns(
-            ret.precinct_id, ret.county_id, ret.ballot_bound, votes
-        ))
-    pooled_total = sum(totals.totals[c] for c in pool)
-    weakest = totals.winners[-1]
-    if pooled_total >= totals.totals[weakest]:
-        raise PoolContainsWinner(
-            f"pooled total {pooled_total} for {pooled_id!r} does not trail "
-            f"winner {weakest!r} ({totals.totals[weakest]})"
-        )
-    new_votes = {c: totals.totals[c] for c in kept}
-    new_votes[pooled_id] = pooled_total
-    return Contest(new_setup, new_returns, new_votes)
+        votes[pooled_id] = sum(map(machine.__getitem__, members))
+        returns.append(ret._replace(machine_votes=votes))
+    return _pooled_contest(setup, contest._votes, pool, pooled_id, returns)
 
 
 def pool_candidates(
@@ -424,14 +435,14 @@ def pool_audit_records(
     """Apply the same candidate pooling to hand-count records.
 
     Mechanical companion to :func:`pool_contest` for audit data; the
-    winner checks happened when the returns were pooled.  A negative count
-    for a pool member is rejected here, since the sum would hide it from
-    :func:`join_audits`, which checks every other count.
+    winner checks happened when the returns were pooled.  A pool member's
+    count that is not an ``int``, or is negative, is rejected here, since
+    the sum would hide it from :func:`join_audits`, which checks the rest.
 
     Raises:
         CandidateMismatch: a record lacks a pool member, or already has a
             column named ``pooled_id``.
-        ValidationError: a pool member's count is negative.
+        ValidationError: a pool member's count is not an int, or negative.
     """
     pool = set(pool)
     pooled = []
@@ -448,14 +459,15 @@ def pool_audit_records(
                 f"{pooled_id!r} is already a hand-count column"
             )
         votes, pooled_count = {}, 0
+        where = f"audit of precinct {audit.precinct_id}"
         for candidate, count in audit.hand_votes.items():
             if candidate not in pool:
                 votes[candidate] = count
-            elif count < 0:
-                raise ValidationError(f"audit of precinct {audit.precinct_id}: "
-                                      f"{_negative_count(candidate, count)}")
-            else:
-                pooled_count += count
+                continue
+            _check_int_count(candidate, count, where)
+            if count < 0:
+                raise ValidationError(f"{where}: {_negative_count(candidate, count)}")
+            pooled_count += count
         votes[pooled_id] = pooled_count
         pooled.append(AuditRecord(audit.precinct_id, votes))
     return pooled

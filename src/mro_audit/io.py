@@ -21,14 +21,17 @@ invariants reject; nothing is silently repaired.
 Every file is opened through :func:`_opened`: one that cannot be opened or
 is not UTF-8 is a ``ParseError``.  :func:`_records` reads a table whole,
 then checks row widths and unique keys; row N counts CSV records, the
-header being row 1.  Returns and audits share :func:`_count_table`.
+header being row 1.  Returns and audits share :func:`_count_table`, which
+parses each integer cell once (:func:`_ints`).  :func:`load_contest`
+checks, tabulates and pools a returns file in its one pass over the rows.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 from typing import TextIO
 
@@ -38,7 +41,7 @@ from .core import (
     ContestSetup,
     PrecinctReturns,
     _count_problem,
-    tabulate,
+    _pooled_contest,
 )
 from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
@@ -90,12 +93,18 @@ def _records(path: str) -> Iterator[tuple[int, list[str]]]:
         yield row, cells
 
 
-def _int_cell(value: str, path: str, row: int, column: str) -> int:
+def _ints(cells: list[str], columns: list[str], path: str,
+          row: int) -> list[int]:
+    """Each cell as an ``int``, parsed once, else a ``ParseError`` naming its
+    column.  (``int`` alone keeps U+001C to U+001F, which ``strip`` drops.)"""
+    ints = []
     try:
-        return int(value.strip())
+        for column, cell in zip(columns, cells):
+            ints.append(int(cell.strip()))
     except ValueError:
-        raise ParseError(f"expected an integer, got {value!r}",
+        raise ParseError(f"expected an integer, got {cell!r}",
                          path=path, row=row, column=column) from None
+    return ints
 
 
 def _count_table(
@@ -131,9 +140,7 @@ def _count_table(
             if not cells[0]:
                 raise ParseError("empty precinct_id", path=path, row=row,
                                  column="precinct_id")
-            counts = [_int_cell(cell, path, row, column)
-                      for column, cell in zip(columns, cells[text_columns:])]
-            yield row, cells, counts
+            yield row, cells, _ints(cells[text_columns:], columns, path, row)
 
     return candidates, rows()
 
@@ -141,46 +148,56 @@ def _count_table(
 def load_returns(
     path: str | Path, votes_per_voter: int = 1
 ) -> tuple[ContestSetup, list[PrecinctReturns]]:
-    """Load and validate a returns CSV.
+    """The setup and returns of :func:`load_contest`, unpooled."""
+    contest = load_contest(path, votes_per_voter)
+    return contest.setup, contest.returns
 
-    The candidate set is inferred from the header columns after the three
-    fixed columns.  Every cell must be an integer; duplicate precinct ids are
-    rejected; each row's counts must obey the count rules of
-    :mod:`mro_audit.core`.
+
+def load_contest(path: str | Path, votes_per_voter: int = 1,
+                 pool: Iterable[str] = (), pooled_id: str = "Pooled") -> Contest:
+    """Load and validate a returns CSV as a :class:`~mro_audit.core.Contest`,
+    with the ``pool`` members, if any, merged into ``pooled_id``.
+
+    The candidates are the header columns after the three fixed columns.
+    Every cell must be an integer, precinct ids must be unique and each
+    row's counts must obey the count rules of :mod:`mro_audit.core`.  One
+    pass checks each row, builds its final vote map and sums the unpooled
+    column totals a chunk of rows at a time; then the pool rules run.  The
+    result, each error and their order are those of ``core.pool_contest``
+    on the unpooled contest, except that an empty pool means no pooling.
 
     Raises:
-        ParseError: structural problems, located by row and column.
-        ValidationError: counts breaking a count rule, located by row.
+        ParseError, ValidationError: a malformed row or a broken count rule,
+            located by row; then what ``core.pool_contest`` raises.
     """
-    path = str(path)
+    path, pool = str(path), set(pool)
     candidates, rows = _count_table(path, RETURNS_FIXED_COLUMNS, 2, 2)
+    kept_mask = [candidate not in pool for candidate in candidates]
+    pool_mask = [not kept for kept in kept_mask]
+    kept = list(compress(candidates, kept_mask))
     returns: list[PrecinctReturns] = []
+    width, chunk = len(candidates), []
     for row, cells, counts in rows:
-        bound = counts[0]
-        votes = dict(zip(candidates, counts[1:]))
-        problem = _count_problem(votes, bound, votes_per_voter)
+        bound, counts = counts[0], counts[1:]
+        problem = _count_problem(zip(candidates, counts), bound,
+                                 votes_per_voter)
         if problem is not None:
             raise ValidationError(problem, path=path, row=row)
-        returns.append(PrecinctReturns(cells[0], cells[1].strip(), bound, votes))
+        votes = dict(zip(kept, compress(counts, kept_mask)))
+        if pool:
+            votes[pooled_id] = sum(compress(counts, pool_mask))
+        returns.append(PrecinctReturns(cells[0], cells[1].strip(), bound,
+                                       votes))
+        chunk += counts
+        if len(chunk) >= 256 * width:  # fold the chunk into its column sums
+            chunk = [sum(chunk[i::width]) for i in range(width)]
     if not returns:
         raise ValidationError("no precinct rows", path=path)
-    setup = ContestSetup(
-        candidates=candidates,
-        votes_per_voter=votes_per_voter,
-        precinct_count=len(returns),
-    )
-    return setup, returns
-
-
-def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
-    """Load a returns CSV as a prepared :class:`~mro_audit.core.Contest`.
-
-    :func:`load_returns` has checked every row, so the contest only adds the
-    tabulation; nothing is validated twice.  Raises what it raises.
-    """
-    setup, returns = load_returns(path, votes_per_voter)
-    votes = [ret.machine_votes for ret in returns]
-    return Contest(setup, returns, tabulate(setup.candidates, votes))
+    setup = ContestSetup(candidates, votes_per_voter, len(returns))
+    totals = {c: sum(chunk[i::width]) for i, c in enumerate(candidates)}
+    if pool:
+        return _pooled_contest(setup, totals, pool, pooled_id, returns)
+    return Contest(setup, returns, totals)
 
 
 def load_audits(path: str | Path) -> list[AuditRecord]:
@@ -228,7 +245,7 @@ def load_county_plans(
     plans: list[CountyPlan] = []
     for row, cells in records:
         county_id = cells[0]
-        voters = _int_cell(cells[1], path, row, "registered_voters")
+        voters, = _ints(cells[1:2], header[1:2], path, row)
         if county_id not in precincts_by_county:
             raise ValidationError(
                 f"county {county_id!r} has no precincts in the returns",
@@ -236,21 +253,18 @@ def load_county_plans(
             )
         required = statutory_minimum(voters)
         if has_required and cells[2].strip():
-            required = _int_cell(cells[2], path, row, "required_samples")
+            required, = _ints(cells[2:], header[2:], path, row)
             if required < statutory_minimum(voters):
                 raise ValidationError(
                     f"required_samples {required} below the statutory "
                     f"minimum {statutory_minimum(voters)}",
                     path=path, row=row,
                 )
-        plans.append(
-            CountyPlan(
-                county_id=county_id,
-                registered_voters=voters,
-                precincts=tuple(precincts_by_county[county_id]),
-                required_samples=required,
-            )
-        )
+        try:
+            plans.append(CountyPlan(county_id, voters,
+                                    precincts_by_county[county_id], required))
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path=path, row=row) from None
     missing = set(precincts_by_county) - {plan.county_id for plan in plans}
     if missing:
         raise ValidationError(

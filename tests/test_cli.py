@@ -3,7 +3,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -758,9 +757,9 @@ def pooled_vote_for_three(pool):
     _, returns, audits = gen_instance(
         40, 7, votes_per_voter=3, reversal=True, seed=11
     )
-    returns = [replace(r, machine_votes=minor(r.machine_votes))
+    returns = [r._replace(machine_votes=minor(r.machine_votes))
                for r in returns]
-    audits = [replace(a, hand_votes=minor(a.hand_votes)) for a in audits[::3]]
+    audits = [a._replace(hand_votes=minor(a.hand_votes)) for a in audits[::3]]
     return returns, audits
 
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -278,6 +277,16 @@ class TestPooling:
             pool_audit_records(audits, {"C", "D"}, "Rest")
         assert str(err.value) == "audit of precinct p1: negative count -1 for 'C'"
 
+    @pytest.mark.parametrize("count", ["3", 3.0, True, None])
+    def test_audit_pooling_rejects_a_pool_member_that_is_not_an_int(self,
+                                                                   count):
+        audits = [AuditRecord("p1", {"A": 5, "C": count, "D": 1})]
+        with pytest.raises(ValidationError) as err:
+            pool_audit_records(audits, {"C", "D"}, "M")
+        assert str(err.value) == (
+            "audit of precinct p1: count for 'C' is not an integer"
+        )
+
     def test_audit_pooling_leaves_kept_counts_to_the_join(self):
         audits = [AuditRecord("p1", {"A": 40, "B": -1, "C": 5, "D": 2})]
         pooled = pool_audit_records(audits, {"C", "D"}, "Rest")
@@ -374,7 +383,7 @@ def _write_returns(path, setup, returns):
 
 def _tightest_bounds(returns, votes_per_voter):
     """The smallest legal ballot bounds, so that a pooled count can exceed one."""
-    return [replace(r, ballot_bound=max(
+    return [r._replace(ballot_bound=max(
         max(r.machine_votes.values()),
         -(-sum(r.machine_votes.values()) // votes_per_voter),
     )) for r in returns]
@@ -399,7 +408,7 @@ def pooling_requests(draw):
         # Tie the weakest winner with the strongest loser.
         totals = compute_totals(setup, returns)
         weakest, strongest = totals.winners[-1], totals.losers[0]
-        returns = [replace(r, machine_votes={
+        returns = [r._replace(machine_votes={
             **r.machine_votes, weakest: r.machine_votes[strongest]
         }) for r in returns]
     if draw(st.booleans()):
@@ -472,3 +481,112 @@ class TestPreparedContest:
             pool_contest(contest, ["Z"], "Rest")
         with pytest.raises(AmbiguousOutcome):
             pool_contest(contest, ["C"], "Rest")
+
+
+def _hand_built(rows, votes_per_voter=1):
+    """A contest of one precinct per ``(ballot_bound, votes)`` row."""
+    setup = ContestSetup(tuple(rows[0][1]), votes_per_voter, len(rows))
+    return setup, [PrecinctReturns(f"p{i}", "c1", bound, votes)
+                   for i, (bound, votes) in enumerate(rows)]
+
+
+@st.composite
+def pooled_loads(draw):
+    """A pooling request, sometimes with an empty pool or a pool of every
+    loser (which need not trail), and sometimes with one row of the file
+    made faulty: ``(setup, returns, pool, pooled_id, fault)``, where
+    ``fault`` is ``None`` or a row index and the text of its first count.
+    """
+    setup, returns, pool, pooled_id = draw(pooling_requests())
+    change = draw(st.integers(0, 5))
+    if change == 0:
+        pool = []
+    elif change == 1:
+        pool = list(setup.candidates[setup.votes_per_voter:])
+    fault = None
+    if draw(st.integers(0, 3)) == 0:
+        fault = (draw(st.integers(0, len(returns) - 1)),
+                 draw(st.sampled_from(["x", "-1", str(10**19)])))
+    return setup, returns, pool, pooled_id, fault
+
+
+ABC = _hand_built([(30, {"A": 10, "B": 8, "C": 7})])
+TIED = _hand_built([(30, {"A": 8, "B": 8, "C": 7})])
+# The pool {C, D} holds 20 votes in p0, whose bound is 10, and its total,
+# 20, does not trail B's 11.
+OVER_BOUND = _hand_built([(10, {"A": 0, "B": 0, "C": 10, "D": 10}),
+                          (11, {"A": 11, "B": 11, "C": 0, "D": 0})], 2)
+
+
+class TestPooledLoad:
+    """``load_contest(path, vpv, pool, pooled_id)`` pools in its one pass
+    and agrees with ``pool_contest(load_contest(path, vpv), ...)``."""
+
+    @given(request=pooled_loads())
+    # Each failure, where it can be, with the one reported after it.
+    @example(request=(*ABC, ["A", "C"], "Pooled", (0, "x")))
+    @example(request=(*TIED, ["Zed"], "Pooled", None))
+    @example(request=(*ABC, [], "Pooled", None))
+    @example(request=(*TIED, ["C"], "B", None))
+    @example(request=(*TIED, ["A", "C"], "Pooled", None))
+    @example(request=(*_tight_vote_for_three()[:2],
+                      ["C00", "C03", "C04", "C05"], "Pooled", None))
+    @example(request=(*OVER_BOUND, ["C", "D"], "Pooled", None))
+    @example(request=(*ABC, ["B", "C"], "Pooled", None))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pooling_after_the_load(self, tmp_path_factory, request):
+        setup, returns, pool, pooled_id, fault = request
+        path = tmp_path_factory.mktemp("contest") / "returns.csv"
+        _write_returns(path, setup, returns)
+        if fault is not None:
+            row, text = fault
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            cells = lines[row + 1].split(",")
+            cells[3] = text
+            lines[row + 1] = ",".join(cells)
+            path.write_text("".join(lines), encoding="utf-8")
+        votes_per_voter = setup.votes_per_voter
+
+        def pooled_load():
+            contest = load_contest(path, votes_per_voter, pool, pooled_id)
+            return contest.setup, contest.returns, contest.totals
+
+        def pooled_after_the_load():
+            contest = load_contest(path, votes_per_voter)
+            if pool:  # an empty pool is no pool to the loader
+                contest = pool_contest(contest, pool, pooled_id)
+            return contest.setup, contest.returns, contest.totals
+
+        got, expected = _outcome(pooled_load), _outcome(pooled_after_the_load)
+        assert got == expected
+        if isinstance(expected[0], ContestSetup):
+            assert [list(r.machine_votes) for r in got[1]] == [
+                list(r.machine_votes) for r in expected[1]
+            ]
+            assert list(got[2].totals) == list(expected[2].totals)
+
+    def test_empty_pool_is_no_pool(self, docs_returns_path):
+        contest = load_contest(docs_returns_path, 1, [], "Pooled")
+        assert contest.setup.candidates == ("Alpha", "Beta", "Gamma")
+        with pytest.raises(ValidationError, match="candidate pool is empty"):
+            pool_contest(load_contest(docs_returns_path), [], "Pooled")
+
+
+class TestRowTypes:
+    @pytest.mark.parametrize("row, field", [
+        (PrecinctReturns("p1", "c1", 10, {"A": 1}), "ballot_bound"),
+        (PrecinctReturns("p1", "c1", 10, {"A": 1}), "machine_votes"),
+        (AuditRecord("p1", {"A": 1}), "precinct_id"),
+        (AuditRecord("p1", {"A": 1}), "hand_votes"),
+    ])
+    def test_fields_cannot_be_assigned(self, row, field):
+        with pytest.raises(AttributeError):
+            setattr(row, field, 0)
+        with pytest.raises(AttributeError):
+            row.extra = 0
+
+    def test_rows_are_tuples(self):
+        ret = PrecinctReturns("p1", "c1", 10, {"A": 1})
+        assert ret == ("p1", "c1", 10, {"A": 1})
+        assert ret._replace(ballot_bound=11).ballot_bound == 11
+        assert ret.total_votes() == 1

@@ -1,4 +1,8 @@
+import csv
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minnesota
 import mro_audit.io
@@ -137,6 +141,48 @@ class TestLoadContest:
         with pytest.raises(ValidationError) as from_contest:
             load_contest(path)
         assert str(from_contest.value) == str(from_returns.value)
+
+
+# Every character str.strip() removes, and one it does not.
+SPACES = [chr(i) for i in range(0x3001) if chr(i).isspace()] + ["\u200b"]
+PADDED_NUMBERS = st.builds(
+    "{}{}{}".format,
+    st.text(st.sampled_from(SPACES), max_size=3),
+    st.integers().map(str) | st.from_regex(r"[+-]?[0-9\u0660-\u0669][0-9_]*",
+                                           fullmatch=True),
+    st.text(st.sampled_from(SPACES), max_size=3),
+)
+
+
+def _int_or_none(text):
+    try:
+        return int(text.strip())
+    except ValueError:
+        return None
+
+
+class TestIntegerCell:
+    """A count cell reads as ``int(cell.strip())`` does, or is rejected with
+    the located message of every non-integer cell."""
+
+    @given(cell=PADDED_NUMBERS
+           | st.text(st.characters(blacklist_categories=("Cs",))))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_int_accepts(self, tmp_path_factory, cell):
+        path = tmp_path_factory.mktemp("cell") / "audits.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(
+                [["precinct_id", "A"], ["p1", cell]]
+            )
+        expected = _int_or_none(cell)
+        if expected is None:
+            with pytest.raises(ParseError) as err:
+                load_audits(path)
+            assert str(err.value) == (
+                f"{path}, row 2, column 'A': expected an integer, got {cell!r}"
+            )
+        else:
+            assert load_audits(path)[0].hand_votes == {"A": expected}
 
 
 class TestLoadAudits:
@@ -516,6 +562,11 @@ class TestMessageCorpus:
             ValidationError, "{path}: counties in returns but not in the "
                              "table: ['c2']",
             id="counties-county-missing"),
+        pytest.param(
+            "counties", C + "c1,-5\nc2,10000\n",
+            ValidationError, "{path}, row 2: county c1: negative registered "
+                             "voters",
+            id="counties-negative-voters"),
         pytest.param(
             "config", "# comment\n\njust words\n",
             ParseError, "{path}, row 3: expected key=value, got 'just words'",
