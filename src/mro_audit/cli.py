@@ -10,6 +10,7 @@ default.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 from fractions import Fraction
 from math import sqrt
@@ -413,6 +414,15 @@ def _oracle_checks(seed: int) -> dict:
 
 
 def main() -> None:
+    """Entry point of the ``mro-audit`` script and ``python -m mro_audit``.
+
+    Each command runs in a short process whose objects form no reference
+    cycles that grow with its input (``tests/test_cli.py`` checks this), so
+    the cyclic collector is off: it would only rescan the tens of thousands
+    of rows a load keeps, freeing nothing.  Importing this module, or
+    calling ``cli`` in process, leaves the collector as it was.
+    """
+    gc.disable()
     cli()
 
 

@@ -67,7 +67,9 @@ def _records(path: str) -> Iterator[tuple[int, list[str]]]:
     The file is read whole, and closed, before any row is checked.  The
     header comes first, as row 1 with its cells stripped; each later row
     comes once it has the header's width and a key (its first cell, stored
-    stripped) that no earlier row has.
+    stripped) that no earlier row has.  The table lets go of each record as
+    it is walked, so a load holds the unread records and what the caller
+    kept of the read ones, not the whole table twice over.
     """
     table: list[list[str]] = []
     with _opened(path) as handle:
@@ -78,10 +80,12 @@ def _records(path: str) -> Iterator[tuple[int, list[str]]]:
             raise ParseError(str(exc), path=path, row=len(table) + 1) from exc
     if not table:
         raise ParseError("empty file, expected a header row", path=path)
-    header = [cell.strip() for cell in table[0]]
+    table.reverse()
+    header = [cell.strip() for cell in table.pop()]
     yield 1, header
     width, key_column, seen = len(header), header[0], set()
-    for row, cells in enumerate(table[1:], start=2):
+    for row in range(2, len(table) + 2):
+        cells = table.pop()
         if len(cells) != width:
             raise ParseError(f"expected {width} cells, got {len(cells)}",
                              path=path, row=row)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import re
@@ -1033,3 +1034,78 @@ class TestSimulate:
         checks = payload["oracle_checks"]
         assert all(block["passed"] for block in checks.values())
         assert checks["taint_count_vs_subset_search"]["failures"] == 0
+
+
+def unreachable_after(args):
+    """How many objects ``args`` leaves unreachable when run in process with
+    the collector off, as the ``mro-audit`` process runs it."""
+    gc.collect()
+    gc.disable()
+    try:
+        cli.main(args, standalone_mode=False)
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+class TestNoGrowingGarbage:
+    """The ``mro-audit`` process runs with the cyclic collector off
+    (``mro_audit.cli.main``).  That is safe because no command leaves
+    reference cycles whose number grows with its input: each leaves as many
+    unreachable objects on the docs example (4 precincts) as on a contest
+    of 100."""
+
+    PRECINCTS = 100
+
+    @pytest.fixture(scope="class")
+    def contests(self, tmp_path_factory, docs_returns_path, docs_audits_path):
+        """Arguments for the docs example and for a generated contest of the
+        same shape: two counties, two audits in four, the third candidate
+        pooled, and counts large enough for ``plan`` to draw from."""
+        tmp_path = tmp_path_factory.mktemp("garbage")
+        counties = tmp_path / "counties.csv"
+        counties.write_text(
+            "county_id,registered_voters\nNorth,1000\nSouth,1000\n",
+            encoding="utf-8",
+        )
+        _, returns, audits = gen_instance(self.PRECINCTS, 3, seed=1)
+        returns = [r._replace(
+            county_id=("North", "South")[i % 2],
+            ballot_bound=10 * r.ballot_bound,
+            machine_votes={c: 10 * v for c, v in r.machine_votes.items()},
+        ) for i, r in enumerate(returns)]
+        audits = [a._replace(
+            hand_votes={c: 10 * v for c, v in a.hand_votes.items()},
+        ) for a in audits[::2]]
+        returns_path, audits_path = write_contest(tmp_path, returns, audits)
+        config = str(docs_returns_path.parent / "audit.cfg")
+        return [
+            (docs_returns_path, docs_audits_path, 4, ["--config", config], []),
+            (returns_path, audits_path, self.PRECINCTS,
+             ["--pool", "C02", "--pooled-id", "Minor"],
+             ["--sampling", f"wr:{len(audits)}"]),
+        ], counties
+
+    @pytest.mark.parametrize("command", [
+        "margins", "bounds", "plan", "pvalue", "report", "simulate",
+    ])
+    def test_unreachable_count_does_not_grow(self, contests, command):
+        inputs, counties = contests
+
+        def args(returns_path, audits_path, precincts, flags, risk_flags):
+            if command == "simulate":
+                return ["simulate", "--taint-count", str(precincts // 4),
+                        "--population", str(precincts), "--sampling", "wr:2",
+                        "--reps", "100", "--verify"]
+            if command == "plan":
+                return ["plan", str(returns_path), "--counties", str(counties),
+                        "--seed", "1"]
+            if command in ("margins", "bounds"):
+                return [command, str(returns_path), *flags]
+            return [command, str(returns_path), str(audits_path), *flags,
+                    *risk_flags]
+
+        unreachable_after(args(*inputs[0]))  # first imports and caches
+        small, large = (unreachable_after(args(*each)) for each in inputs)
+        assert small == large

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from mro_audit.io import (
     load_county_plans,
     load_returns,
 )
+from mro_audit.oracle import gen_instance
 from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
 
 
@@ -141,6 +143,27 @@ class TestLoadContest:
         with pytest.raises(ValidationError) as from_contest:
             load_contest(path)
         assert str(from_contest.value) == str(from_returns.value)
+
+    def test_peak_memory_near_what_the_contest_keeps(self, tmp_path):
+        # The table is read whole, but each record is let go once walked,
+        # so the load never holds every cell beside every finished row.
+        setup, returns, _ = gen_instance(5000, 5, seed=3)
+        candidates = setup.candidates
+        path = write(tmp_path, "returns.csv", "".join(
+            [f"precinct_id,county_id,ballot_bound,{','.join(candidates)}\n"]
+            + [f"{r.precinct_id},{r.county_id},{r.ballot_bound},"
+               + ",".join(str(r.machine_votes[c]) for c in candidates) + "\n"
+               for r in returns]
+        ))
+        del returns
+        tracemalloc.start()
+        try:
+            contest = load_contest(path)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(contest.returns) == 5000
+        assert peak <= 1.5 * live
 
 
 # Every character str.strip() removes, and one it does not.

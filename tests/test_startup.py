@@ -1,7 +1,9 @@
 """Only ``simulate`` imports numpy; every other command starts without it.
+Every command turns the cyclic garbage collector off; importing the CLI, or
+running a command through ``CliRunner``, leaves it on.
 
 Each command runs as ``python -m mro_audit`` in a fresh interpreter, which
-reports at exit whether numpy was imported.
+reports at exit whether numpy was imported and whether the collector is on.
 """
 
 import os
@@ -14,13 +16,26 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs" / "examples"
 
-CHILD = """
-import atexit, runpy, sys
-atexit.register(
-    lambda: sys.stderr.write(f"\\nnumpy imported: {'numpy' in sys.modules}\\n")
-)
+REPORT_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(
+    f"\\nnumpy imported: {'numpy' in sys.modules}\\n"
+    f"gc enabled: {gc.isenabled()}\\n"
+))
+"""
+CHILD = REPORT_AT_EXIT + """
+import runpy
 sys.argv[0] = "mro-audit"
 runpy.run_module("mro_audit", run_name="__main__", alter_sys=True)
+"""
+IMPORT_CHILD = REPORT_AT_EXIT + """
+import mro_audit.cli
+"""
+CLIRUNNER_CHILD = REPORT_AT_EXIT + """
+from click.testing import CliRunner
+from mro_audit.cli import cli
+result = CliRunner().invoke(cli, sys.argv[1:], catch_exceptions=False)
+assert result.exit_code == 0, result.output
 """
 
 RETURNS = str(DOCS_DIR / "returns.csv")
@@ -28,19 +43,22 @@ AUDITS = str(DOCS_DIR / "audits.csv")
 CONFIG = str(DOCS_DIR / "audit.cfg")
 
 
-def numpy_imported(args, cwd):
+def state_at_exit(args, cwd, child=CHILD):
+    """Run ``child`` with ``args``; return whether numpy was imported and
+    whether the collector was on when it exited."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, *args],
+        [sys.executable, "-c", child, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    marker = done.stderr.rstrip().rsplit("\n", 1)[-1]
-    assert marker.startswith("numpy imported: "), done.stderr
-    return marker == "numpy imported: True"
+    numpy, gc = done.stderr.rstrip().split("\n")[-2:]
+    assert numpy.startswith("numpy imported: "), done.stderr
+    assert gc.startswith("gc enabled: "), done.stderr
+    return numpy == "numpy imported: True", gc == "gc enabled: True"
 
 
 @pytest.fixture()
@@ -61,17 +79,26 @@ def counties(tmp_path):
     ["report", RETURNS, AUDITS, "--config", CONFIG],
 ], ids=lambda args: args[0].lstrip("-"))
 def test_contest_commands_start_without_numpy(args, tmp_path):
-    assert not numpy_imported(args, tmp_path)
+    assert state_at_exit(args, tmp_path) == (False, False)
 
 
 def test_plan_starts_without_numpy(counties, tmp_path):
-    assert not numpy_imported(
+    assert state_at_exit(
         ["plan", RETURNS, "--counties", counties, "--seed", "1"], tmp_path
-    )
+    ) == (False, False)
 
 
 def test_simulate_imports_numpy(tmp_path):
-    assert numpy_imported([
+    assert state_at_exit([
         "simulate", "--taint-count", "1", "--population", "4",
         "--sampling", "wr:2", "--reps", "100",
-    ], tmp_path)
+    ], tmp_path) == (True, False)
+
+
+@pytest.mark.parametrize("child, args", [
+    (IMPORT_CHILD, []),
+    (CLIRUNNER_CHILD, ["margins", RETURNS, "--config", CONFIG]),
+], ids=["import", "clirunner"])
+def test_library_callers_keep_the_collector(child, args, tmp_path):
+    _, gc_enabled = state_at_exit(args, tmp_path, child)
+    assert gc_enabled
