@@ -20,13 +20,10 @@ from .core import (
     prepare_contest,
 )
 from .discrepancy import (
-    MroSums,
     PrecinctDiscrepancy,
     analyze_precinct,
     mro_sum,
-    pairwise_overstatement,
     precinct_bound,
-    precinct_mro,
 )
 from .errors import AuditError
 from .risk import (
@@ -62,7 +59,6 @@ __all__ = [
     "CountyPlan",
     "IDENTITY",
     "MonteCarloResult",
-    "MroSums",
     "PrecinctDiscrepancy",
     "PrecinctReturns",
     "RiskReport",
@@ -79,12 +75,10 @@ __all__ = [
     "mro_sum",
     "observed_statistic",
     "p_value",
-    "pairwise_overstatement",
     "pool_audit_records",
     "pool_candidates",
     "pool_contest",
     "precinct_bound",
-    "precinct_mro",
     "prepare_contest",
     "run_contest_test",
     "run_test",

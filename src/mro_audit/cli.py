@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .core import pool_audit_records
-from .discrepancy import analyze_precinct, mro_sum, precinct_bound, precinct_mro
+from .discrepancy import analyze_precinct, mro_sum, precinct_bound
 from .errors import AuditError
 from .io import (
     load_audits,
@@ -266,8 +266,7 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
     audits = load_audits(audits_file)
     if pooled_info:
         audits = pool_audit_records(audits, pooled_info["members"], pooled_id)
-    report = run_contest_test(contest, audits, test_config)
-    return contest, report, pooled_info
+    return contest, run_contest_test(contest, audits, test_config), pooled_info
 
 
 @cli.command()
@@ -277,7 +276,9 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
 @_domain_errors
 def pvalue(returns_file, audits_file, **options):
     """Conservative P-value that the apparent outcome is wrong."""
-    *_, report, pooled_info = _run_pipeline(returns_file, audits_file, **options)
+    _, (report, *_), pooled_info = _run_pipeline(
+        returns_file, audits_file, **options
+    )
     payload = {"schema": SCHEMA, **risk_block(report)}
     if pooled_info:
         payload["pooled"] = pooled_info
@@ -291,12 +292,11 @@ def pvalue(returns_file, audits_file, **options):
 @_domain_errors
 def report_command(returns_file, audits_file, **options):
     """Full audit report document (schema mro-audit/1)."""
-    contest, report, pooled_info = _run_pipeline(
+    contest, (report, bounds, discrepancies), pooled_info = _run_pipeline(
         returns_file, audits_file, **options
     )
     document = build_document(
-        contest.setup, contest.returns, report.totals, report.bounds,
-        report.discrepancies,
+        contest.setup, contest.returns, contest.totals, bounds, discrepancies,
         report,
         tool_version=__version__,
         input_digests={
@@ -359,7 +359,7 @@ def _oracle_checks(seed: int) -> dict:
     """Cross-check fast implementations against the brute-force oracles."""
     import random
 
-    from .core import compute_totals
+    from .core import prepare_contest
     from .oracle import brute_mro, brute_taint_count, gen_instance, random_audits
 
     rng = random.Random(seed)
@@ -383,10 +383,9 @@ def _oracle_checks(seed: int) -> dict:
     for _ in range(trials):
         setup, returns, _ = gen_instance(1, rng.randint(2, 6), seed=rng.randrange(2**30))
         audits = random_audits(setup, returns, seed=rng.randrange(2**30))
-        totals = compute_totals(setup, returns)
-        pairwise = analyze_precinct(returns[0], audits[0], totals.pairwise_margins)
-        if precinct_mro(pairwise.pairwise) != brute_mro(
-            returns[0], audits[0], totals.pairwise_margins
+        margins = prepare_contest(setup, returns).totals.pairwise_margins
+        if analyze_precinct(returns[0], audits[0], margins).max_overstatement != (
+            brute_mro(returns[0], audits[0], margins)
         ):
             failures += 1
     checks["precinct_mro_vs_pair_enumeration"] = {
@@ -399,13 +398,13 @@ def _oracle_checks(seed: int) -> dict:
             rng.randint(1, 10), rng.randint(2, 4),
             reversal=True, seed=rng.randrange(2**30),
         )
-        totals = compute_totals(setup, returns)
+        margins = prepare_contest(setup, returns).totals.pairwise_margins
         by_id = {a.precinct_id: a for a in audits}
         discs = [
-            analyze_precinct(ret, by_id[ret.precinct_id], totals.pairwise_margins)
+            analyze_precinct(ret, by_id[ret.precinct_id], margins)
             for ret in returns
         ]
-        if mro_sum(discs).total < 1:
+        if mro_sum(discs) < 1:
             failures += 1
     checks["planted_reversals_reach_threshold"] = {
         "trials": trials, "failures": failures, "passed": failures == 0,

@@ -12,20 +12,21 @@ can only be wrong if that sum reaches 1.  A precinct's MRO is itself bounded
 a priori by (machine_w - machine_l + ballot_bound) / margin(w, l), maximised
 over pairs, which needs no hand counts and so supports audit planning.
 
-Everything here is exact: results are `Fraction`s, and `precinct_bound`
-compares pairs by integer cross-multiplication.  Floats appear only at the
-risk-test and reporting boundaries.  Understatements (negative values) are
-preserved, never clamped.
+Both maxima are one walk over the pairs (:func:`_max_over_pairs`): the MRO
+walks the machine-minus-hand counts, the bound walks the machine counts
+offset by the ballot bound.  Everything is exact: the walk compares pairs by
+integer cross-multiplication and builds one `Fraction`.  Floats appear only
+at the risk-test and reporting boundaries.  Understatements (negative
+values) are preserved, never clamped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import AuditRecord, Pair, PrecinctReturns
+from .core import AuditRecord, Candidate, Pair, PrecinctReturns
 from .errors import (
     CandidateMismatch,
     EmptyPairSet,
@@ -34,12 +35,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PrecinctDiscrepancy:
-    """Per-precinct overstatements: one per pair, their maximum, and the a priori bound."""
+class PrecinctDiscrepancy(NamedTuple):
+    """One audited precinct: its MRO and its a priori bound."""
 
     precinct_id: str
-    pairwise: dict[Pair, Fraction]
     max_overstatement: Fraction
     bound: Fraction
 
@@ -52,44 +51,28 @@ def _check_margins(margins: Mapping[Pair, int]) -> None:
             raise ValidationError(f"margin for {pair} is {margin}, must be positive")
 
 
-def pairwise_overstatement(
-    returns_p: PrecinctReturns,
-    audit_p: AuditRecord,
-    margins: Mapping[Pair, int],
-) -> dict[Pair, Fraction]:
-    """Exact relative overstatement in this precinct, for every pair in `margins`.
+def _max_over_pairs(values: Mapping[Candidate, int], offset: int,
+                    margins: Mapping[Pair, int]) -> Fraction:
+    """Max over pairs (w, l) of (values[w] - values[l] + offset) / margin(w, l).
 
     Raises:
-        UnknownPrecinct: the audit record is for a different precinct.
-        CandidateMismatch: machine and hand counts cover different candidates.
+        EmptyPairSet: no pairs.
+        ValidationError: a margin is not positive.
     """
-    if audit_p.precinct_id != returns_p.precinct_id:
-        raise UnknownPrecinct(
-            f"audit for {audit_p.precinct_id!r} does not match "
-            f"precinct {returns_p.precinct_id!r}"
-        )
-    if set(audit_p.hand_votes) != set(returns_p.machine_votes):
-        raise CandidateMismatch(
-            f"precinct {returns_p.precinct_id}: hand counts cover "
-            f"{sorted(audit_p.hand_votes)} but machine counts cover "
-            f"{sorted(returns_p.machine_votes)}"
-        )
-    _check_margins(margins)
-    machine = returns_p.machine_votes
-    hand = audit_p.hand_votes
-    return {
-        (w, l): Fraction(
-            (machine[w] - machine[l]) - (hand[w] - hand[l]), margins[(w, l)]
-        )
-        for (w, l) in margins
-    }
-
-
-def precinct_mro(pairwise: Mapping[Pair, Fraction]) -> Fraction:
-    """Maximum relative overstatement across pairs; raises EmptyPairSet if none."""
-    if not pairwise:
-        raise EmptyPairSet("cannot take the maximum over zero pairs")
-    return max(pairwise.values())
+    # With positive margins, n/m > bn/bm exactly when n*bm > bn*m: pick the
+    # winning pair in integers and build a single Fraction for it.  The
+    # margins are checked in the same pass, which keeps a separate check off
+    # this per-precinct path; _check_margins raises the error.
+    best_num = best_margin = None
+    for (w, l), margin in margins.items():
+        if margin <= 0:
+            _check_margins(margins)
+        num = values[w] - values[l] + offset
+        if best_num is None or num * best_margin > best_num * margin:
+            best_num, best_margin = num, margin
+    if best_num is None:
+        _check_margins(margins)
+    return Fraction(best_num, best_margin)
 
 
 def precinct_bound(
@@ -103,53 +86,14 @@ def precinct_bound(
     must obey the count rules of :mod:`mro_audit.core`, as every validated
     or loaded contest's do.
     """
-    machine = returns_p.machine_votes
-    cap = returns_p.ballot_bound
-    # With positive margins, n/m > bn/bm exactly when n*bm > bn*m: pick the
-    # winning pair in integers and build a single Fraction for it.  The
-    # margins are checked in the same pass, which keeps a separate check off
-    # this per-precinct path; _check_margins raises the error.
-    best_num = best_margin = None
-    for (w, l), margin in margins.items():
-        if margin <= 0:
-            _check_margins(margins)
-        num = machine[w] - machine[l] + cap
-        if best_num is None or num * best_margin > best_num * margin:
-            best_num, best_margin = num, margin
-    if best_num is None:
-        _check_margins(margins)
-    return Fraction(best_num, best_margin)
+    return _max_over_pairs(returns_p.machine_votes, returns_p.ballot_bound,
+                           margins)
 
 
-class MroSums(NamedTuple):
-    """Contest-level discrepancy aggregates over a set of precincts."""
-
-    total: Fraction          # sum over precincts of each precinct's MRO
-    pairwise_max: Fraction   # max over pairs of the summed per-pair overstatements
-
-
-def mro_sum(discrepancies: Sequence[PrecinctDiscrepancy]) -> MroSums:
-    """Sum precinct MROs, and the largest per-pair total for cross-checking.
-
-    ``total`` is the quantity the risk test bounds: if the apparent and
-    actual outcomes differ, it is at least 1.  ``pairwise_max`` is the
-    sharper left-hand side it dominates; callers can verify
-    ``pairwise_max <= total`` on any precinct set.
-    """
-    if not discrepancies:
-        return MroSums(Fraction(0), Fraction(0))
-    pairs = set(discrepancies[0].pairwise)
-    per_pair = {pair: Fraction(0) for pair in pairs}
-    total = Fraction(0)
-    for disc in discrepancies:
-        if set(disc.pairwise) != pairs:
-            raise CandidateMismatch(
-                f"precinct {disc.precinct_id} has a different pair set"
-            )
-        total += disc.max_overstatement
-        for pair, value in disc.pairwise.items():
-            per_pair[pair] += value
-    return MroSums(total, max(per_pair.values()))
+def mro_sum(discrepancies: Iterable[PrecinctDiscrepancy]) -> Fraction:
+    """Sum of the precinct MROs: the quantity the risk test bounds.  If the
+    apparent and actual outcomes differ, it is at least 1."""
+    return sum((d.max_overstatement for d in discrepancies), Fraction(0))
 
 
 def analyze_precinct(
@@ -158,15 +102,31 @@ def analyze_precinct(
     margins: Mapping[Pair, int],
     bound: Fraction | None = None,
 ) -> PrecinctDiscrepancy:
-    """Bundle the pairwise overstatements, their max, and the a priori bound.
+    """The precinct's MRO over the pairs in ``margins``, and its a priori bound.
 
     ``bound`` is the precinct's a priori bound when the caller already has
     it; otherwise it is computed with :func:`precinct_bound`.
+
+    Raises:
+        UnknownPrecinct: the audit record is for a different precinct.
+        CandidateMismatch: machine and hand counts cover different candidates.
+        EmptyPairSet, ValidationError: as :func:`precinct_bound`.
     """
-    pairwise = pairwise_overstatement(returns_p, audit_p, margins)
+    machine = returns_p.machine_votes
+    hand = audit_p.hand_votes
+    if audit_p.precinct_id != returns_p.precinct_id:
+        raise UnknownPrecinct(
+            f"audit for {audit_p.precinct_id!r} does not match "
+            f"precinct {returns_p.precinct_id!r}"
+        )
+    if set(hand) != set(machine):
+        raise CandidateMismatch(
+            f"precinct {returns_p.precinct_id}: hand counts cover "
+            f"{sorted(hand)} but machine counts cover {sorted(machine)}"
+        )
+    error = {c: machine[c] - hand[c] for c in machine}
     return PrecinctDiscrepancy(
-        precinct_id=returns_p.precinct_id,
-        pairwise=pairwise,
-        max_overstatement=precinct_mro(pairwise),
-        bound=precinct_bound(returns_p, margins) if bound is None else bound,
+        returns_p.precinct_id,
+        _max_over_pairs(error, 0, margins),
+        precinct_bound(returns_p, margins) if bound is None else bound,
     )

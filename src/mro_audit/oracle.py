@@ -44,9 +44,11 @@ def brute_taint_count(
     """Minimal subset size reaching the target, by full subset search.
 
     Checks every subset S: the subset contributes its bounds in full, every
-    other precinct contributes `threshold` (identity weighting), and S counts
-    if the total reaches `margin_threshold`.  Returns len(bounds) + 1 when no
-    subset works.  Exponential; keep len(bounds) <= 15 or so.
+    other precinct the smaller of `threshold` and its bound (identity
+    weighting: the largest MRO at or below the threshold that its bound
+    allows), and S counts if the total reaches `margin_threshold`.  Returns
+    len(bounds) + 1 when no subset works.  Exponential; keep len(bounds)
+    <= 15 or so.
     """
     n = len(bounds)
     if n > 20:
@@ -64,16 +66,18 @@ def brute_taint_count(
     cap = int(threshold * scale)
     goal = int(target * scale)
 
-    sums = [0] * (1 << n)
-    best = n + 1
-    rest_cap = [goal - (n - size) * cap for size in range(n + 1)]
-    if 0 >= rest_cap[0]:
+    # sums[mask]: the total with the precincts in mask at their bounds and
+    # every other one at min(cap, bound).
+    sums = [sum(min(cap, v) for v in values)] * (1 << n)
+    if sums[0] >= goal:
         return 0
+    best = n + 1
     for mask in range(1, 1 << n):
         low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+        v = values[low.bit_length() - 1]
+        sums[mask] = sums[mask ^ low] - min(cap, v) + v
         size = mask.bit_count()
-        if size < best and sums[mask] >= rest_cap[size]:
+        if size < best and sums[mask] >= goal:
             best = size
     return best
 

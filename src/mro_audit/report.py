@@ -383,10 +383,8 @@ def verify_document(document: Mapping) -> bool:
         _match(_read(row, where, "bound"), fraction_str(bound), where, "bound")
         bounds.append(bound)
         if ret.precinct_id in mros:
-            # The document keeps a sampled precinct's MRO, not the
-            # per-pair overstatements it is the maximum of.
             sample.append(PrecinctDiscrepancy(
-                ret.precinct_id, {}, mros[ret.precinct_id], bound))
+                ret.precinct_id, mros[ret.precinct_id], bound))
     _match(risk, risk_block(assess_sample(bounds, sample, config)),
            "document", "risk")
     return True

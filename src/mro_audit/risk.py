@@ -15,8 +15,8 @@ without it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, sqrt
 from typing import Literal, NamedTuple
@@ -25,7 +25,6 @@ from .core import (
     AuditRecord,
     Contest,
     ContestSetup,
-    ContestTotals,
     PrecinctReturns,
     join_audits,
     prepare_contest,
@@ -112,15 +111,6 @@ class RiskReport:
     config: TestConfig
     sample_size: int
     null_infeasible: bool = False
-    # What run_test built on the way, for callers that report it; not part
-    # of the result's identity.
-    totals: ContestTotals | None = field(default=None, compare=False, repr=False)
-    bounds: Mapping[str, Fraction] | None = field(
-        default=None, compare=False, repr=False
-    )
-    discrepancies: tuple[PrecinctDiscrepancy, ...] = field(
-        default=(), compare=False, repr=False
-    )
 
 
 def observed_statistic(
@@ -146,10 +136,12 @@ def taint_count(
     """Minimum number of precincts that must exceed the sample-implied cap.
 
     Worst-case allocation: the adversary gives t precincts their full bound
-    (choosing those with the largest bounds, which maximises the achievable
-    sum for either weight kind) and every other precinct the largest MRO
-    whose weighted value stays at or below ``threshold``: the threshold
-    itself under ``identity``, threshold times the bound under ``taint``.
+    and every other precinct the largest MRO whose weighted value stays at
+    or below ``threshold`` and that its bound allows: the smaller of the
+    threshold and the bound under ``identity``, threshold times the bound
+    under ``taint``.  Tainting a precinct gains its bound minus that cap,
+    which grows with the bound, so the t largest bounds maximise the
+    achievable sum for either weight kind.
     The returned t is the smallest count for which that allocation reaches
     ``margin_threshold``.  Returns ``len(bounds) + 1`` as a sentinel when
     even t = N cannot reach it (the null is impossible and the P-value is 0).
@@ -180,10 +172,11 @@ def taint_count(
     )
     goal = target.numerator * (scale // target.denominator)
     if weight.kind == "identity":
-        # In units of 1/scale: every precinct starts at the threshold.
+        # In units of 1/scale: precinct i starts at min(threshold, bound_i),
+        # so only a bound above the threshold gains when tainted.
         cap = tn * (scale // td)
-        achievable = cap * len(keys)
-        gains = (key - cap for key in keys)
+        achievable = sum(min(cap, key) for key in keys)
+        gains = (key - cap for key in keys if key > cap)
     else:
         # In units of 1/(scale*td): precinct i starts at threshold * bound_i.
         goal *= td
@@ -393,33 +386,32 @@ def run_test(
     audits: Sequence[AuditRecord],
     config: TestConfig,
 ) -> RiskReport:
-    """:func:`run_contest_test` for hand-built returns, which it validates first."""
-    return run_contest_test(prepare_contest(setup, returns), audits, config)
+    """The report of :func:`run_contest_test` for hand-built returns, which
+    it validates first."""
+    return run_contest_test(prepare_contest(setup, returns), audits, config)[0]
 
 
 def run_contest_test(
     contest: Contest,
     audits: Sequence[AuditRecord],
     config: TestConfig,
-) -> RiskReport:
+) -> tuple[RiskReport, dict[str, Fraction], list[PrecinctDiscrepancy]]:
     """Full pipeline: bounds and discrepancies, then :func:`assess_sample`.
 
-    Each audit is joined to its precinct by ``core.join_audits``.  The
-    report also carries the totals, the bounds map and the per-audit
-    discrepancies built on the way, so a caller that reports them need not
-    compute them again.
+    Each audit is joined to its precinct by ``core.join_audits``.  Returns
+    the report with the bounds (by precinct id) and the per-audit
+    discrepancies it was computed from, so a caller that reports them need
+    not compute them again.
     """
-    totals = contest.totals
-    margins = totals.pairwise_margins
+    margins = contest.totals.pairwise_margins
     bounds = {ret.precinct_id: precinct_bound(ret, margins)
               for ret in contest.returns}
-    discrepancies = tuple(
+    discrepancies = [
         analyze_precinct(ret, audit, margins, bounds[ret.precinct_id])
         for ret, audit in join_audits(contest, audits)
-    )
+    ]
     report = assess_sample(list(bounds.values()), discrepancies, config)
-    return replace(report, totals=totals, bounds=bounds,
-                   discrepancies=discrepancies)
+    return report, bounds, discrepancies
 
 
 def assess_sample(

@@ -821,7 +821,8 @@ def assembled_document(returns_path, audits_path, *, votes_per_voter, pool,
 
 
 class TestReportEquivalence:
-    """``report`` reuses what ``run_test`` built; the bytes must not change."""
+    """``report`` reuses what ``run_contest_test`` built; the bytes must not
+    change."""
 
     def test_docs_example(self, runner, docs_returns_path, docs_audits_path):
         result = invoke(runner, [
@@ -955,7 +956,8 @@ def test_stdout_bytes(runner, tmp_path, docs_returns_path, docs_audits_path,
 def test_commands_validate_and_tabulate_once(runner, tmp_path, monkeypatch,
                                              docs_returns_path,
                                              docs_audits_path):
-    """The loader's checks are the only validation on the CLI path."""
+    """The loader's checks are the only validation on the CLI path, and no
+    command goes through the validating wrapper ``compute_totals``."""
     calls = []
     modules = [m for name, m in list(sys.modules.items())
                if name.partition(".")[0] == "mro_audit"]
@@ -977,7 +979,17 @@ def test_commands_validate_and_tabulate_once(runner, tmp_path, monkeypatch,
             ))
             assert result.exit_code == 0
     assert calls == []
+    # The oracle checks validate the contests they generate, through
+    # prepare_contest.
+    result = invoke(runner, [
+        "simulate", "--taint-count", "3", "--population", "20",
+        "--sampling", "srs:4", "--reps", "20000", "--seed", "9", "--verify",
+    ])
+    assert result.exit_code == 0
+    assert "validate_returns" in calls
+    assert "compute_totals" not in calls
     # The counters do see the library entry points.
+    calls.clear()
     setup, returns = load_returns(docs_returns_path)
     run_test(setup, returns, load_audits(docs_audits_path),
              TestConfig(IDENTITY, SamplingDesign("with_replacement", 2)))

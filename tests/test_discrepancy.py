@@ -6,20 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mro_audit.core import AuditRecord, PrecinctReturns, compute_totals
-from mro_audit.discrepancy import (
-    analyze_precinct,
-    mro_sum,
-    pairwise_overstatement,
-    precinct_bound,
-    precinct_mro,
-)
+from mro_audit.discrepancy import analyze_precinct, mro_sum, precinct_bound
 from mro_audit.errors import (
     CandidateMismatch,
     EmptyPairSet,
     UnknownPrecinct,
     ValidationError,
 )
-from mro_audit.oracle import gen_instance, random_audits
+from mro_audit.oracle import gen_instance
 
 
 def precinct(votes, bound, pid="p1"):
@@ -30,59 +24,67 @@ def audit(votes, pid="p1"):
     return AuditRecord(pid, votes)
 
 
+def mro(ret, aud, margins):
+    return analyze_precinct(ret, aud, margins).max_overstatement
+
+
 class TestPairwiseOverstatement:
     def test_hand_computed_value(self):
         # ((10 - 5) - (8 - 7)) / 100 = 4/100
         ret = precinct({"W": 10, "L": 5}, bound=20)
         aud = audit({"W": 8, "L": 7})
-        values = pairwise_overstatement(ret, aud, {("W", "L"): 100})
-        assert values[("W", "L")] == Fraction(4, 100)
+        assert mro(ret, aud, {("W", "L"): 100}) == Fraction(4, 100)
 
     def test_zero_error_precinct(self):
         ret = precinct({"W": 10, "L": 5}, bound=20)
         aud = audit({"W": 10, "L": 5})
-        values = pairwise_overstatement(ret, aud, {("W", "L"): 100})
-        assert values[("W", "L")] == 0
+        assert mro(ret, aud, {("W", "L"): 100}) == 0
 
     def test_understatement_when_hand_count_favors_winner(self):
         # Hand count finds the winner at the full ballot bound:
         # ((0 - 0) - (50 - 0)) / 100 = -1/2, an understatement.
         ret = precinct({"W": 0, "L": 0}, bound=50)
         aud = audit({"W": 50, "L": 0})
-        values = pairwise_overstatement(ret, aud, {("W", "L"): 100})
-        assert values[("W", "L")] == Fraction(-1, 2)
+        assert mro(ret, aud, {("W", "L"): 100}) == Fraction(-1, 2)
 
     def test_overstatement_when_hand_count_favors_loser(self):
         # ((0 - 0) - (0 - 50)) / 100 = +1/2.
         ret = precinct({"W": 0, "L": 0}, bound=50)
         aud = audit({"W": 0, "L": 50})
-        values = pairwise_overstatement(ret, aud, {("W", "L"): 100})
-        assert values[("W", "L")] == Fraction(1, 2)
+        assert mro(ret, aud, {("W", "L"): 100}) == Fraction(1, 2)
 
     def test_precinct_id_mismatch_rejected(self):
         ret = precinct({"W": 1, "L": 0}, bound=2, pid="p1")
         aud = audit({"W": 1, "L": 0}, pid="p2")
         with pytest.raises(UnknownPrecinct):
-            pairwise_overstatement(ret, aud, {("W", "L"): 100})
+            analyze_precinct(ret, aud, {("W", "L"): 100})
 
     def test_candidate_mismatch_rejected(self):
         ret = precinct({"W": 1, "L": 0}, bound=2)
         aud = audit({"W": 1, "X": 0})
         with pytest.raises(CandidateMismatch):
-            pairwise_overstatement(ret, aud, {("W", "L"): 100})
+            analyze_precinct(ret, aud, {("W", "L"): 100})
 
 
 class TestPrecinctMro:
     def test_max_of_two_values(self):
-        values = {("W", "L1"): Fraction(4, 100), ("W", "L2"): Fraction(-1, 2)}
-        assert precinct_mro(values) == Fraction(4, 100)
+        # W-L1: ((10 - 5) - (8 - 7)) / 100 = 4/100;
+        # W-L2: ((10 - 60) - (8 - 8)) / 100 = -1/2, an understatement.
+        ret = precinct({"W": 10, "L1": 5, "L2": 60}, bound=70)
+        aud = audit({"W": 8, "L1": 7, "L2": 8})
+        margins = {("W", "L1"): 100, ("W", "L2"): 100}
+        assert mro(ret, aud, margins) == Fraction(4, 100)
 
     def test_single_pair_passthrough(self):
-        assert precinct_mro({("W", "L"): Fraction(3, 7)}) == Fraction(3, 7)
+        # ((7 - 1) - (2 - 2)) / 14 = 3/7
+        ret = precinct({"W": 7, "L": 1}, bound=10)
+        aud = audit({"W": 2, "L": 2})
+        assert mro(ret, aud, {("W", "L"): 14}) == Fraction(3, 7)
 
     def test_empty_pair_set_rejected(self):
+        ret = precinct({"W": 1, "L": 0}, bound=2)
         with pytest.raises(EmptyPairSet):
-            precinct_mro({})
+            analyze_precinct(ret, audit({"W": 1, "L": 0}), {})
 
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(5)
@@ -94,7 +96,7 @@ class TestPrecinctMro:
             margins = {(w, l): rng.randint(50, 500) for w in winners for l in losers}
             ret = precinct(votes, bound=200)
             aud = audit(hand)
-            got = precinct_mro(pairwise_overstatement(ret, aud, margins))
+            got = mro(ret, aud, margins)
             expected = max(
                 Fraction((votes[w] - votes[l]) - (hand[w] - hand[l]), margins[(w, l)])
                 for w in winners for l in losers
@@ -132,8 +134,7 @@ class TestPrecinctBound:
         ret = precinct({"W": vw, "L": vl}, bound=bound)
         aud = audit({"W": aw, "L": al})
         margins = {("W", "L"): margin}
-        value = pairwise_overstatement(ret, aud, margins)[("W", "L")]
-        assert value <= precinct_bound(ret, margins)
+        assert mro(ret, aud, margins) <= precinct_bound(ret, margins)
 
 
 class TestMroSum:
@@ -148,25 +149,10 @@ class TestMroSum:
     def test_error_free_audit_sums_to_zero(self):
         setup, returns, audits = gen_instance(8, 4, seed=3)
         discs = self._discrepancies(setup, returns, audits)
-        sums = mro_sum(discs)
-        assert sums.total == 0
-        assert sums.pairwise_max == 0
+        assert mro_sum(discs) == 0
 
     def test_empty_input_sums_to_zero(self):
-        sums = mro_sum([])
-        assert sums == (0, 0)
-
-    def test_pairwise_totals_never_exceed_mro_total(self):
-        rng = random.Random(11)
-        for trial in range(30):
-            setup, returns, _ = gen_instance(
-                rng.randint(1, 10), rng.randint(2, 5),
-                seed=1000 + trial,
-            )
-            audits = random_audits(setup, returns, seed=2000 + trial)
-            discs = self._discrepancies(setup, returns, audits)
-            sums = mro_sum(discs)
-            assert sums.pairwise_max <= sums.total
+        assert mro_sum([]) == 0
 
     def test_reversed_outcome_forces_sum_to_one(self):
         rng = random.Random(13)
@@ -176,7 +162,7 @@ class TestMroSum:
                 reversal=True, seed=3000 + trial,
             )
             discs = self._discrepancies(setup, returns, audits)
-            assert mro_sum(discs).total >= 1
+            assert mro_sum(discs) >= 1
 
 
 class TestAlgebraicProperties:

@@ -1,7 +1,8 @@
 """The integer kernels against Fraction references written from the definitions.
 
-`precinct_bound` and `taint_count` compute in integers; the references here
-compute the same quantities with one `Fraction` per pair and per step.
+`precinct_bound`, `analyze_precinct` and `taint_count` compute in integers;
+the references here compute the same quantities with one `Fraction` per pair
+and per step.
 """
 
 import random
@@ -11,10 +12,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mro_audit.core import PrecinctReturns
-from mro_audit.discrepancy import precinct_bound
-from mro_audit.errors import InconsistentBounds
-from mro_audit.risk import IDENTITY, TAINT, taint_count
+from mro_audit.core import MAX_BALLOT_BOUND, AuditRecord, PrecinctReturns
+from mro_audit.discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
+from mro_audit.errors import (
+    AuditError,
+    EmptyPairSet,
+    InconsistentBounds,
+    ValidationError,
+)
+from mro_audit.oracle import brute_mro
+from mro_audit.risk import (
+    IDENTITY,
+    TAINT,
+    SamplingDesign,
+    TestConfig,
+    assess_sample,
+    taint_count,
+)
 
 
 def reference_bound(returns_p, margins):
@@ -30,8 +44,10 @@ def reference_taint_count(bounds, threshold, weight, target):
     """Smallest t for which the t largest bounds in full, plus every other
     precinct at its cap, reach ``target``; ``len(bounds) + 1`` if none does.
 
-    The cap is the threshold under identity weight and threshold times the
-    bound under taint weight, with a taint threshold above 1 clamped to 1.
+    The cap is the largest value at or below the threshold that the bound
+    allows: the smaller of the threshold and the bound under identity
+    weight, threshold times the bound under taint weight, with a taint
+    threshold above 1 clamped to 1.
     """
     ordered = sorted((Fraction(b) for b in bounds), reverse=True)
     threshold = Fraction(threshold)
@@ -39,7 +55,7 @@ def reference_taint_count(bounds, threshold, weight, target):
         threshold = min(threshold, Fraction(1))
 
     def cap(bound):
-        return threshold if weight is IDENTITY else threshold * bound
+        return min(threshold, bound) if weight is IDENTITY else threshold * bound
 
     achievable = sum((cap(b) for b in ordered), Fraction(0))
     for t, bound in enumerate(ordered):
@@ -113,6 +129,21 @@ class TestTaintCountMatchesReference:
             assert 0 < expected <= len(bounds)
             assert taint_count(bounds, threshold, weight, target) == expected
 
+    def test_identity_cap_is_at_most_the_bound(self):
+        # Untainted, the two small precincts hold their bounds 1/100, not
+        # the threshold 1/10: 1/2 + 2/100 < 6/10 even with the large one
+        # tainted, so the null is infeasible and P = 0.
+        bounds = [Fraction(1, 2), Fraction(1, 100), Fraction(1, 100)]
+        target = Fraction(6, 10)
+        assert taint_count(bounds, Fraction(1, 10), IDENTITY, target) == 4
+        assert reference_taint_count(bounds, Fraction(1, 10), IDENTITY, target) == 4
+        sample = [PrecinctDiscrepancy("p1", Fraction(1, 10), Fraction(1, 2))]
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 5),
+                            target)
+        report = assess_sample(bounds, sample, config)
+        assert report.null_infeasible
+        assert report.p_value == 0
+
     def test_first_negative_bound_is_named(self):
         with pytest.raises(InconsistentBounds, match=r"bound -1/3$"):
             taint_count([Fraction(1, 2), Fraction(-1, 3), -1], 0, IDENTITY)
@@ -140,3 +171,70 @@ class TestPrecinctBoundMatchesReference:
         returns_p = PrecinctReturns("p1", "c1", 20, {"W": 5, "L1": 0, "L2": 20})
         margins = {("W", "L1"): 100, ("W", "L2"): 20}
         assert precinct_bound(returns_p, margins) == Fraction(1, 4)
+
+
+@st.composite
+def audited_precincts(draw):
+    """A precinct, its hand count and the pairwise margins of a contest of
+    2-6 candidates for 1-3 seats, with counts and margins up to 10**18.
+    Hand counts are drawn apart from machine counts, so over- and
+    understatements both occur."""
+    n = draw(st.integers(2, 6))
+    seats = draw(st.integers(1, min(3, n - 1)))
+    candidates = [f"C{i}" for i in range(n)]
+    ballot_bound = draw(st.integers(0, MAX_BALLOT_BOUND))
+    counts = st.integers(0, ballot_bound)
+    machine = {c: draw(counts) for c in candidates}
+    hand = {c: draw(counts) for c in candidates}
+    margins = {(w, l): draw(st.integers(1, MAX_BALLOT_BOUND))
+               for w in candidates[:seats] for l in candidates[seats:]}
+    return (PrecinctReturns("p1", "c1", ballot_bound, machine),
+            AuditRecord("p1", hand), margins)
+
+
+# Two pairs whose MROs tie as 2/4 and 1/2.
+EQUAL_RATIOS = (
+    PrecinctReturns("p1", "c1", 4, {"W": 3, "L1": 1, "L2": 2}),
+    AuditRecord("p1", {"W": 1, "L1": 1, "L2": 1}),
+    {("W", "L1"): 4, ("W", "L2"): 2},
+)
+# Every count at 0 or 10**18: the largest MRO and bound the rules allow,
+# next to an understatement of the same size.
+EXTREME_COUNTS = (
+    PrecinctReturns("p1", "c1", MAX_BALLOT_BOUND,
+                    {"W": MAX_BALLOT_BOUND, "L1": 0, "L2": MAX_BALLOT_BOUND}),
+    AuditRecord("p1", {"W": 0, "L1": MAX_BALLOT_BOUND, "L2": 0}),
+    {("W", "L1"): 1, ("W", "L2"): MAX_BALLOT_BOUND},
+)
+
+
+class TestPairWalkMatchesReferences:
+    """One pair walk serves the MRO and the bound; each matches its reference."""
+
+    @given(audited_precincts())
+    @example(EQUAL_RATIOS)
+    @example(EXTREME_COUNTS)
+    @settings(max_examples=400)
+    def test_random_precincts(self, case):
+        returns_p, audit_p, margins = case
+        assert analyze_precinct(returns_p, audit_p, margins).max_overstatement == (
+            brute_mro(returns_p, audit_p, margins)
+        )
+        assert precinct_bound(returns_p, margins) == reference_bound(returns_p, margins)
+
+    @pytest.mark.parametrize("margins, error", [
+        ({}, EmptyPairSet),
+        ({("W", "L"): 0}, ValidationError),
+        ({("W", "L"): 3, ("W", "M"): -1}, ValidationError),
+    ], ids=["no-pairs", "zero-margin", "negative-margin"])
+    def test_bad_margins_raise_alike(self, margins, error):
+        returns_p = PrecinctReturns("p1", "c1", 5, {"W": 1, "L": 0, "M": 0})
+        audit_p = AuditRecord("p1", {"W": 0, "L": 1, "M": 0})
+        for call in (
+            lambda: analyze_precinct(returns_p, audit_p, margins),
+            lambda: analyze_precinct(returns_p, audit_p, margins, Fraction(1)),
+            lambda: precinct_bound(returns_p, margins),
+        ):
+            with pytest.raises(AuditError) as raised:
+                call()
+            assert type(raised.value) is error

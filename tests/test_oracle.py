@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mro_audit.core import actual_margins, compute_totals
-from mro_audit.discrepancy import analyze_precinct, mro_sum, precinct_mro
+from mro_audit.discrepancy import analyze_precinct, mro_sum
 from mro_audit.errors import InfeasibleSpec
 from mro_audit.oracle import (
     brute_mro,
@@ -51,7 +51,12 @@ class TestBruteTaintCount:
 
     def test_caps_can_carry_the_whole_target(self):
         # 5 precincts capped at 1/4 reach 5/4 >= 1 with no tainted precinct.
-        assert brute_taint_count([Fraction(1, 9)] * 5, Fraction(1, 4), 1) == 0
+        assert brute_taint_count([Fraction(1, 2)] * 5, Fraction(1, 4), 1) == 0
+
+    def test_cap_never_exceeds_the_bound(self):
+        # A precinct whose bound is below the threshold holds only its
+        # bound: 5 * 1/9 < 1 whatever is tainted, so no subset works.
+        assert brute_taint_count([Fraction(1, 9)] * 5, Fraction(1, 4), 1) == 6
 
     def test_sentinel_when_unreachable(self):
         assert brute_taint_count([Fraction(1, 10)] * 3, Fraction(0), 1) == 4
@@ -109,7 +114,7 @@ class TestGenInstance:
             discs = [
                 analyze_precinct(r, by_id[r.precinct_id], margins) for r in returns
             ]
-            assert mro_sum(discs).total >= 1
+            assert mro_sum(discs) >= 1
 
     @pytest.mark.parametrize(
         "n_precincts,n_candidates,seats",
@@ -143,7 +148,7 @@ class TestRandomAudits:
         margins = compute_totals(setup, returns).pairwise_margins
         slow = [brute_mro(r, a, margins) for r, a in zip(returns, audits)]
         fast = [
-            precinct_mro(analyze_precinct(r, a, margins).pairwise)
+            analyze_precinct(r, a, margins).max_overstatement
             for r, a in zip(returns, audits)
         ]
         assert slow == fast

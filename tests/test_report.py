@@ -16,6 +16,7 @@ from mro_audit.core import (
     ContestSetup,
     PrecinctReturns,
     compute_totals,
+    prepare_contest,
 )
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import AuditError, ValidationError
@@ -29,7 +30,13 @@ from mro_audit.report import (
     percent,
     verify_document,
 )
-from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
+from mro_audit.risk import (
+    IDENTITY,
+    SamplingDesign,
+    TestConfig,
+    run_contest_test,
+    run_test,
+)
 
 
 @pytest.fixture()
@@ -272,14 +279,14 @@ def documents(draw):
             audits.append(AuditRecord(ret.precinct_id, hand))
     config = TestConfig(IDENTITY, SamplingDesign(
         "with_replacement", draw(st.integers(1, 50))))
-    report = run_test(setup, returns, audits, config)
+    contest = prepare_contest(setup, returns)
+    report, bounds, discrepancies = run_contest_test(contest, audits, config)
     pooled = draw(st.none() | st.fixed_dictionaries({
         "members": st.lists(any_names, min_size=1, max_size=3),
         "pooled_id": any_names,
     }))
     return build_document(
-        setup, returns, report.totals, report.bounds,
-        report.discrepancies, report,
+        setup, returns, contest.totals, bounds, discrepancies, report,
         tool_version=draw(any_names),
         input_digests={"returns": draw(any_names)},
         pooled=pooled,
