@@ -15,6 +15,7 @@ without it.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,8 +295,8 @@ class MonteCarloResult(NamedTuple):
     standard_error: float
 
 
-# Precinct indices drawn per with-replacement block: 4 MiB as uint32.
-_BLOCK_DRAWS = 1 << 20
+# Draws per with-replacement block: 256 KiB as uint32 words.
+_BLOCK_DRAWS = 1 << 16
 # Largest population numpy draws uniform integers from (uint64 range).
 _MAX_WR_POPULATION = 1 << 64
 # numpy's hypergeometric needs ngood and nbad below this.
@@ -308,6 +309,60 @@ def _blocks(total: int, block: int) -> Iterator[int]:
     """Sizes of consecutive blocks of at most ``block`` that sum to ``total``."""
     for start in range(0, total, block):
         yield min(block, total - start)
+
+
+def _word_misses(
+    bit_generator, taint_count: int, population: int, draws: int,
+    replications: int,
+) -> int:
+    """Replications whose ``draws`` with-replacement indices below
+    ``population`` (at most 2**32) all miss the first ``taint_count``.
+
+    ``Generator.integers`` maps each 32-bit word w of the generator to the
+    index (w * N) >> 32 and redraws w when (w * N) mod 2**32 < 2**32 mod N
+    (Lemire's method).  This reads the same words, in the same order, from
+    ``random_raw`` (each 64-bit output is its low word, then its high word),
+    drops the ones numpy would redraw, and calls a kept word tainted when
+    w < ceil(t * 2**32 / N), which is exactly when its index is below t.
+    The kept words form the replications' samples in turn; only the partial
+    sample at a block's end is carried over, as the words it still needs and
+    whether it has a tainted word yet.
+    """
+    import numpy as np
+
+    if taint_count in (0, population):
+        return replications if taint_count == 0 else 0
+    reject_below = (1 << 32) % population
+    factor = np.uint32(population % (1 << 32))
+    cut = -(-(taint_count << 32) // population)
+    remaining = replications * draws
+    misses = 0
+    need, tainted = draws, False
+    while remaining:
+        raw = bit_generator.random_raw((min(_BLOCK_DRAWS, remaining) + 1) // 2)
+        words = raw.view(np.uint32)
+        if reject_below:
+            products = words * factor
+            if products.min() < reject_below:
+                words = np.delete(words, np.flatnonzero(products < reject_below))
+        words = words[:remaining]
+        remaining -= words.size
+        head = words[:need]
+        if head.size:
+            tainted = tainted or bool(head.min() < cut)
+            need -= head.size
+            if not need:
+                misses += not tainted
+                need, tainted = draws, False
+        rest = words[head.size:]
+        rows = rest.size // draws
+        if rows:
+            lows = rest[:rows * draws].reshape(rows, draws).min(axis=1)
+            misses += int(np.count_nonzero(lows >= cut))
+        tail = rest[rows * draws:]
+        if tail.size:
+            need, tainted = draws - tail.size, bool(tail.min() < cut)
+    return misses
 
 
 def monte_carlo_pvalue(
@@ -325,13 +380,15 @@ def monte_carlo_pvalue(
     for a simple random sample the number of tainted precincts drawn is
     simulated hypergeometrically.
 
-    With-replacement draws are made in blocks of at most ``_BLOCK_DRAWS``
-    precinct indices: ``_BLOCK_DRAWS // draws`` replications at a time, or
-    one replication in several pieces when a sample is larger than a
-    block.  Memory therefore stays bounded whatever the sample size and
-    replication count.  Indices are uint32 when the population fits, and
-    uint64 above that.  numpy draws each index from the same 32- or 64-bit
-    outputs of the generator whatever the block shape or dtype, so the
+    With-replacement draws from a population of at most 2**32 are read as
+    the generator's 32-bit words and mapped to precincts as
+    ``Generator.integers`` maps them (see `_word_misses`), so the estimate
+    equals the one from drawing the indices with ``integers``, for every
+    seed; ``TestBlockedStream`` holds it to that reference.  Larger
+    populations still draw uint64 indices with ``integers``.  Either way
+    the draws are made in blocks of about ``_BLOCK_DRAWS``, so
+    memory stays bounded whatever the sample size and replication count,
+    and every block takes the next values of the same stream, so the
     result depends on the seed alone, not on the block size.
 
     Raises:
@@ -354,14 +411,20 @@ def monte_carlo_pvalue(
                 f"population {population} is above 2**64, the largest "
                 f"numpy can draw from with replacement"
             )
-        dtype = np.uint32 if population <= 1 << 32 else np.uint64
-        misses = 0
-        for size in _blocks(replications, max(1, _BLOCK_DRAWS // n)):
-            clean = np.ones(size, dtype=bool)
-            for width in _blocks(n, _BLOCK_DRAWS):
-                draws = rng.integers(0, population, size=(size, width), dtype=dtype)
-                clean &= draws.min(axis=1) >= taint_count
-            misses += int(np.count_nonzero(clean))
+        # random_raw's 64-bit outputs split into numpy's 32-bit words, low
+        # word first, only as a little-endian view.
+        if population <= 1 << 32 and sys.byteorder == "little":
+            misses = _word_misses(rng.bit_generator, taint_count, population,
+                                  n, replications)
+        else:
+            misses = 0
+            for size in _blocks(replications, max(1, _BLOCK_DRAWS // n)):
+                clean = np.ones(size, dtype=bool)
+                for width in _blocks(n, _BLOCK_DRAWS):
+                    draws = rng.integers(0, population, size=(size, width),
+                                         dtype=np.uint64)
+                    clean &= draws.min(axis=1) >= taint_count
+                misses += int(np.count_nonzero(clean))
     else:
         clean_count = population - taint_count
         if max(taint_count, clean_count) >= _MAX_HYPERGEOMETRIC:

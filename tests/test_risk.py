@@ -248,15 +248,26 @@ class TestMonteCarlo:
         result = monte_carlo_pvalue(215, 25_000, WR(347), 200_000, seed=7)
         assert result.estimate == 0.050295
 
+    def test_multiseat_benchmark_point_is_pinned(self):
+        result = monte_carlo_pvalue(86, 10_000, WR(347), 200_000, seed=7)
+        assert result.estimate == 0.05071
+
+    def test_minnesota_benchmark_point_is_pinned(self):
+        result = monte_carlo_pvalue(166, 4123, WR(202), 1_000_000, seed=7)
+        assert result.estimate == 0.000229  # 229 misses
+
     def test_memory_stays_within_a_block(self):
-        # A 2,000 x 10,000 int64 draw matrix would be 160 MB.
-        tracemalloc.start()
-        try:
-            monte_carlo_pvalue(1, 10_000, WR(10_000), 2_000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # A 2,000 x 10,000 int64 draw matrix would be 160 MB.  In one sample
+        # of 20 million draws, anything carried from block to block that
+        # grows with the sample would hold about 20 MB.
+        for draws, replications in [(10_000, 2_000), (20_000_000, 1)]:
+            tracemalloc.start()
+            try:
+                monte_carlo_pvalue(1, 10_000, WR(draws), replications, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
     def test_population_above_uint64_rejected(self):
         with pytest.raises(InvalidCount, match=r"above 2\*\*64"):
@@ -338,10 +349,90 @@ class TestBlockedStream:
     @example(case=(3, 2**32 - 1, WR(5), 99_999, 2), block=2**20)
     @example(case=(3, 2**32 + 1, WR(5), 100_000, 3), block=2**20)
     @example(case=(2, 9, SRS(4), 100_001, 4), block=2**20)
+    # About half of all words are redrawn.
+    @example(case=(2**30, 2**31 + 1, WR(3), 300, 5), block=7)
+    # About a quarter of all words are redrawn.
+    @example(case=(2**30, 3 * 2**30 + 1, WR(3), 300, 6), block=64)
+    # Only the word 0 is redrawn.
+    @example(case=(2**31, 2**32 - 1, WR(2), 300, 7), block=3)
+    # Words taken unmapped.
+    @example(case=(2**31, 2**32, WR(2), 300, 8), block=3)
+    # Indices from the 64-bit loop.
+    @example(case=(2**31, 2**32 + 1, WR(2), 300, 9), block=3)
+    # No words drawn.
+    @example(case=(0, 1, WR(4), 10, 10), block=3)
+    @example(case=(1, 1, WR(4), 10, 11), block=3)
+    # No word redrawn.
+    @example(case=(1, 2, WR(3), 300, 12), block=2)
+    # No precinct tainted, and every precinct tainted.
+    @example(case=(0, 4123, WR(202), 300, 13), block=64)
+    @example(case=(4123, 4123, WR(202), 300, 14), block=64)
+    # Samples longer than the block, partial rows carried across seams.
+    @example(case=(1, 50, WR(40), 300, 15), block=7)
+    @example(case=(1, 3, WR(5), 300, 16), block=1)
     def test_matches_full_matrix(self, case, block):
         with mock.patch.object(risk, "_BLOCK_DRAWS", block):
             blocked = monte_carlo_pvalue(*case)
         assert blocked == full_matrix_monte_carlo(*case)
+
+
+# numpy's PCG64 steps its 128-bit state s to s * _PCG64_MULTIPLIER + inc.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_starting_with(low, high):
+    """A PCG64 whose next 64-bit output is ``low | high << 32``: the 32-bit
+    words ``low`` then ``high`` for ``integers``, then its usual stream."""
+    inc = 1
+    # A state whose high half is 0 outputs its low half, unrotated.
+    state = ((low | high << 32) - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
+def edge_words(tainted, population):
+    """The last tainted and first clean word, and for an odd population the
+    largest redrawn and smallest kept remainder of word * population."""
+    cut = -(-(tainted << 32) // population)
+    words = [cut - 1, cut]
+    redraw_below = 2**32 % population
+    if population % 2 and redraw_below:
+        inverse = pow(population, -1, 2**32)
+        words += [(redraw_below - 1) * inverse % 2**32,
+                  redraw_below * inverse % 2**32]
+    return words
+
+
+class TestWordMapping:
+    """The words on either side of the taint cut and of the redraw limit
+    are classified as ``integers`` classifies them."""
+
+    @pytest.mark.parametrize("tainted, population", [
+        (166, 4123),
+        (5, 2**31 + 1),
+        (2**30, 3 * 2**30 + 1),
+        (2**31, 2**32 - 1),
+        (2**31, 2**32),
+    ])
+    def test_edge_words_match_integers(self, tainted, population):
+        for first in edge_words(tainted, population):
+            for second in edge_words(tainted, population):
+                words = pcg64_starting_with(first, second).random_raw(1)
+                assert words.view(np.uint32).tolist() == [first, second]
+                indices = np.random.Generator(
+                    pcg64_starting_with(first, second)
+                ).integers(0, population, size=3)
+                misses = risk._word_misses(
+                    pcg64_starting_with(first, second), tainted, population,
+                    1, 3,
+                )
+                assert misses == np.count_nonzero(indices >= tainted)
 
 
 def small_contest():
