@@ -120,10 +120,14 @@ def _config_defaults(ctx, param, path):
     ``--config`` is eager, so this runs before any other option is resolved;
     click then takes each value from the command line, else the file, else
     the declared default, and converts and checks file values like flags.
+    A key that names no flag of any command is a ``ParseError``; one that
+    names another command's flag is left to that command.
     """
     if path is None:
         return
-    config = _domain_errors(load_config)(path)
+    flags = {option.name for command in cli.commands.values()
+             for option in command.params}
+    config = _domain_errors(load_config)(path, flags)
     ctx.default_map = {
         key.replace("-", "_"): value for key, value in config.items()
     }

@@ -19,23 +19,30 @@ mirror the CLI flag names.  The loaders reject exactly what the domain
 invariants reject; nothing is silently repaired.
 
 Every file is opened through :func:`_opened`: one that cannot be opened or
-is not UTF-8 is a ``ParseError``.  :func:`_records` reads a table whole,
-then checks row widths and unique keys; row N counts CSV records, the
-header being row 1.  Returns and audits share :func:`_count_table`, which
-parses each integer cell once (:func:`_ints`).  :func:`load_contest`
-checks, tabulates and pools a returns file in its one pass over the rows.
+is not UTF-8 is a ``ParseError``.  :func:`_table` reads a CSV table whole,
+and closes it, before any row is checked; row N counts CSV records, the
+header being row 1.  Audits and county tables are walked row by row
+(:func:`_records`).  :func:`load_contest` takes the returns
+:data:`_CHUNK_ROWS` records at a time: it transposes each chunk and runs
+every row rule as a pass over its columns, which also build the rows and
+the column totals.  A chunk that breaks a rule is walked row by row with
+the per-row checks (:func:`_check_record`, :func:`_counts`,
+``core._count_problem``), which raise its first fault as the row walk
+would.  Each integer cell is parsed once.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from contextlib import contextmanager
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, le, mul
 from pathlib import Path
 from typing import TextIO
 
 from .core import (
+    MAX_BALLOT_BOUND,
     AuditRecord,
     Contest,
     ContestSetup,
@@ -47,6 +54,10 @@ from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
 
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
+# Returns records per column pass: enough that the passes run in C, few
+# enough that a chunk's ints beside the unread table add little to the
+# load's peak memory.
+_CHUNK_ROWS = 1024
 
 
 @contextmanager
@@ -61,15 +72,13 @@ def _opened(path: str) -> Iterator[TextIO]:
         raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
 
 
-def _records(path: str) -> Iterator[tuple[int, list[str]]]:
-    """Walk a CSV table as ``(row, cells)``, numbering rows by record.
+def _table(path: str) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV table whole, and close it, before any row is checked.
 
-    The file is read whole, and closed, before any row is checked.  The
-    header comes first, as row 1 with its cells stripped; each later row
-    comes once it has the header's width and a key (its first cell, stored
-    stripped) that no earlier row has.  The table lets go of each record as
-    it is walked, so a load holds the unread records and what the caller
-    kept of the read ones, not the whole table twice over.
+    Returns the header, its cells stripped, and the later records in
+    reverse order, so that a caller can pop them and let each go once it is
+    walked: a load then holds the unread records and what it kept of the
+    read ones, not the whole table twice over.
     """
     table: list[list[str]] = []
     with _opened(path) as handle:
@@ -82,18 +91,36 @@ def _records(path: str) -> Iterator[tuple[int, list[str]]]:
         raise ParseError("empty file, expected a header row", path=path)
     table.reverse()
     header = [cell.strip() for cell in table.pop()]
+    if header[:1] and header[0].startswith("\ufeff"):
+        raise ParseError("starts with a UTF-8 byte-order mark; save the file "
+                         "as UTF-8 without one", path=path, row=1)
+    return header, table
+
+
+def _check_record(cells: list[str], header: list[str], seen: set[str],
+                  path: str, row: int) -> None:
+    """The width and key rules of one record: it has the header's width and
+    a key (its first cell, stored stripped) that no earlier row has."""
+    if len(cells) != len(header):
+        raise ParseError(f"expected {len(header)} cells, got {len(cells)}",
+                         path=path, row=row)
+    key = cells[0] = cells[0].strip()
+    if key in seen:
+        raise ParseError(f"duplicate {header[0]} {key!r}",
+                         path=path, row=row, column=header[0])
+    seen.add(key)
+
+
+def _records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """Walk a CSV table as ``(row, cells)``, numbering rows by record: the
+    header first, as row 1, then each later record once
+    :func:`_check_record` passes it."""
+    header, table = _table(path)
     yield 1, header
-    width, key_column, seen = len(header), header[0], set()
+    seen: set[str] = set()
     for row in range(2, len(table) + 2):
         cells = table.pop()
-        if len(cells) != width:
-            raise ParseError(f"expected {width} cells, got {len(cells)}",
-                             path=path, row=row)
-        key = cells[0] = cells[0].strip()
-        if key in seen:
-            raise ParseError(f"duplicate {key_column} {key!r}",
-                             path=path, row=row, column=key_column)
-        seen.add(key)
+        _check_record(cells, header, seen, path, row)
         yield row, cells
 
 
@@ -111,18 +138,21 @@ def _ints(cells: list[str], columns: list[str], path: str,
     return ints
 
 
-def _count_table(
-    path: str, fixed: tuple[str, ...], text_columns: int, at_least: int
-) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str], list[int]]]]:
-    """Read the header of a precinct count table; return the candidates and
-    the walk over its rows as ``(row, cells, counts)``.
+def _counts(cells: list[str], header: list[str], text_columns: int,
+            path: str, row: int) -> list[int]:
+    """A count table row's cells after ``text_columns`` as ints; its
+    ``precinct_id`` must be nonempty."""
+    if not cells[0]:
+        raise ParseError("empty precinct_id", path=path, row=row,
+                         column="precinct_id")
+    return _ints(cells[text_columns:], header[text_columns:], path, row)
 
-    The header is the ``fixed`` columns, then at least ``at_least`` (one or
-    two) candidate columns, unique and nonempty.  Each row has a nonempty
-    ``precinct_id``; ``counts`` are its cells after ``text_columns`` as ints.
-    """
-    records = _records(path)
-    _, header = next(records)
+
+def _candidates(header: list[str], fixed: tuple[str, ...], at_least: int,
+                path: str) -> tuple[str, ...]:
+    """The candidates of a precinct count table's header: the ``fixed``
+    columns, then at least ``at_least`` (one or two) candidate columns,
+    unique and nonempty."""
     if tuple(header[:len(fixed)]) != fixed:
         raise ParseError(
             f"header must start with {','.join(fixed)}, "
@@ -137,16 +167,7 @@ def _count_table(
         raise ParseError(
             "candidate columns must be unique and nonempty", path=path, row=1
         )
-    columns = header[text_columns:]
-
-    def rows() -> Iterator[tuple[int, list[str], list[int]]]:
-        for row, cells in records:
-            if not cells[0]:
-                raise ParseError("empty precinct_id", path=path, row=row,
-                                 column="precinct_id")
-            yield row, cells, _ints(cells[text_columns:], columns, path, row)
-
-    return candidates, rows()
+    return candidates
 
 
 def load_returns(
@@ -164,44 +185,102 @@ def load_contest(path: str | Path, votes_per_voter: int = 1,
 
     The candidates are the header columns after the three fixed columns.
     Every cell must be an integer, precinct ids must be unique and each
-    row's counts must obey the count rules of :mod:`mro_audit.core`.  One
-    pass checks each row, builds its final vote map and sums the unpooled
-    column totals a chunk of rows at a time; then the pool rules run.  The
-    result, each error and their order are those of ``core.pool_contest``
-    on the unpooled contest, except that an empty pool means no pooling.
+    row's counts must obey the count rules of :mod:`mro_audit.core`.  The
+    rows are taken :data:`_CHUNK_ROWS` at a time, and every rule runs as a
+    pass over the chunk's columns, which also build its vote maps and rows
+    and add to the column totals.  A chunk that breaks a rule is walked row
+    by row with the per-row checks; every earlier chunk passed them all, so
+    the walk raises the first fault where a row walk of the file would.
+    Then the pool rules run.  The result, each error and their order are
+    those of ``core.pool_contest`` on the unpooled contest, except that an
+    empty pool means no pooling.
 
     Raises:
         ParseError, ValidationError: a malformed row or a broken count rule,
             located by row; then what ``core.pool_contest`` raises.
     """
     path, pool = str(path), set(pool)
-    candidates, rows = _count_table(path, RETURNS_FIXED_COLUMNS, 2, 2)
+    header, table = _table(path)
+    candidates = _candidates(header, RETURNS_FIXED_COLUMNS, 2, path)
     kept_mask = [candidate not in pool for candidate in candidates]
     pool_mask = [not kept for kept in kept_mask]
-    kept = list(compress(candidates, kept_mask))
-    returns: list[PrecinctReturns] = []
-    width, chunk = len(candidates), []
-    for row, cells, counts in rows:
-        bound, counts = counts[0], counts[1:]
+    keys = list(compress(candidates, kept_mask))
+    if pool:
+        keys.append(pooled_id)
+    width, seen, returns = len(header), set(), []
+    totals = [0] * len(candidates)
+    while table:
+        row = len(returns) + 2
+        chunk = table[-_CHUNK_ROWS:]
+        del table[-_CHUNK_ROWS:]
+        chunk.reverse()
+        columns = _chunk_columns(chunk, width, seen, votes_per_voter)
+        if columns is None:
+            _raise_first_fault(chunk, header, seen, votes_per_voter, path, row)
+        del chunk  # let its count cells go before the rows are built
+        ids, counties, bounds, counts = columns
+        vote_columns = list(compress(counts, kept_mask))
+        if pool:  # with no known member, the pool rules reject the pool
+            pooled = list(compress(counts, pool_mask))
+            vote_columns.append(list(map(sum, zip(*pooled))) if pooled
+                                else [0] * len(bounds))
+        votes = map(dict, map(zip, repeat(keys), zip(*vote_columns)))
+        returns += map(tuple.__new__, repeat(PrecinctReturns),
+                       zip(ids, map(str.strip, counties), bounds, votes))
+        totals = list(map(add, totals, map(sum, counts)))
+    if not returns:
+        raise ValidationError("no precinct rows", path=path)
+    setup = ContestSetup(candidates, votes_per_voter, len(returns))
+    totals = dict(zip(candidates, totals))
+    if pool:
+        return _pooled_contest(setup, totals, pool, pooled_id, returns)
+    return Contest(setup, returns, totals)
+
+
+def _chunk_columns(
+    chunk: list[list[str]], width: int, seen: set[str], votes_per_voter: int
+) -> tuple[list[str], tuple[str, ...], list[int], list[list[int]]] | None:
+    """A chunk of returns records as ``(ids, counties, bounds, counts)``
+    columns, each rule checked as a pass over a column, or ``None`` if a
+    record breaks one.  ``ids`` are stripped, ``counts`` holds one list of
+    ints per candidate, and the ids join ``seen`` once every rule holds."""
+    if set(map(len, chunk)) != {width}:
+        return None
+    ids, counties, *cells = zip(*chunk)
+    ids = list(map(str.strip, ids))
+    unique = set(ids)
+    if "" in unique or len(unique) != len(ids) or not seen.isdisjoint(unique):
+        return None
+    try:
+        bounds, *counts = [list(map(int, map(str.strip, column)))
+                           for column in cells]
+    except ValueError:
+        return None
+    if min(bounds) < 0 or max(bounds) > MAX_BALLOT_BOUND:
+        return None
+    for column in counts:
+        if min(column) < 0 or not all(map(le, column, bounds)):
+            return None
+    caps = map(mul, bounds, repeat(votes_per_voter))
+    if not all(map(le, map(sum, zip(*counts)), caps)):
+        return None
+    seen.update(unique)
+    return ids, counties, bounds, counts
+
+
+def _raise_first_fault(chunk: list[list[str]], header: list[str],
+                       seen: set[str], votes_per_voter: int, path: str,
+                       row: int) -> None:
+    """Walk a rejected chunk, whose first record is row ``row``, with the
+    per-row checks, and raise its first fault as the row walk would."""
+    candidates = header[3:]
+    for row, cells in enumerate(chunk, row):
+        _check_record(cells, header, seen, path, row)
+        bound, *counts = _counts(cells, header, 2, path, row)
         problem = _count_problem(zip(candidates, counts), bound,
                                  votes_per_voter)
         if problem is not None:
             raise ValidationError(problem, path=path, row=row)
-        votes = dict(zip(kept, compress(counts, kept_mask)))
-        if pool:
-            votes[pooled_id] = sum(compress(counts, pool_mask))
-        returns.append(PrecinctReturns(cells[0], cells[1].strip(), bound,
-                                       votes))
-        chunk += counts
-        if len(chunk) >= 256 * width:  # fold the chunk into its column sums
-            chunk = [sum(chunk[i::width]) for i in range(width)]
-    if not returns:
-        raise ValidationError("no precinct rows", path=path)
-    setup = ContestSetup(candidates, votes_per_voter, len(returns))
-    totals = {c: sum(chunk[i::width]) for i, c in enumerate(candidates)}
-    if pool:
-        return _pooled_contest(setup, totals, pool, pooled_id, returns)
-    return Contest(setup, returns, totals)
 
 
 def load_audits(path: str | Path) -> list[AuditRecord]:
@@ -215,9 +294,14 @@ def load_audits(path: str | Path) -> list[AuditRecord]:
             and duplicated or empty candidate columns.
     """
     path = str(path)
-    candidates, rows = _count_table(path, ("precinct_id",), 1, 1)
-    return [AuditRecord(cells[0], dict(zip(candidates, counts)))
-            for _, cells, counts in rows]
+    records = _records(path)
+    _, header = next(records)
+    candidates = _candidates(header, ("precinct_id",), 1, path)
+    audits = []
+    for row, cells in records:
+        counts = _counts(cells, header, 1, path, row)
+        audits.append(AuditRecord(cells[0], dict(zip(candidates, counts))))
+    return audits
 
 
 def load_county_plans(
@@ -278,8 +362,14 @@ def load_county_plans(
     return plans
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    """Read a key=value config file; keys mirror the CLI flag names."""
+def load_config(path: str | Path,
+                flags: Container[str] | None = None) -> dict[str, str]:
+    """Read a key=value config file; keys mirror the CLI flag names.
+
+    Given ``flags``, the parameter names of the flags a key may set, a key
+    that is none of them (``-`` read as ``_``) is a ``ParseError`` at its
+    line.
+    """
     config: dict[str, str] = {}
     path = str(path)
     with _opened(path) as handle:
@@ -295,5 +385,9 @@ def load_config(path: str | Path) -> dict[str, str]:
                     f"expected key=value, got {line!r}", path=path, row=lineno
                 )
             key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
+            key = key.strip()
+            if flags is not None and key.replace("-", "_") not in flags:
+                raise ParseError(f"unknown key {key!r}, not a flag of any "
+                                 "command", path=path, row=lineno)
+            config[key] = value.strip()
     return config

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import minnesota
+import mro_audit.io
 from mro_audit.io import load_county_plans, load_returns
 from mro_audit.sampling import draw_sample
 
@@ -58,3 +59,13 @@ def docs_returns_path() -> Path:
 @pytest.fixture(scope="session")
 def docs_audits_path() -> Path:
     return DOCS_DIR / "audits.csv"
+
+
+@pytest.fixture(scope="class")
+def chunks_of_two():
+    """Load returns two records at a time, so that a fault in any row after
+    the second lands past a chunk boundary.  Class-scoped, so that it also
+    holds for Hypothesis tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mro_audit.io, "_CHUNK_ROWS", 2)
+        yield

@@ -455,6 +455,33 @@ class TestConfigResolution:
         assert result.exit_code == 1
         assert "NUL character" in result.output
 
+    @pytest.mark.parametrize("line, key", [
+        ("wieght=taint", "wieght"),
+        ("\ufeffweight=taint", "\ufeffweight"),  # saved with a byte-order mark
+        ("help=1", "help"),
+    ])
+    def test_key_of_no_flag_exits_one(self, runner, docs_returns_path,
+                                      docs_audits_path, tmp_path, line, key):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"sampling=wr:1\n{line}\n", encoding="utf-8")
+        result = runner.invoke(cli, ["pvalue", str(docs_returns_path),
+                                     str(docs_audits_path), "--sampling",
+                                     "wr:1", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: ParseError: {cfg}, row 2: unknown "
+                                 f"key {key!r}, not a flag of any command\n")
+
+    def test_key_of_another_command_is_left_to_it(self, runner,
+                                                  docs_returns_path, tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("weight=taint\nreps=10\nvotes_per_voter=2\n",
+                       encoding="utf-8")
+        result = invoke(runner, ["margins", str(docs_returns_path),
+                                 "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["winners"] == ["Alpha", "Beta"]
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_votes_per_voter_below_one_exits_two(self, runner, tmp_path,

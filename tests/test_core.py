@@ -518,58 +518,81 @@ OVER_BOUND = _hand_built([(10, {"A": 0, "B": 0, "C": 10, "D": 10}),
                           (11, {"A": 11, "B": 11, "C": 0, "D": 0})], 2)
 
 
+def pooled_load_property(test):
+    """Run ``test(self, tmp_path_factory, request)`` on drawn
+    :func:`pooled_loads` requests and on each failure, where it can be,
+    with the one reported after it."""
+    for request in [
+        (*ABC, ["A", "C"], "Pooled", (0, "x")),
+        (*TIED, ["Zed"], "Pooled", None),
+        (*ABC, [], "Pooled", None),
+        (*TIED, ["C"], "B", None),
+        (*TIED, ["A", "C"], "Pooled", None),
+        (*_tight_vote_for_three()[:2], ["C00", "C03", "C04", "C05"], "Pooled",
+         None),
+        (*OVER_BOUND, ["C", "D"], "Pooled", None),
+        (*ABC, ["B", "C"], "Pooled", None),
+    ]:
+        test = example(request=request)(test)
+    return given(request=pooled_loads())(
+        settings(max_examples=150, deadline=None)(test))
+
+
+def check_pooled_load(tmp_path_factory, request):
+    setup, returns, pool, pooled_id, fault = request
+    path = tmp_path_factory.mktemp("contest") / "returns.csv"
+    _write_returns(path, setup, returns)
+    if fault is not None:
+        row, text = fault
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[row + 1].split(",")
+        cells[3] = text
+        lines[row + 1] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+    votes_per_voter = setup.votes_per_voter
+
+    def pooled_load():
+        contest = load_contest(path, votes_per_voter, pool, pooled_id)
+        return contest.setup, contest.returns, contest.totals
+
+    def pooled_after_the_load():
+        contest = load_contest(path, votes_per_voter)
+        if pool:  # an empty pool is no pool to the loader
+            contest = pool_contest(contest, pool, pooled_id)
+        return contest.setup, contest.returns, contest.totals
+
+    got, expected = _outcome(pooled_load), _outcome(pooled_after_the_load)
+    assert got == expected
+    if isinstance(expected[0], ContestSetup):
+        assert [list(r.machine_votes) for r in got[1]] == [
+            list(r.machine_votes) for r in expected[1]
+        ]
+        assert list(got[2].totals) == list(expected[2].totals)
+
+
 class TestPooledLoad:
     """``load_contest(path, vpv, pool, pooled_id)`` pools in its one pass
     and agrees with ``pool_contest(load_contest(path, vpv), ...)``."""
 
-    @given(request=pooled_loads())
-    # Each failure, where it can be, with the one reported after it.
-    @example(request=(*ABC, ["A", "C"], "Pooled", (0, "x")))
-    @example(request=(*TIED, ["Zed"], "Pooled", None))
-    @example(request=(*ABC, [], "Pooled", None))
-    @example(request=(*TIED, ["C"], "B", None))
-    @example(request=(*TIED, ["A", "C"], "Pooled", None))
-    @example(request=(*_tight_vote_for_three()[:2],
-                      ["C00", "C03", "C04", "C05"], "Pooled", None))
-    @example(request=(*OVER_BOUND, ["C", "D"], "Pooled", None))
-    @example(request=(*ABC, ["B", "C"], "Pooled", None))
-    @settings(max_examples=150, deadline=None)
+    @pooled_load_property
     def test_matches_pooling_after_the_load(self, tmp_path_factory, request):
-        setup, returns, pool, pooled_id, fault = request
-        path = tmp_path_factory.mktemp("contest") / "returns.csv"
-        _write_returns(path, setup, returns)
-        if fault is not None:
-            row, text = fault
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            cells = lines[row + 1].split(",")
-            cells[3] = text
-            lines[row + 1] = ",".join(cells)
-            path.write_text("".join(lines), encoding="utf-8")
-        votes_per_voter = setup.votes_per_voter
-
-        def pooled_load():
-            contest = load_contest(path, votes_per_voter, pool, pooled_id)
-            return contest.setup, contest.returns, contest.totals
-
-        def pooled_after_the_load():
-            contest = load_contest(path, votes_per_voter)
-            if pool:  # an empty pool is no pool to the loader
-                contest = pool_contest(contest, pool, pooled_id)
-            return contest.setup, contest.returns, contest.totals
-
-        got, expected = _outcome(pooled_load), _outcome(pooled_after_the_load)
-        assert got == expected
-        if isinstance(expected[0], ContestSetup):
-            assert [list(r.machine_votes) for r in got[1]] == [
-                list(r.machine_votes) for r in expected[1]
-            ]
-            assert list(got[2].totals) == list(expected[2].totals)
+        check_pooled_load(tmp_path_factory, request)
 
     def test_empty_pool_is_no_pool(self, docs_returns_path):
         contest = load_contest(docs_returns_path, 1, [], "Pooled")
         assert contest.setup.candidates == ("Alpha", "Beta", "Gamma")
         with pytest.raises(ValidationError, match="candidate pool is empty"):
             pool_contest(load_contest(docs_returns_path), [], "Pooled")
+
+
+@pytest.mark.usefixtures("chunks_of_two")
+class TestPooledLoadInChunksOfTwo:
+    """The same, with the returns loaded two records at a time, so that a
+    faulty row or a pool rule's precinct can lie past a chunk boundary."""
+
+    @pooled_load_property
+    def test_matches_pooling_after_the_load(self, tmp_path_factory, request):
+        check_pooled_load(tmp_path_factory, request)
 
 
 class TestRowTypes:

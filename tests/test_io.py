@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import pytest
@@ -143,6 +144,15 @@ class TestLoadContest:
         with pytest.raises(ValidationError) as from_contest:
             load_contest(path)
         assert str(from_contest.value) == str(from_returns.value)
+
+    def test_fault_in_the_third_chunk_located(self, tmp_path):
+        rows = [f"p{i},c1,10,1,1\n" for i in range(2999)]
+        rows[2049] = "p2049,c1,10,1,1.5\n"  # row 2051; chunks hold 1,024
+        path = write(tmp_path, "returns.csv", R + "".join(rows))
+        with pytest.raises(ParseError) as err:
+            load_returns(path)
+        assert str(err.value) == (f"{path}, row 2051, column 'B': expected "
+                                  "an integer, got '1.5'")
 
     def test_peak_memory_near_what_the_contest_keeps(self, tmp_path):
         # The table is read whole, but each record is let go once walked,
@@ -339,6 +349,287 @@ LOADERS = {
 }
 
 
+# The cases of TestMessageCorpus; TestFaultsPastTheFirstChunk replays the
+# returns row faults among them after a chunk boundary.
+BOM = "\ufeff"  # a UTF-8 byte-order mark, as some editors save CSV files
+BOM_MESSAGE = ("{path}, row 1: starts with a UTF-8 byte-order mark; save the "
+               "file as UTF-8 without one")
+CORPUS = [
+    pytest.param(
+        "returns", "precinct,county,bound,A,B\np,c,1,0,0\n",
+        ParseError, "{path}, row 1: header must start with "
+                    "precinct_id,county_id,ballot_bound, got "
+                    "precinct,county,bound",
+        id="returns-bad-header"),
+    pytest.param(
+        "returns", "precinct_id,county_id,ballot_bound,A\np1,c1,5,3\n",
+        ParseError, "{path}, row 1: need at least two candidate columns",
+        id="returns-one-candidate"),
+    pytest.param(
+        "returns", "precinct_id,county_id,ballot_bound,A,A\np1,c1,5,3,1\n",
+        ParseError, "{path}, row 1: candidate columns must be unique and "
+                    "nonempty",
+        id="returns-duplicate-candidate"),
+    pytest.param(
+        "returns", "precinct_id,county_id,ballot_bound,A,,B\np1,c1,5,3,1,0\n",
+        ParseError, "{path}, row 1: candidate columns must be unique and "
+                    "nonempty",
+        id="returns-empty-candidate"),
+    pytest.param(
+        "returns", R + "p1,c1,10,5\n",
+        ParseError, "{path}, row 2: expected 5 cells, got 4",
+        id="returns-short-row"),
+    pytest.param(
+        "returns", R + "p1,c1,10,5,1\n\np2,c1,10,5,1\n",
+        ParseError, "{path}, row 3: expected 5 cells, got 0",
+        id="returns-blank-row"),
+    pytest.param(
+        "returns", R + " ,c1,10,5,1\n",
+        ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
+        id="returns-empty-id"),
+    pytest.param(
+        "returns", R + "p1,c1,10,5,0\n p1 ,c1,10,4,1\n",
+        ParseError, "{path}, row 3, column 'precinct_id': duplicate "
+                    "precinct_id 'p1'",
+        id="returns-duplicate-id"),
+    pytest.param(
+        "returns", R + "p1,c1,ten,five,0\n",
+        ParseError, "{path}, row 2, column 'ballot_bound': expected an "
+                    "integer, got 'ten'",
+        id="returns-non-integer-bound"),
+    pytest.param(
+        "returns", R + "p1,c1,10,5,1\np2,c1,10,five,0\n",
+        ParseError, "{path}, row 3, column 'A': expected an integer, got "
+                    "'five'",
+        id="returns-non-integer-cell"),
+    pytest.param(
+        "returns", R + TWO_LINE + "p2,c1,10,x,1\n",
+        ParseError, "{path}, row 3, column 'A': expected an integer, got "
+                    "'x'",
+        id="returns-non-integer-after-two-line-id"),
+    pytest.param(
+        "returns", R + f"p1,c1,10,{LONG},0\n",
+        ParseError, "{path}, row 2: field larger than field limit (131072)",
+        id="returns-over-limit-field"),
+    pytest.param(
+        "returns", R + TWO_LINE + f"p2,c1,10,{LONG},0\n",
+        ParseError, "{path}, row 3: field larger than field limit (131072)",
+        id="returns-over-limit-after-two-line-id"),
+    pytest.param(
+        "returns", R.encode() + b"p\xe9,c1,10,5,1\n",
+        ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                    "byte 0xe9 in position 40: invalid continuation byte",
+        id="returns-non-utf8"),
+    pytest.param(
+        "returns", None,
+        ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+        id="returns-missing-file"),
+    pytest.param(
+        "returns", "",
+        ParseError, "{path}: empty file, expected a header row",
+        id="returns-empty-file"),
+    pytest.param(
+        "returns", R,
+        ValidationError, "{path}: no precinct rows",
+        id="returns-no-rows"),
+    pytest.param(
+        "returns", R + "p1,c1,-1,0,0\n",
+        ValidationError, "{path}, row 2: negative ballot bound -1",
+        id="returns-negative-bound"),
+    pytest.param(
+        "returns", R + f"p1,c1,{10**18 + 1},0,0\n",
+        ValidationError, "{path}, row 2: ballot bound 1000000000000000001 "
+                         "above 10**18",
+        id="returns-bound-above-cap"),
+    pytest.param(
+        "returns", R + "p1,c1,10,3,-1\n",
+        ValidationError, "{path}, row 2: negative count -1 for 'B'",
+        id="returns-negative-count"),
+    pytest.param(
+        "returns", R + "p1,c1,10,11,0\n",
+        ValidationError, "{path}, row 2: count 11 for 'A' exceeds ballot "
+                         "bound 10",
+        id="returns-count-over-bound"),
+    pytest.param(
+        "returns", R + "p1,c1,10,6,5\n",
+        ValidationError, "{path}, row 2: 11 votes exceed 1 per ballot "
+                         "times bound 10",
+        id="returns-votes-over-cap"),
+    pytest.param(
+        "returns", BOM + R + "p1,c1,10,5,1\n",
+        ParseError, BOM_MESSAGE,
+        id="returns-byte-order-mark"),
+    pytest.param(
+        "audits", "precinct,A,B\np1,1,2\n",
+        ParseError, "{path}, row 1: header must start with precinct_id, "
+                    "got precinct",
+        id="audits-bad-header"),
+    pytest.param(
+        "audits", "precinct_id\np1\n",
+        ParseError, "{path}, row 1: need at least one candidate column",
+        id="audits-no-candidate"),
+    pytest.param(
+        "audits", "precinct_id,A,A\np1,1,2\n",
+        ParseError, "{path}, row 1: candidate columns must be unique and "
+                    "nonempty",
+        id="audits-duplicate-candidate"),
+    pytest.param(
+        "audits", "precinct_id,A,\np1,1,2\n",
+        ParseError, "{path}, row 1: candidate columns must be unique and "
+                    "nonempty",
+        id="audits-empty-candidate"),
+    pytest.param(
+        "audits", H + "p1,1\n",
+        ParseError, "{path}, row 2: expected 3 cells, got 2",
+        id="audits-short-row"),
+    pytest.param(
+        "audits", H + "p1,1,2,3\n",
+        ParseError, "{path}, row 2: expected 3 cells, got 4",
+        id="audits-long-row"),
+    pytest.param(
+        "audits", H + ",1,2\n",
+        ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
+        id="audits-empty-id"),
+    pytest.param(
+        "audits", H + "p1,1,2\np1,1,2\n",
+        ParseError, "{path}, row 3, column 'precinct_id': duplicate "
+                    "precinct_id 'p1'",
+        id="audits-duplicate-id"),
+    pytest.param(
+        "audits", H + "p1,1,two\n",
+        ParseError, "{path}, row 2, column 'B': expected an integer, got "
+                    "'two'",
+        id="audits-non-integer-cell"),
+    pytest.param(
+        "audits", H + f"p1,{LONG},2\n",
+        ParseError, "{path}, row 2: field larger than field limit (131072)",
+        id="audits-over-limit-field"),
+    pytest.param(
+        "audits", H + '"p\n1",1,2\n' + f"p2,{LONG},2\n",
+        ParseError, "{path}, row 3: field larger than field limit (131072)",
+        id="audits-over-limit-after-two-line-id"),
+    pytest.param(
+        "audits", H.encode() + b"p1,1,2\xff\n",
+        ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                    "byte 0xff in position 22: invalid start byte",
+        id="audits-non-utf8"),
+    pytest.param(
+        "audits", None,
+        ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+        id="audits-missing-file"),
+    pytest.param(
+        "audits", "",
+        ParseError, "{path}: empty file, expected a header row",
+        id="audits-empty-file"),
+    pytest.param(
+        "audits", BOM + H + "p1,1,2\n",
+        ParseError, BOM_MESSAGE,
+        id="audits-byte-order-mark"),
+    pytest.param(
+        "counties", "county,voters\nc1,10000\n",
+        ParseError, "{path}, row 1: header must be "
+                    "county_id,registered_voters[,required_samples]",
+        id="counties-bad-header"),
+    pytest.param(
+        "counties", "county_id,registered_voters,extra\nc1,10000,2\n",
+        ParseError, "{path}, row 1: header must be "
+                    "county_id,registered_voters[,required_samples]",
+        id="counties-bad-third-column"),
+    pytest.param(
+        "counties", CR.replace("\n", ",x\n"),
+        ParseError, "{path}, row 1: header must be "
+                    "county_id,registered_voters[,required_samples]",
+        id="counties-four-columns"),
+    pytest.param(
+        "counties", C + "c1\n",
+        ParseError, "{path}, row 2: expected 2 cells, got 1",
+        id="counties-short-row"),
+    pytest.param(
+        "counties", C + "c1,10000\nc2,10000\nc1,10000\n",
+        ParseError, "{path}, row 4, column 'county_id': duplicate "
+                    "county_id 'c1'",
+        id="counties-duplicate-id"),
+    pytest.param(
+        "counties", C + ",10000\n",
+        ValidationError, "{path}, row 2: county '' has no precincts in the "
+                         "returns",
+        id="counties-empty-id"),
+    pytest.param(
+        "counties", C + "c1,many\n",
+        ParseError, "{path}, row 2, column 'registered_voters': expected "
+                    "an integer, got 'many'",
+        id="counties-non-integer-voters"),
+    pytest.param(
+        "counties", CR + "c1,10000,x\n",
+        ParseError, "{path}, row 2, column 'required_samples': expected an "
+                    "integer, got 'x'",
+        id="counties-non-integer-required"),
+    pytest.param(
+        "counties", C + f"c1,{LONG}\n",
+        ParseError, "{path}, row 2: field larger than field limit (131072)",
+        id="counties-over-limit-field"),
+    pytest.param(
+        "counties", C.encode() + b"c\xe91,10000\n",
+        ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                    "byte 0xe9 in position 29: invalid continuation byte",
+        id="counties-non-utf8"),
+    pytest.param(
+        "counties", None,
+        ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+        id="counties-missing-file"),
+    pytest.param(
+        "counties", "",
+        ParseError, "{path}: empty file, expected a header row",
+        id="counties-empty-file"),
+    pytest.param(
+        "counties", C,
+        ValidationError, "{path}: counties in returns but not in the "
+                         "table: ['c1', 'c2']",
+        id="counties-no-rows"),
+    pytest.param(
+        "counties", C + "c1,10000\nc2,10000\nc9,10000\n",
+        ValidationError, "{path}, row 4: county 'c9' has no precincts in "
+                         "the returns",
+        id="counties-unknown-county"),
+    pytest.param(
+        "counties", CR + "c1,60000,2\nc2,10000,\n",
+        ValidationError, "{path}, row 2: required_samples 2 below the "
+                         "statutory minimum 3",
+        id="counties-required-below-statute"),
+    pytest.param(
+        "counties", C + "c1,10000\n",
+        ValidationError, "{path}: counties in returns but not in the "
+                         "table: ['c2']",
+        id="counties-county-missing"),
+    pytest.param(
+        "counties", C + "c1,-5\nc2,10000\n",
+        ValidationError, "{path}, row 2: county c1: negative registered "
+                         "voters",
+        id="counties-negative-voters"),
+    pytest.param(
+        "counties", BOM + C + "c1,10000\nc2,10000\n",
+        ParseError, BOM_MESSAGE,
+        id="counties-byte-order-mark"),
+    pytest.param(
+        "config", "# comment\n\njust words\n",
+        ParseError, "{path}, row 3: expected key=value, got 'just words'",
+        id="config-malformed-line"),
+    pytest.param(
+        "config", "sampling=wr:2\ncounties=a\0b\n",
+        ParseError, "{path}, row 2: NUL character in line",
+        id="config-nul"),
+    pytest.param(
+        "config", b"pool=Caf\xe9\n",
+        ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
+                    "byte 0xe9 in position 8: invalid continuation byte",
+        id="config-non-utf8"),
+    pytest.param(
+        "config", None,
+        ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
+        id="config-missing-file"),
+]
+
+
 class TestMessageCorpus:
     """Each malformed input and the exact error its loader raises.
 
@@ -346,268 +637,7 @@ class TestMessageCorpus:
     file.  Rows count CSV records, the header being row 1.
     """
 
-    @pytest.mark.parametrize("kind, content, error, message", [
-        pytest.param(
-            "returns", "precinct,county,bound,A,B\np,c,1,0,0\n",
-            ParseError, "{path}, row 1: header must start with "
-                        "precinct_id,county_id,ballot_bound, got "
-                        "precinct,county,bound",
-            id="returns-bad-header"),
-        pytest.param(
-            "returns", "precinct_id,county_id,ballot_bound,A\np1,c1,5,3\n",
-            ParseError, "{path}, row 1: need at least two candidate columns",
-            id="returns-one-candidate"),
-        pytest.param(
-            "returns", "precinct_id,county_id,ballot_bound,A,A\np1,c1,5,3,1\n",
-            ParseError, "{path}, row 1: candidate columns must be unique and "
-                        "nonempty",
-            id="returns-duplicate-candidate"),
-        pytest.param(
-            "returns", "precinct_id,county_id,ballot_bound,A,,B\np1,c1,5,3,1,0\n",
-            ParseError, "{path}, row 1: candidate columns must be unique and "
-                        "nonempty",
-            id="returns-empty-candidate"),
-        pytest.param(
-            "returns", R + "p1,c1,10,5\n",
-            ParseError, "{path}, row 2: expected 5 cells, got 4",
-            id="returns-short-row"),
-        pytest.param(
-            "returns", R + "p1,c1,10,5,1\n\np2,c1,10,5,1\n",
-            ParseError, "{path}, row 3: expected 5 cells, got 0",
-            id="returns-blank-row"),
-        pytest.param(
-            "returns", R + " ,c1,10,5,1\n",
-            ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
-            id="returns-empty-id"),
-        pytest.param(
-            "returns", R + "p1,c1,10,5,0\n p1 ,c1,10,4,1\n",
-            ParseError, "{path}, row 3, column 'precinct_id': duplicate "
-                        "precinct_id 'p1'",
-            id="returns-duplicate-id"),
-        pytest.param(
-            "returns", R + "p1,c1,ten,five,0\n",
-            ParseError, "{path}, row 2, column 'ballot_bound': expected an "
-                        "integer, got 'ten'",
-            id="returns-non-integer-bound"),
-        pytest.param(
-            "returns", R + "p1,c1,10,5,1\np2,c1,10,five,0\n",
-            ParseError, "{path}, row 3, column 'A': expected an integer, got "
-                        "'five'",
-            id="returns-non-integer-cell"),
-        pytest.param(
-            "returns", R + TWO_LINE + "p2,c1,10,x,1\n",
-            ParseError, "{path}, row 3, column 'A': expected an integer, got "
-                        "'x'",
-            id="returns-non-integer-after-two-line-id"),
-        pytest.param(
-            "returns", R + f"p1,c1,10,{LONG},0\n",
-            ParseError, "{path}, row 2: field larger than field limit (131072)",
-            id="returns-over-limit-field"),
-        pytest.param(
-            "returns", R + TWO_LINE + f"p2,c1,10,{LONG},0\n",
-            ParseError, "{path}, row 3: field larger than field limit (131072)",
-            id="returns-over-limit-after-two-line-id"),
-        pytest.param(
-            "returns", R.encode() + b"p\xe9,c1,10,5,1\n",
-            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
-                        "byte 0xe9 in position 40: invalid continuation byte",
-            id="returns-non-utf8"),
-        pytest.param(
-            "returns", None,
-            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
-            id="returns-missing-file"),
-        pytest.param(
-            "returns", "",
-            ParseError, "{path}: empty file, expected a header row",
-            id="returns-empty-file"),
-        pytest.param(
-            "returns", R,
-            ValidationError, "{path}: no precinct rows",
-            id="returns-no-rows"),
-        pytest.param(
-            "returns", R + "p1,c1,-1,0,0\n",
-            ValidationError, "{path}, row 2: negative ballot bound -1",
-            id="returns-negative-bound"),
-        pytest.param(
-            "returns", R + f"p1,c1,{10**18 + 1},0,0\n",
-            ValidationError, "{path}, row 2: ballot bound 1000000000000000001 "
-                             "above 10**18",
-            id="returns-bound-above-cap"),
-        pytest.param(
-            "returns", R + "p1,c1,10,3,-1\n",
-            ValidationError, "{path}, row 2: negative count -1 for 'B'",
-            id="returns-negative-count"),
-        pytest.param(
-            "returns", R + "p1,c1,10,11,0\n",
-            ValidationError, "{path}, row 2: count 11 for 'A' exceeds ballot "
-                             "bound 10",
-            id="returns-count-over-bound"),
-        pytest.param(
-            "returns", R + "p1,c1,10,6,5\n",
-            ValidationError, "{path}, row 2: 11 votes exceed 1 per ballot "
-                             "times bound 10",
-            id="returns-votes-over-cap"),
-        pytest.param(
-            "audits", "precinct,A,B\np1,1,2\n",
-            ParseError, "{path}, row 1: header must start with precinct_id, "
-                        "got precinct",
-            id="audits-bad-header"),
-        pytest.param(
-            "audits", "precinct_id\np1\n",
-            ParseError, "{path}, row 1: need at least one candidate column",
-            id="audits-no-candidate"),
-        pytest.param(
-            "audits", "precinct_id,A,A\np1,1,2\n",
-            ParseError, "{path}, row 1: candidate columns must be unique and "
-                        "nonempty",
-            id="audits-duplicate-candidate"),
-        pytest.param(
-            "audits", "precinct_id,A,\np1,1,2\n",
-            ParseError, "{path}, row 1: candidate columns must be unique and "
-                        "nonempty",
-            id="audits-empty-candidate"),
-        pytest.param(
-            "audits", H + "p1,1\n",
-            ParseError, "{path}, row 2: expected 3 cells, got 2",
-            id="audits-short-row"),
-        pytest.param(
-            "audits", H + "p1,1,2,3\n",
-            ParseError, "{path}, row 2: expected 3 cells, got 4",
-            id="audits-long-row"),
-        pytest.param(
-            "audits", H + ",1,2\n",
-            ParseError, "{path}, row 2, column 'precinct_id': empty precinct_id",
-            id="audits-empty-id"),
-        pytest.param(
-            "audits", H + "p1,1,2\np1,1,2\n",
-            ParseError, "{path}, row 3, column 'precinct_id': duplicate "
-                        "precinct_id 'p1'",
-            id="audits-duplicate-id"),
-        pytest.param(
-            "audits", H + "p1,1,two\n",
-            ParseError, "{path}, row 2, column 'B': expected an integer, got "
-                        "'two'",
-            id="audits-non-integer-cell"),
-        pytest.param(
-            "audits", H + f"p1,{LONG},2\n",
-            ParseError, "{path}, row 2: field larger than field limit (131072)",
-            id="audits-over-limit-field"),
-        pytest.param(
-            "audits", H + '"p\n1",1,2\n' + f"p2,{LONG},2\n",
-            ParseError, "{path}, row 3: field larger than field limit (131072)",
-            id="audits-over-limit-after-two-line-id"),
-        pytest.param(
-            "audits", H.encode() + b"p1,1,2\xff\n",
-            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
-                        "byte 0xff in position 22: invalid start byte",
-            id="audits-non-utf8"),
-        pytest.param(
-            "audits", None,
-            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
-            id="audits-missing-file"),
-        pytest.param(
-            "audits", "",
-            ParseError, "{path}: empty file, expected a header row",
-            id="audits-empty-file"),
-        pytest.param(
-            "counties", "county,voters\nc1,10000\n",
-            ParseError, "{path}, row 1: header must be "
-                        "county_id,registered_voters[,required_samples]",
-            id="counties-bad-header"),
-        pytest.param(
-            "counties", "county_id,registered_voters,extra\nc1,10000,2\n",
-            ParseError, "{path}, row 1: header must be "
-                        "county_id,registered_voters[,required_samples]",
-            id="counties-bad-third-column"),
-        pytest.param(
-            "counties", CR.replace("\n", ",x\n"),
-            ParseError, "{path}, row 1: header must be "
-                        "county_id,registered_voters[,required_samples]",
-            id="counties-four-columns"),
-        pytest.param(
-            "counties", C + "c1\n",
-            ParseError, "{path}, row 2: expected 2 cells, got 1",
-            id="counties-short-row"),
-        pytest.param(
-            "counties", C + "c1,10000\nc2,10000\nc1,10000\n",
-            ParseError, "{path}, row 4, column 'county_id': duplicate "
-                        "county_id 'c1'",
-            id="counties-duplicate-id"),
-        pytest.param(
-            "counties", C + ",10000\n",
-            ValidationError, "{path}, row 2: county '' has no precincts in the "
-                             "returns",
-            id="counties-empty-id"),
-        pytest.param(
-            "counties", C + "c1,many\n",
-            ParseError, "{path}, row 2, column 'registered_voters': expected "
-                        "an integer, got 'many'",
-            id="counties-non-integer-voters"),
-        pytest.param(
-            "counties", CR + "c1,10000,x\n",
-            ParseError, "{path}, row 2, column 'required_samples': expected an "
-                        "integer, got 'x'",
-            id="counties-non-integer-required"),
-        pytest.param(
-            "counties", C + f"c1,{LONG}\n",
-            ParseError, "{path}, row 2: field larger than field limit (131072)",
-            id="counties-over-limit-field"),
-        pytest.param(
-            "counties", C.encode() + b"c\xe91,10000\n",
-            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
-                        "byte 0xe9 in position 29: invalid continuation byte",
-            id="counties-non-utf8"),
-        pytest.param(
-            "counties", None,
-            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
-            id="counties-missing-file"),
-        pytest.param(
-            "counties", "",
-            ParseError, "{path}: empty file, expected a header row",
-            id="counties-empty-file"),
-        pytest.param(
-            "counties", C,
-            ValidationError, "{path}: counties in returns but not in the "
-                             "table: ['c1', 'c2']",
-            id="counties-no-rows"),
-        pytest.param(
-            "counties", C + "c1,10000\nc2,10000\nc9,10000\n",
-            ValidationError, "{path}, row 4: county 'c9' has no precincts in "
-                             "the returns",
-            id="counties-unknown-county"),
-        pytest.param(
-            "counties", CR + "c1,60000,2\nc2,10000,\n",
-            ValidationError, "{path}, row 2: required_samples 2 below the "
-                             "statutory minimum 3",
-            id="counties-required-below-statute"),
-        pytest.param(
-            "counties", C + "c1,10000\n",
-            ValidationError, "{path}: counties in returns but not in the "
-                             "table: ['c2']",
-            id="counties-county-missing"),
-        pytest.param(
-            "counties", C + "c1,-5\nc2,10000\n",
-            ValidationError, "{path}, row 2: county c1: negative registered "
-                             "voters",
-            id="counties-negative-voters"),
-        pytest.param(
-            "config", "# comment\n\njust words\n",
-            ParseError, "{path}, row 3: expected key=value, got 'just words'",
-            id="config-malformed-line"),
-        pytest.param(
-            "config", "sampling=wr:2\ncounties=a\0b\n",
-            ParseError, "{path}, row 2: NUL character in line",
-            id="config-nul"),
-        pytest.param(
-            "config", b"pool=Caf\xe9\n",
-            ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "
-                        "byte 0xe9 in position 8: invalid continuation byte",
-            id="config-non-utf8"),
-        pytest.param(
-            "config", None,
-            ParseError, "{path}: [Errno 2] No such file or directory: '{path}'",
-            id="config-missing-file"),
-    ])
+    @pytest.mark.parametrize("kind, content, error, message", CORPUS)
     def test_message(self, tmp_path, kind, content, error, message):
         path = tmp_path / "input.csv"
         if isinstance(content, bytes):
@@ -620,9 +650,65 @@ class TestMessageCorpus:
         assert str(err.value) == message.format(path=path)
 
 
+@pytest.mark.usefixtures("chunks_of_two")
+class TestMessageCorpusInChunksOfTwo(TestMessageCorpus):
+    """The corpus with returns loaded two records at a time."""
+
+
+def ahead(count):
+    """``count`` valid returns rows, to put ahead of a faulty one."""
+    return "".join(f"q{i},c1,10,1,1\n" for i in range(count))
+
+
+# Three valid rows ahead of a returns corpus case put its faulty row past
+# the first chunk of two records.
+AHEAD = ahead(3)
+
+
+def _shifted(case):
+    kind, content, error, message = case.values
+    message = re.sub(r"row (\d+)", lambda m: f"row {int(m[1]) + 3}", message)
+    return pytest.param(R + AHEAD + content[len(R):], error, message,
+                        id=case.id)
+
+
+@pytest.mark.usefixtures("chunks_of_two")
+class TestFaultsPastTheFirstChunk:
+    """Each returns row fault, in a chunk after one that passed, raises the
+    class and message the row walk raises at its shifted row."""
+
+    @pytest.mark.parametrize("content, error, message", [
+        _shifted(case) for case in CORPUS
+        if case.values[0] == "returns" and isinstance(case.values[1], str)
+        and case.values[1].startswith(R) and case.values[1] != R
+    ] + [
+        pytest.param(
+            R + AHEAD + "q0,c1,10,1,1\n",
+            ParseError, "{path}, row 5, column 'precinct_id': duplicate "
+                        "precinct_id 'q0'",
+            id="duplicate-of-an-earlier-chunk"),
+        pytest.param(
+            R + ahead(2) + "p1,c1,10,11,0\np2,c1,10,x,0\n",
+            ValidationError, "{path}, row 4: count 11 for 'A' exceeds "
+                             "ballot bound 10",
+            id="count-rule-before-a-bad-integer-in-its-chunk"),
+        pytest.param(
+            R + ahead(2) + "p1,c1,10,1,1\np1,c1,x,1,1\n",
+            ParseError, "{path}, row 5, column 'precinct_id': duplicate "
+                        "precinct_id 'p1'",
+            id="duplicate-before-a-bad-integer-in-its-row"),
+    ])
+    def test_message(self, tmp_path, content, error, message):
+        path = write(tmp_path, "returns.csv", content)
+        with pytest.raises(AuditError) as err:
+            load_returns(path)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(path=path)
+
+
 # Over 8 KB of valid rows, so the decoder reaches the bad byte only after
 # the rows before it could have been checked.
-PADDING = "".join(f"q{i},c1,10,1,1\n" for i in range(700))
+PADDING = ahead(700)
 
 
 class TestReadBeforeCheck:
@@ -675,3 +761,8 @@ class TestReadBeforeCheck:
         assert str(err.value).startswith(message.format(path=path))
         # err keeps the traceback, and with it every frame, alive.
         assert len(handles) == 1 and handles[0].closed
+
+
+@pytest.mark.usefixtures("chunks_of_two")
+class TestReadBeforeCheckInChunksOfTwo(TestReadBeforeCheck):
+    """The same, with returns loaded two records at a time."""
