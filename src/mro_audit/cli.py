@@ -26,7 +26,6 @@ from .io import (
     load_config,
     load_contest,
     load_county_plans,
-    load_returns,
 )
 from .report import (
     SCHEMA,
@@ -127,10 +126,7 @@ def _config_defaults(ctx, param, path):
         return
     flags = {option.name for command in cli.commands.values()
              for option in command.params}
-    config = _domain_errors(load_config)(path, flags)
-    ctx.default_map = {
-        key.replace("-", "_"): value for key, value in config.items()
-    }
+    ctx.default_map = _domain_errors(load_config)(path, flags)
 
 
 option_config = click.option(
@@ -212,9 +208,9 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
 @_domain_errors
 def plan(returns_file, counties, seed, votes_per_voter):
     """Draw the stratified county sample and its conservative reduction."""
-    setup, returns = load_returns(returns_file, votes_per_voter)
-    plans = load_county_plans(counties, returns)
-    sample = draw_sample(plans, returns, seed)
+    contest = load_contest(returns_file, votes_per_voter)
+    plans = load_county_plans(counties, contest.returns)
+    sample = draw_sample(plans, contest.returns, seed)
     grouped = []
     cursor = 0
     for county_plan in plans:
@@ -233,7 +229,7 @@ def plan(returns_file, counties, seed, votes_per_voter):
             "seed": str(seed),
             "total_samples": len(sample),
             "conservative_effective_n": conservative_effective_n(
-                plans, setup.precinct_count
+                plans, contest.setup.precinct_count
             ),
             "counties": grouped,
         }

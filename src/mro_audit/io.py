@@ -91,6 +91,8 @@ def _table(path: str) -> tuple[list[str], list[list[str]]]:
         raise ParseError("empty file, expected a header row", path=path)
     table.reverse()
     header = [cell.strip() for cell in table.pop()]
+    if not any(header):
+        raise ParseError("header row is empty", path=path, row=1)
     if header[:1] and header[0].startswith("\ufeff"):
         raise ParseError("starts with a UTF-8 byte-order mark; save the file "
                          "as UTF-8 without one", path=path, row=1)
@@ -364,13 +366,15 @@ def load_county_plans(
 
 def load_config(path: str | Path,
                 flags: Container[str] | None = None) -> dict[str, str]:
-    """Read a key=value config file; keys mirror the CLI flag names.
+    """Read a key=value config file; keys mirror the CLI flag names and
+    come back as their parameter names, ``-`` read as ``_``.
 
-    Given ``flags``, the parameter names of the flags a key may set, a key
-    that is none of them (``-`` read as ``_``) is a ``ParseError`` at its
-    line.
+    A key set on an earlier line is a ``ParseError`` at its line.  Given
+    ``flags``, the parameter names of the flags a key may set, so is a key
+    that is none of them.
     """
     config: dict[str, str] = {}
+    rows: dict[str, int] = {}
     path = str(path)
     with _opened(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -386,8 +390,13 @@ def load_config(path: str | Path,
                 )
             key, _, value = line.partition("=")
             key = key.strip()
-            if flags is not None and key.replace("-", "_") not in flags:
+            name = key.replace("-", "_")
+            if flags is not None and name not in flags:
                 raise ParseError(f"unknown key {key!r}, not a flag of any "
                                  "command", path=path, row=lineno)
-            config[key] = value.strip()
+            if name in rows:
+                raise ParseError(f"key {key!r} already set at row "
+                                 f"{rows[name]}", path=path, row=lineno)
+            rows[name] = lineno
+            config[name] = value.strip()
     return config

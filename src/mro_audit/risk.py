@@ -15,7 +15,6 @@ without it.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,9 +294,9 @@ class MonteCarloResult(NamedTuple):
     standard_error: float
 
 
-# Draws per with-replacement block: 256 KiB as uint32 words.
+# Words drawn per with-replacement block: 256 KiB as 32-bit words.
 _BLOCK_DRAWS = 1 << 16
-# Largest population numpy draws uniform integers from (uint64 range).
+# Largest population a with-replacement draw reaches (the 64-bit words).
 _MAX_WR_POPULATION = 1 << 64
 # numpy's hypergeometric needs ngood and nbad below this.
 _MAX_HYPERGEOMETRIC = 10**9
@@ -316,31 +315,36 @@ def _word_misses(
     replications: int,
 ) -> int:
     """Replications whose ``draws`` with-replacement indices below
-    ``population`` (at most 2**32) all miss the first ``taint_count``.
+    ``population`` (at most 2**64) all miss the first ``taint_count``.
 
-    ``Generator.integers`` maps each 32-bit word w of the generator to the
-    index (w * N) >> 32 and redraws w when (w * N) mod 2**32 < 2**32 mod N
-    (Lemire's method).  This reads the same words, in the same order, from
-    ``random_raw`` (each 64-bit output is its low word, then its high word),
-    drops the ones numpy would redraw, and calls a kept word tainted when
-    w < ceil(t * 2**32 / N), which is exactly when its index is below t.
-    The kept words form the replications' samples in turn; only the partial
-    sample at a block's end is carried over, as the words it still needs and
-    whether it has a tainted word yet.
+    ``Generator.integers`` draws below N by Lemire's method on b-bit words,
+    b = 32 for N <= 2**32 and 64 above: it maps a word w to the index
+    (w * N) >> b and redraws w when (w * N) mod 2**b, which
+    ``w * (N mod 2**b)`` wraps to, is below 2**b mod N.  This reads the same words,
+    in the same order, from ``random_raw`` (a 64-bit output is one word, or
+    two, low word first), drops the ones numpy would redraw, and calls a
+    kept word tainted when w < ceil(t * 2**b / N), which is exactly when
+    its index is below t.  The kept words form the replications' samples
+    in turn; only the partial sample at a block's end is carried over, as
+    the words it still needs and whether it has a tainted word yet.
     """
     import numpy as np
 
     if taint_count in (0, population):
         return replications if taint_count == 0 else 0
-    reject_below = (1 << 32) % population
-    factor = np.uint32(population % (1 << 32))
-    cut = -(-(taint_count << 32) // population)
+    bits = 32 if population <= 1 << 32 else 64
+    word = np.dtype(f"<u{bits // 8}")
+    reject_below = word.type((1 << bits) % population)
+    factor = word.type(population % (1 << bits))
+    cut = word.type(-(-(taint_count << bits) // population))
     remaining = replications * draws
     misses = 0
     need, tainted = draws, False
     while remaining:
-        raw = bit_generator.random_raw((min(_BLOCK_DRAWS, remaining) + 1) // 2)
-        words = raw.view(np.uint32)
+        outputs = -(-min(_BLOCK_DRAWS, remaining) * bits // 64)
+        # Low word first whatever the host's byte order.
+        words = bit_generator.random_raw(outputs).astype(
+            "<u8", copy=False).view(word)
         if reject_below:
             products = words * factor
             if products.min() < reject_below:
@@ -380,16 +384,14 @@ def monte_carlo_pvalue(
     for a simple random sample the number of tainted precincts drawn is
     simulated hypergeometrically.
 
-    With-replacement draws from a population of at most 2**32 are read as
-    the generator's 32-bit words and mapped to precincts as
-    ``Generator.integers`` maps them (see `_word_misses`), so the estimate
-    equals the one from drawing the indices with ``integers``, for every
-    seed; ``TestBlockedStream`` holds it to that reference.  Larger
-    populations still draw uint64 indices with ``integers``.  Either way
-    the draws are made in blocks of about ``_BLOCK_DRAWS``, so
-    memory stays bounded whatever the sample size and replication count,
-    and every block takes the next values of the same stream, so the
-    result depends on the seed alone, not on the block size.
+    With-replacement draws are read as the generator's words and mapped to
+    precincts as ``Generator.integers`` maps them (see `_word_misses`), so
+    the estimate equals the one from drawing the indices with ``integers``,
+    for every population up to 2**64 and every seed; ``TestBlockedStream``
+    holds it to that reference.  The draws are made in blocks of about
+    ``_BLOCK_DRAWS``, so memory stays bounded whatever the sample size and
+    replication count, and every block takes the next values of the same
+    stream, so the result depends on the seed alone, not on the block size.
 
     Raises:
         ValidationError: fewer than one replication.
@@ -411,20 +413,8 @@ def monte_carlo_pvalue(
                 f"population {population} is above 2**64, the largest "
                 f"numpy can draw from with replacement"
             )
-        # random_raw's 64-bit outputs split into numpy's 32-bit words, low
-        # word first, only as a little-endian view.
-        if population <= 1 << 32 and sys.byteorder == "little":
-            misses = _word_misses(rng.bit_generator, taint_count, population,
-                                  n, replications)
-        else:
-            misses = 0
-            for size in _blocks(replications, max(1, _BLOCK_DRAWS // n)):
-                clean = np.ones(size, dtype=bool)
-                for width in _blocks(n, _BLOCK_DRAWS):
-                    draws = rng.integers(0, population, size=(size, width),
-                                         dtype=np.uint64)
-                    clean &= draws.min(axis=1) >= taint_count
-                misses += int(np.count_nonzero(clean))
+        misses = _word_misses(rng.bit_generator, taint_count, population,
+                              n, replications)
     else:
         clean_count = population - taint_count
         if max(taint_count, clean_count) >= _MAX_HYPERGEOMETRIC:

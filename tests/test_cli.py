@@ -472,6 +472,25 @@ class TestConfigResolution:
         assert result.output == (f"Error: ParseError: {cfg}, row 2: unknown "
                                  f"key {key!r}, not a flag of any command\n")
 
+    @pytest.mark.parametrize("args, lines", [
+        (["pvalue", "RETURNS", "AUDITS"], "sampling=wr:2\nsampling=wr:5"),
+        (["margins", "RETURNS", "--pool", "Gamma"],
+         "pooled-id=A\npooled_id=B"),
+    ])
+    def test_repeated_key_exits_one(self, runner, docs_returns_path,
+                                    docs_audits_path, tmp_path, args, lines):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"{lines}\n", encoding="utf-8")
+        paths = {"RETURNS": str(docs_returns_path),
+                 "AUDITS": str(docs_audits_path)}
+        args = [paths.get(arg, arg) for arg in args]
+        result = runner.invoke(cli, args + ["--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        key = lines.splitlines()[1].partition("=")[0]
+        assert result.output == (f"Error: ParseError: {cfg}, row 2: key "
+                                 f"{key!r} already set at row 1\n")
+
     def test_key_of_another_command_is_left_to_it(self, runner,
                                                   docs_returns_path, tmp_path):
         cfg = tmp_path / "audit.cfg"

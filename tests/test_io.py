@@ -319,8 +319,10 @@ class TestLoadCountyPlans:
 class TestLoadConfig:
     def test_keys_values_and_comments(self, tmp_path):
         path = write(tmp_path, "audit.cfg",
-                     "# sample config\npool=Cavlan,Powers\n\nsampling = wr:78\n")
-        assert load_config(path) == {"pool": "Cavlan,Powers", "sampling": "wr:78"}
+                     "# sample config\npool=Cavlan,Powers\n\nsampling = wr:78\n"
+                     "pooled-id=Minor\n")
+        assert load_config(path) == {"pool": "Cavlan,Powers", "sampling": "wr:78",
+                                     "pooled_id": "Minor"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write(tmp_path, "audit.cfg", "just words\n")
@@ -331,6 +333,17 @@ class TestLoadConfig:
         path = tmp_path / "audit.cfg"
         path.write_bytes(b"pool=Caf\xe9\n")
         with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "sampling=wr:2\nsampling=wr:5\n",
+        "pooled-id=A\npooled_id=B\n",
+        "pooled_id=A\npooled-id=A\n",
+    ])
+    def test_repeated_key_rejected(self, tmp_path, text):
+        path = write(tmp_path, "audit.cfg", text)
+        with pytest.raises(ParseError, match="row 2: key .* already set at "
+                                             "row 1"):
             load_config(path)
 
     def test_nul_character_rejected(self, tmp_path):
@@ -429,6 +442,10 @@ CORPUS = [
         ParseError, "{path}: empty file, expected a header row",
         id="returns-empty-file"),
     pytest.param(
+        "returns", "\n" + R + "p1,c1,10,5,1\n",
+        ParseError, "{path}, row 1: header row is empty",
+        id="returns-blank-first-line"),
+    pytest.param(
         "returns", R,
         ValidationError, "{path}: no precinct rows",
         id="returns-no-rows"),
@@ -522,6 +539,10 @@ CORPUS = [
         ParseError, "{path}: empty file, expected a header row",
         id="audits-empty-file"),
     pytest.param(
+        "audits", "\n" + H + "p1,1,2\n",
+        ParseError, "{path}, row 1: header row is empty",
+        id="audits-blank-first-line"),
+    pytest.param(
         "audits", BOM + H + "p1,1,2\n",
         ParseError, BOM_MESSAGE,
         id="audits-byte-order-mark"),
@@ -582,6 +603,10 @@ CORPUS = [
         ParseError, "{path}: empty file, expected a header row",
         id="counties-empty-file"),
     pytest.param(
+        "counties", "\n" + C + "c1,10000\n",
+        ParseError, "{path}, row 1: header row is empty",
+        id="counties-blank-first-line"),
+    pytest.param(
         "counties", C,
         ValidationError, "{path}: counties in returns but not in the "
                          "table: ['c1', 'c2']",
@@ -618,6 +643,10 @@ CORPUS = [
         "config", "sampling=wr:2\ncounties=a\0b\n",
         ParseError, "{path}, row 2: NUL character in line",
         id="config-nul"),
+    pytest.param(
+        "config", "pooled-id=A\n# again\npooled_id=B\n",
+        ParseError, "{path}, row 3: key 'pooled_id' already set at row 1",
+        id="config-repeated-key"),
     pytest.param(
         "config", b"pool=Caf\xe9\n",
         ParseError, "{path}: not valid UTF-8: 'utf-8' codec can't decode "

@@ -287,10 +287,11 @@ class TestMonteCarlo:
 
 
 def full_matrix_monte_carlo(taint_count, population, sampling, replications, seed):
-    """The unblocked implementation: one int64 matrix per 100,000 replications.
+    """The unblocked implementation: one uint64 matrix per 100,000
+    replications.
 
     Kept as the reference the blocked draws must reproduce exactly; valid
-    for populations up to 2**63.
+    for populations up to 2**64.
     """
     n = sampling.draws
     rng = np.random.default_rng(seed)
@@ -300,8 +301,10 @@ def full_matrix_monte_carlo(taint_count, population, sampling, replications, see
     while remaining > 0:
         size = min(chunk, remaining)
         if sampling.method == "with_replacement":
-            draws = rng.integers(0, population, size=(size, n))
-            tainted_in_sample = (draws < taint_count).any(axis=1)
+            draws = rng.integers(0, population, size=(size, n),
+                                 dtype=np.uint64)
+            # taint_count - 1 stays within uint64 when taint_count is 2**64.
+            tainted_in_sample = (draws <= taint_count - 1).any(axis=1)
             misses += int(np.count_nonzero(~tainted_in_sample))
         else:
             counts = rng.hypergeometric(
@@ -321,7 +324,8 @@ def simulation_cases(draw):
         population = draw(st.one_of(
             st.integers(1, 50),
             st.integers(2**32 - 3, 2**32 + 3),
-            st.integers(1, 2**63),
+            st.integers(2**64 - 3, 2**64),
+            st.integers(1, 2**64),
         ))
     else:
         population = draw(st.integers(1, 10**9 - 1))
@@ -357,8 +361,13 @@ class TestBlockedStream:
     @example(case=(2**31, 2**32 - 1, WR(2), 300, 7), block=3)
     # Words taken unmapped.
     @example(case=(2**31, 2**32, WR(2), 300, 8), block=3)
-    # Indices from the 64-bit loop.
+    # The smallest population drawn from 64-bit words.
     @example(case=(2**31, 2**32 + 1, WR(2), 300, 9), block=3)
+    # 64-bit words: about half redrawn, only the word 0 redrawn, and taken
+    # unmapped.
+    @example(case=(2**62, 2**63 + 1, WR(3), 300, 17), block=7)
+    @example(case=(2**63, 2**64 - 1, WR(2), 300, 18), block=3)
+    @example(case=(2**63, 2**64, WR(2), 300, 19), block=3)
     # No words drawn.
     @example(case=(0, 1, WR(4), 10, 10), block=3)
     @example(case=(1, 1, WR(4), 10, 11), block=3)
@@ -380,12 +389,12 @@ class TestBlockedStream:
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def pcg64_starting_with(low, high):
-    """A PCG64 whose next 64-bit output is ``low | high << 32``: the 32-bit
-    words ``low`` then ``high`` for ``integers``, then its usual stream."""
+def pcg64_starting_with(output):
+    """A PCG64 whose next 64-bit output is ``output``, then its usual
+    stream."""
     inc = 1
     # A state whose high half is 0 outputs its low half, unrotated.
-    state = ((low | high << 32) - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128)
+    state = (output - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128)
     bit_generator = np.random.PCG64()
     bit_generator.state = {
         "bit_generator": "PCG64",
@@ -396,17 +405,29 @@ def pcg64_starting_with(low, high):
     return bit_generator
 
 
-def edge_words(tainted, population):
-    """The last tainted and first clean word, and for an odd population the
-    largest redrawn and smallest kept remainder of word * population."""
-    cut = -(-(tainted << 32) // population)
+def edge_words(tainted, population, bits):
+    """The last tainted and first clean ``bits``-bit word, and for an odd
+    population the largest redrawn and smallest kept remainder of
+    word * population."""
+    cut = -(-(tainted << bits) // population)
     words = [cut - 1, cut]
-    redraw_below = 2**32 % population
+    redraw_below = 2**bits % population
     if population % 2 and redraw_below:
-        inverse = pow(population, -1, 2**32)
-        words += [(redraw_below - 1) * inverse % 2**32,
-                  redraw_below * inverse % 2**32]
+        inverse = pow(population, -1, 2**bits)
+        words += [(redraw_below - 1) * inverse % 2**bits,
+                  redraw_below * inverse % 2**bits]
     return words
+
+
+class BigEndianOutputs:
+    """A PCG64 whose ``random_raw`` returns big-endian arrays, as a
+    big-endian host would hold them."""
+
+    def __init__(self, seed):
+        self._bit_generator = np.random.PCG64(seed)
+
+    def random_raw(self, size):
+        return self._bit_generator.random_raw(size).astype(">u8")
 
 
 class TestWordMapping:
@@ -419,20 +440,41 @@ class TestWordMapping:
         (2**30, 3 * 2**30 + 1),
         (2**31, 2**32 - 1),
         (2**31, 2**32),
+        (5, 2**32 + 1),
+        (2**62, 3 * 2**62 + 1),
+        (1, 2**64 - 1),
     ])
     def test_edge_words_match_integers(self, tainted, population):
-        for first in edge_words(tainted, population):
-            for second in edge_words(tainted, population):
-                words = pcg64_starting_with(first, second).random_raw(1)
-                assert words.view(np.uint32).tolist() == [first, second]
-                indices = np.random.Generator(
-                    pcg64_starting_with(first, second)
-                ).integers(0, population, size=3)
-                misses = risk._word_misses(
-                    pcg64_starting_with(first, second), tainted, population,
-                    1, 3,
-                )
-                assert misses == np.count_nonzero(indices >= tainted)
+        # numpy's words are 32-bit up to 2**32, two to an output, low word
+        # first; above 2**32 each output is one 64-bit word.
+        if population <= 2**32:
+            words = edge_words(tainted, population, 32)
+            outputs = [low | high << 32 for low in words for high in words]
+        else:
+            outputs = edge_words(tainted, population, 64)
+        for output in outputs:
+            assert pcg64_starting_with(output).random_raw(1).tolist() == [output]
+            indices = np.random.Generator(
+                pcg64_starting_with(output)
+            ).integers(0, population, size=3, dtype=np.uint64)
+            misses = risk._word_misses(
+                pcg64_starting_with(output), tainted, population, 1, 3,
+            )
+            assert misses == np.count_nonzero(indices >= tainted)
+
+    @pytest.mark.parametrize("tainted, population", [
+        (166, 4123),
+        (2**31, 2**32 - 1),
+        (2**31, 2**32 + 1),
+        (2**62, 3 * 2**62 + 1),
+    ])
+    def test_big_endian_outputs_give_the_same_misses(self, tainted, population):
+        with mock.patch.object(risk, "_BLOCK_DRAWS", 64):
+            misses = [
+                risk._word_misses(bit_generator, tainted, population, 7, 1000)
+                for bit_generator in (BigEndianOutputs(3), np.random.PCG64(3))
+            ]
+        assert misses[0] == misses[1]
 
 
 def small_contest():
