@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 from fractions import Fraction
+from itertools import islice
 from math import sqrt
 
 import click
@@ -65,23 +66,20 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _parse_sampling(text: str, effective_n: int | None) -> SamplingDesign:
+def _parse_sampling(text: str) -> SamplingDesign:
     method_key, _, draws_text = text.strip().partition(":")
     if method_key not in _SAMPLING_METHODS:
         raise click.UsageError(
             f"--sampling must be wr[:N] or srs[:N], got {text!r}"
         )
-    if effective_n is not None:
-        draws = effective_n
-    elif draws_text:
-        try:
-            draws = int(draws_text)
-        except ValueError:
-            raise click.UsageError(f"bad sample size in --sampling {text!r}")
-    else:
+    if not draws_text:
         raise click.UsageError(
-            "sample size missing: use --sampling wr:N or add --effective-n"
+            "sample size missing: use --sampling wr:N or srs:N"
         )
+    try:
+        draws = int(draws_text)
+    except ValueError:
+        raise click.UsageError(f"bad sample size in --sampling {text!r}")
     return SamplingDesign(method=_SAMPLING_METHODS[method_key], draws=draws)
 
 
@@ -137,6 +135,10 @@ option_config = click.option(
 option_pool = click.option(
     "--pool", default=None,
     help="Comma-separated losing candidates to merge into one pseudo-candidate.",
+)
+option_sampling = click.option(
+    "--sampling", required=True,
+    help="wr:N (with replacement) or srs:N (simple random sample).",
 )
 option_pooled_id = click.option(
     "--pooled-id", default="Pooled", show_default=True,
@@ -211,29 +213,21 @@ def plan(returns_file, counties, seed, votes_per_voter):
     contest = load_contest(returns_file, votes_per_voter)
     plans = load_county_plans(counties, contest.returns)
     sample = draw_sample(plans, contest.returns, seed)
-    grouped = []
-    cursor = 0
-    for county_plan in plans:
-        take = county_plan.required_samples
-        grouped.append(
-            {
-                "county_id": county_plan.county_id,
-                "required_samples": take,
-                "sampled": sample[cursor:cursor + take],
-            }
-        )
-        cursor += take
-    _echo_json(
-        {
-            "schema": SCHEMA,
-            "seed": str(seed),
-            "total_samples": len(sample),
-            "conservative_effective_n": conservative_effective_n(
-                plans, contest.setup.precinct_count
-            ),
-            "counties": grouped,
-        }
-    )
+    draws = iter(sample)
+    _echo_json({
+        "schema": SCHEMA,
+        "seed": str(seed),
+        "total_samples": len(sample),
+        "conservative_effective_n": conservative_effective_n(
+            plans, contest.returns
+        ),
+        "counties": [
+            {"county_id": county_plan.county_id,
+             "required_samples": county_plan.required_samples,
+             "sampled": list(islice(draws, county_plan.required_samples))}
+            for county_plan in plans
+        ],
+    })
 
 
 def _risk_options(fn):
@@ -241,10 +235,7 @@ def _risk_options(fn):
         click.option("--weight", type=click.Choice(["identity", "taint"]),
                      default="identity", show_default=True,
                      help="Per-precinct weighting of the MRO."),
-        click.option("--sampling", required=True,
-                     help="wr:N (with replacement) or srs:N (simple random sample)."),
-        click.option("--effective-n", type=int, default=None,
-                     help="Override the sample-size part of --sampling."),
+        option_sampling,
         option_pool,
         option_pooled_id,
         option_votes_per_voter,
@@ -254,11 +245,10 @@ def _risk_options(fn):
     return fn
 
 
-def _run_pipeline(returns_file, audits_file, *, weight, sampling, effective_n,
+def _run_pipeline(returns_file, audits_file, *, weight, sampling,
                   pool, pooled_id, votes_per_voter):
     test_config = TestConfig(
-        weight=WeightFunction(weight),
-        sampling=_parse_sampling(sampling, effective_n),
+        weight=WeightFunction(weight), sampling=_parse_sampling(sampling)
     )
     contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
@@ -312,7 +302,7 @@ def report_command(returns_file, audits_file, **options):
 @click.option("--taint-count", type=int, required=True,
               help="Number of tainted precincts in the simulated population.")
 @click.option("--population", type=int, required=True, help="Population size.")
-@click.option("--sampling", required=True, help="wr:N or srs:N.")
+@option_sampling
 @click.option("--reps", type=int, default=100_000, show_default=True,
               help="Monte Carlo replications.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
@@ -324,7 +314,7 @@ def report_command(returns_file, audits_file, **options):
 @_domain_errors
 def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
     """Monte Carlo validation of the closed-form P-value."""
-    design = _parse_sampling(sampling, None)
+    design = _parse_sampling(sampling)
     closed = p_value(taint_count, population, design)
     estimate, stderr = monte_carlo_pvalue(
         taint_count, population, design, reps, seed

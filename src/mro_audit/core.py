@@ -123,9 +123,6 @@ class ContestTotals:
     pairwise_margins: dict[Pair, int]
     outcome_confirmed: bool | None = None
 
-    def margin(self, winner: Candidate, loser: Candidate) -> int:
-        return self.pairwise_margins[(winner, loser)]
-
 
 class Contest:
     """Validated returns and their tabulation, built once per run.

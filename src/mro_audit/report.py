@@ -59,7 +59,7 @@ def risk_block(report: RiskReport) -> dict:
         "observed_statistic_float": float(report.observed_statistic),
         "taint_count": report.taint_count,
         "population_size": report.population_size,
-        "effective_n": report.effective_n,
+        "effective_n": report.config.sampling.draws,
         "p_value": report.p_value,
         "p_value_percent": percent(report.p_value),
         "weight": report.config.weight.kind,

@@ -106,7 +106,6 @@ class RiskReport:
     observed_statistic: Fraction
     taint_count: int
     population_size: int
-    effective_n: int
     p_value: float
     config: TestConfig
     sample_size: int
@@ -492,7 +491,6 @@ def assess_sample(
         observed_statistic=statistic,
         taint_count=count,
         population_size=population,
-        effective_n=config.sampling.draws,
         p_value=p_value(count, population, config.sampling),
         config=config,
         sample_size=len(sample),

@@ -12,7 +12,8 @@ does not depend on which other precincts exist.
 
 The stratified design is reduced for the risk test to an effective
 with-replacement sample size: the population size times the smallest
-per-county sampling fraction, rounded down.
+per-county inclusion rate, rounded down; a precinct under 150 votes is
+reached only by its county's later draws.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ class CountyPlan:
             raise ValidationError(
                 f"county {self.county_id}: must sample at least one precinct"
             )
+        if not self.precincts:
+            raise EmptyCounty(f"county {self.county_id} has no precincts")
+        if self.required_samples > len(self.precincts):
+            raise ValidationError(
+                f"county {self.county_id}: {self.required_samples} samples "
+                f"requested from {len(self.precincts)} precincts"
+            )
 
 
 def statutory_minimum(registered_voters: int) -> int:
@@ -71,6 +79,11 @@ def _ticket(seed: int | str, precinct_id: str) -> str:
     return hashlib.sha256(f"{seed}|{precinct_id}".encode("utf-8")).hexdigest()
 
 
+def _no_large_precinct(plan: CountyPlan) -> InfeasibleConstraint:
+    return InfeasibleConstraint(f"county {plan.county_id}: no precinct has "
+                                f"at least {LARGE_PRECINCT_VOTES} votes")
+
+
 def draw_sample(
     plans: Sequence[CountyPlan],
     returns: Sequence[PrecinctReturns],
@@ -86,15 +99,14 @@ def draw_sample(
     Raises:
         InfeasibleConstraint: a county has no precinct with >= 150 votes.
         UnknownPrecinct: a plan lists a precinct absent from the returns.
-        ValidationError: a county requires more samples than it has
-            precincts, or a precinct appears in two plans.
+        ValidationError: a precinct appears in two plans.
     """
-    votes_by_id = {ret.precinct_id: ret.total_votes() for ret in returns}
+    by_id = {ret.precinct_id: ret for ret in returns}
     claimed: set[str] = set()
     sample: list[str] = []
     for plan in plans:
         for pid in plan.precincts:
-            if pid not in votes_by_id:
+            if pid not in by_id:
                 raise UnknownPrecinct(
                     f"county {plan.county_id}: precinct {pid!r} not in returns"
                 )
@@ -103,45 +115,46 @@ def draw_sample(
                     f"precinct {pid!r} appears in more than one county plan"
                 )
             claimed.add(pid)
-        if plan.required_samples > len(plan.precincts):
-            raise ValidationError(
-                f"county {plan.county_id}: {plan.required_samples} samples "
-                f"requested from {len(plan.precincts)} precincts"
-            )
 
         ordered = sorted(
             plan.precincts, key=lambda pid: (_ticket(seed, pid), pid)
         )
         first = next(
             (pid for pid in ordered
-             if votes_by_id[pid] >= LARGE_PRECINCT_VOTES),
+             if by_id[pid].total_votes() >= LARGE_PRECINCT_VOTES),
             None,
         )
         if first is None:
-            raise InfeasibleConstraint(
-                f"county {plan.county_id}: no precinct has at least "
-                f"{LARGE_PRECINCT_VOTES} votes"
-            )
+            raise _no_large_precinct(plan)
         rest = [pid for pid in ordered if pid != first]
         sample.extend([first, *rest[: plan.required_samples - 1]])
     return sample
 
 
-def conservative_effective_n(plans: Sequence[CountyPlan], population: int) -> int:
-    """Population size times the smallest county sampling fraction, floored.
+def conservative_effective_n(plans: Sequence[CountyPlan],
+                             returns: Sequence[PrecinctReturns]) -> int:
+    """``len(returns)`` times the smallest county inclusion rate, floored.
 
     This is the with-replacement sample size the risk test may safely use in
-    place of the stratified design: no county samples at a lower rate.
+    place of :func:`draw_sample`'s design: no precinct is drawn at a lower
+    rate.  County c counts at n_c/N_c, or at (n_c - 1)/(N_c - 1) if it holds
+    a precinct under 150 votes, which only the later draws reach.
 
     Raises:
-        EmptyCounty: a plan lists no precincts.
+        InfeasibleConstraint: a county has no precinct with >= 150 votes.
+        ValidationError: no plans are given.
     """
     if not plans:
         raise ValidationError("no county plans supplied")
-    fractions = []
+    small = {ret.precinct_id for ret in returns
+             if ret.total_votes() < LARGE_PRECINCT_VOTES}
+    rates = []
     for plan in plans:
-        if not plan.precincts:
-            raise EmptyCounty(f"county {plan.county_id} has no precincts")
-        fractions.append(Fraction(plan.required_samples, len(plan.precincts)))
-    smallest = min(fractions)
-    return (population * smallest.numerator) // smallest.denominator
+        size, take = len(plan.precincts), plan.required_samples
+        if not small.isdisjoint(plan.precincts):
+            if small.issuperset(plan.precincts):
+                raise _no_large_precinct(plan)
+            size, take = size - 1, take - 1
+        rates.append(Fraction(take, size))
+    smallest = min(rates)
+    return (len(returns) * smallest.numerator) // smallest.denominator

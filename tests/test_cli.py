@@ -319,16 +319,38 @@ class TestPvalue:
         assert 0.0001 <= payload["p_value"] <= 0.0004
         assert payload["p_value_percent"] == "0.02%"
 
-    def test_effective_n_overrides_sampling_size(self, runner, minnesota_files):
-        result = invoke(runner, [
-            "pvalue", str(minnesota_files["returns_path"]),
-            str(minnesota_files["audits_path"]),
-            "--pool", "Cavlan,Powers,WriteIns",
-            "--sampling", "wr", "--effective-n", "78",
+    @pytest.mark.parametrize("text", ["wr", "srs:"])
+    def test_sampling_without_size_exits_two(self, runner, docs_returns_path,
+                                             docs_audits_path, text):
+        result = runner.invoke(cli, [
+            "pvalue", str(docs_returns_path), str(docs_audits_path),
+            "--sampling", text,
         ])
-        payload = json.loads(result.output)
-        assert payload["effective_n"] == 78
-        assert payload["p_value_percent"] == "4.05%"
+        assert result.exit_code == 2
+        assert ("Error: sample size missing: use --sampling wr:N or srs:N\n"
+                in result.output)
+
+    def test_effective_n_flag_is_gone(self, runner, docs_returns_path,
+                                      docs_audits_path):
+        result = runner.invoke(cli, [
+            "pvalue", str(docs_returns_path), str(docs_audits_path),
+            "--sampling", "wr:2", "--effective-n", "2",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert "--effective-n" in result.output
+
+    def test_effective_n_config_key_exits_one(self, runner, docs_returns_path,
+                                              docs_audits_path, tmp_path):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("sampling=wr:2\neffective-n=2\n", encoding="utf-8")
+        result = runner.invoke(cli, ["pvalue", str(docs_returns_path),
+                                     str(docs_audits_path), "--config",
+                                     str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == (f"Error: ParseError: {cfg}, row 2: unknown "
+                                 "key 'effective-n', not a flag of any "
+                                 "command\n")
 
     def test_config_file_supplies_flags(self, runner, minnesota_files, tmp_path):
         cfg = tmp_path / "audit.cfg"
@@ -374,7 +396,8 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("args, key", [
         (["margins", "RETURNS"], "votes-per-voter"),
-        (["pvalue", "RETURNS", "AUDITS", "--sampling", "wr"], "effective-n"),
+        (["simulate", "--taint-count", "1", "--sampling", "wr:2"],
+         "population"),
         (["simulate", "--taint-count", "1", "--population", "10",
           "--sampling", "wr:2"], "reps"),
     ])
@@ -528,6 +551,7 @@ class TestConfigResolution:
 
 # Each command, the flags that make it runnable, and the keys to fuzz; a
 # fuzzed key's own flag is dropped so that the config value is the one used.
+# ``effective-n`` names a flag that no longer exists: any value exits 1.
 _FUZZ_BASE = {
     "margins": ({}, ["pool", "pooled-id", "votes-per-voter"]),
     "bounds": ({}, ["pool", "pooled-id", "votes-per-voter"]),

@@ -352,8 +352,12 @@ class TestLoadConfig:
             load_config(path)
 
 
+# Two precincts a county, so that a table within the statute asks for no
+# more samples than a county has and each corpus case keeps its one fault.
 COUNTY_RETURNS = [PrecinctReturns("p1", "c1", 400, {"A": 200, "B": 100}),
-                  PrecinctReturns("p2", "c2", 400, {"A": 180, "B": 90})]
+                  PrecinctReturns("p2", "c1", 400, {"A": 150, "B": 120}),
+                  PrecinctReturns("p3", "c2", 400, {"A": 180, "B": 90}),
+                  PrecinctReturns("p4", "c2", 400, {"A": 170, "B": 60})]
 LOADERS = {
     "returns": load_returns,
     "audits": load_audits,
@@ -631,6 +635,11 @@ CORPUS = [
         ValidationError, "{path}, row 2: county c1: negative registered "
                          "voters",
         id="counties-negative-voters"),
+    pytest.param(
+        "counties", CR + "c1,10000,3\nc2,10000,\n",
+        ValidationError, "{path}, row 2: county c1: 3 samples requested "
+                         "from 2 precincts",
+        id="counties-more-samples-than-precincts"),
     pytest.param(
         "counties", BOM + C + "c1,10000\nc2,10000\n",
         ParseError, BOM_MESSAGE,

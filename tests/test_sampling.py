@@ -1,11 +1,18 @@
 import hashlib
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mro_audit.core import PrecinctReturns
-from mro_audit.errors import EmptyCounty, InfeasibleConstraint, UnknownPrecinct
+from mro_audit.errors import (
+    EmptyCounty,
+    InfeasibleConstraint,
+    UnknownPrecinct,
+    ValidationError,
+)
 from mro_audit.sampling import (
     CountyPlan,
     conservative_effective_n,
@@ -143,42 +150,176 @@ class TestDrawMatchesReference:
         )
 
 
+def large_returns(plans):
+    """Returns giving every precinct of ``plans`` 200 votes."""
+    return [ret for plan in plans
+            for ret in returns_for(plan.county_id,
+                                   dict.fromkeys(plan.precincts, 200))]
+
+
+class TestCountyPlan:
+    def test_more_samples_than_precincts_rejected(self):
+        with pytest.raises(ValidationError, match=r"^county c1: 3 samples "
+                                                  r"requested from 2 precincts$"):
+            CountyPlan("c1", 10_000, ("p1", "p2"), 3)
+
+
 class TestConservativeEffectiveN:
     def test_single_county_identity(self):
         plans = [CountyPlan("c1", 10_000, tuple(f"p{i}" for i in range(100)), 2)]
-        assert conservative_effective_n(plans, 100) == 2
+        assert conservative_effective_n(plans, large_returns(plans)) == 2
 
     def test_min_fraction_rule(self):
         plans = [
             CountyPlan("c1", 10_000, tuple(f"a{i}" for i in range(10)), 2),
             CountyPlan("c2", 10_000, tuple(f"b{i}" for i in range(100)), 2),
         ]
-        assert conservative_effective_n(plans, 110) == 2
+        assert conservative_effective_n(plans, large_returns(plans)) == 2
 
     def test_empty_county_rejected(self):
-        plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2),
-                 CountyPlan("c2", 10_000, (), 2)]
         with pytest.raises(EmptyCounty):
-            conservative_effective_n(plans, 2)
+            CountyPlan("c2", 10_000, (), 2)
 
     def test_minnesota_fixture_reduces_to_78(self, minnesota_files):
         plans = minnesota_files["plans"]
-        assert conservative_effective_n(plans, 4123) == 78
+        returns = minnesota_files["returns"]
+        assert len(returns) == 4123
+        assert conservative_effective_n(plans, returns) == 78
 
     @given(st.lists(st.tuples(st.integers(2, 4), st.integers(4, 30)),
                     min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_never_exceeds_total_sample_size(self, shape):
-        plans = []
-        total = 0
-        for c, (required, count) in enumerate(shape):
-            plans.append(
-                CountyPlan(f"c{c}", 10_000,
-                           tuple(f"c{c}-p{i}" for i in range(count)), required)
-            )
-            total += count
-        effective = conservative_effective_n(plans, total)
+        plans = [
+            CountyPlan(f"c{c}", 10_000,
+                       tuple(f"c{c}-p{i}" for i in range(count)), required)
+            for c, (required, count) in enumerate(shape)
+        ]
+        effective = conservative_effective_n(plans, large_returns(plans))
         assert effective <= sum(p.required_samples for p in plans)
+
+    def test_small_precinct_counts_only_the_later_draws(self):
+        # "big" is always the first draw, so a small precinct is drawn with
+        # probability 1/2, not 2/3: one taint there is missed half the time,
+        # and only wr:1 (P = 2/3) covers that; wr:2 gives (2/3)**2 = 4/9.
+        plans, returns = SMALL_COUNTY
+        assert conservative_effective_n(plans, returns) == 1
+
+    def test_small_precinct_miss_rate_through_the_draw(self):
+        plans, returns = SMALL_COUNTY
+        seeds = 2_000
+        misses = sum("small1" not in draw_sample(plans, returns, seed)
+                     for seed in range(seeds))
+        assert abs(misses / seeds - 0.5) < 4 * (0.25 / seeds) ** 0.5
+        effective = conservative_effective_n(plans, returns)
+        assert Fraction(2, 3) ** effective > Fraction(misses, seeds)
+        assert Fraction(2, 3) ** 2 < Fraction(misses, seeds)
+
+    def test_county_without_a_large_precinct_rejected(self):
+        plans = [CountyPlan("c1", 10_000, ("p1",), 1)]
+        returns = returns_for("c1", {"p1": 20})
+        with pytest.raises(InfeasibleConstraint,
+                           match="county c1: no precinct has at least 150"):
+            conservative_effective_n(plans, returns)
+
+
+SMALL_COUNTY = (
+    [CountyPlan("c1", 10_000, ("big", "small1", "small2"), 2)],
+    returns_for("c1", {"big": 300, "small1": 20, "small2": 30}),
+)
+
+
+def county_samples(eligible, take):
+    """Every ticket order of one county, and the set each order draws.
+
+    The draw, written out as the ticket orders it: the first eligible
+    precinct in the order, then the next ``take - 1`` of the others.
+    Precincts are numbered by their position in ``eligible``.
+    """
+    samples = []
+    for order in itertools.permutations(range(len(eligible))):
+        first = next(i for i in order if eligible[i])
+        others = [i for i in order if i != first]
+        samples.append(frozenset([first, *others[:take - 1]]))
+    return samples
+
+
+def worst_miss(design):
+    """For each taint count t, the largest chance over every set of t
+    tainted precincts that the county draw of ``design`` misses them all.
+
+    ``design`` is a list of counties, each a pair (eligible flags, draws).
+    Counties draw independently and every ticket order is equally likely,
+    so a county's miss chance is the share of its orders whose sample
+    avoids its tainted precincts.
+    """
+    per_county = []
+    for eligible, take in design:
+        samples = county_samples(eligible, take)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(len(eligible)), size)
+            for size in range(len(eligible) + 1))
+        per_county.append([
+            (len(tainted), Fraction(sum(s.isdisjoint(tainted) for s in samples),
+                                    len(samples)))
+            for tainted in subsets
+        ])
+    worst = [Fraction(0)] * (sum(len(e) for e, _ in design) + 1)
+    for choice in itertools.product(*per_county):
+        t = sum(count for count, _ in choice)
+        miss = Fraction(1)
+        for _, county_miss in choice:
+            miss *= county_miss
+        worst[t] = max(worst[t], miss)
+    return worst
+
+
+@st.composite
+def county_designs(draw):
+    counties = []
+    for _ in range(draw(st.integers(1, 3))):
+        eligible = draw(st.lists(st.booleans(), min_size=1, max_size=4)
+                        .filter(any))
+        counties.append((eligible, draw(st.integers(1, len(eligible)))))
+    return counties
+
+
+def design_inputs(design):
+    """The plans and returns of ``design``: 200 votes for an eligible
+    precinct, 100 for any other."""
+    plans, returns = [], []
+    for c, (eligible, take) in enumerate(design):
+        votes = {f"c{c}-p{i}": 200 if big else 100
+                 for i, big in enumerate(eligible)}
+        plans.append(CountyPlan(f"c{c}", 10_000, tuple(votes), take))
+        returns.extend(returns_for(f"c{c}", votes))
+    return plans, returns
+
+
+class TestReductionAgainstEveryTicketOrder:
+    """The wr P-value at the reduced size never falls below the chance that
+    the county draw misses every tainted precinct, for any taint set."""
+
+    def test_oracle_on_known_counties(self):
+        # One eligible precinct and two small ones, 2 draws: a small taint
+        # is missed half the time, and two taints are never both missed.
+        assert worst_miss([([True, False, False], 2)]) == [
+            1, Fraction(1, 2), 0, 0]
+        # Two eligible precincts and one small one, 2 draws: one eligible
+        # taint is missed in 2 of the 6 orders, not the 1/4 of a formula
+        # that takes the later draws as uniform over the other precincts.
+        samples = county_samples([True, True, False], 2)
+        assert sum(0 not in s for s in samples) == 2
+        assert worst_miss([([True, True, False], 2)])[1] == Fraction(1, 3)
+
+    @given(county_designs())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_pvalue_is_conservative(self, design):
+        plans, returns = design_inputs(design)
+        effective = conservative_effective_n(plans, returns)
+        population = len(returns)
+        for t, miss in enumerate(worst_miss(design)):
+            assert Fraction(population - t, population) ** effective >= miss, t
 
 
 class TestMinnesotaPlan:
