@@ -33,7 +33,6 @@ from .risk import (
     RiskReport,
     SamplingDesign,
     TestConfig,
-    WeightFunction,
     monte_carlo_pvalue,
     observed_statistic,
     p_value,
@@ -65,7 +64,6 @@ __all__ = [
     "SamplingDesign",
     "TAINT",
     "TestConfig",
-    "WeightFunction",
     "actual_margins",
     "analyze_precinct",
     "compute_totals",

@@ -40,9 +40,9 @@ from .report import (
 )
 from .risk import (
     IDENTITY,
+    TAINT,
     SamplingDesign,
     TestConfig,
-    WeightFunction,
     monte_carlo_pvalue,
     p_value,
     run_contest_test,
@@ -232,8 +232,8 @@ def plan(returns_file, counties, seed, votes_per_voter):
 
 def _risk_options(fn):
     for option in (
-        click.option("--weight", type=click.Choice(["identity", "taint"]),
-                     default="identity", show_default=True,
+        click.option("--weight", type=click.Choice([IDENTITY, TAINT]),
+                     default=IDENTITY, show_default=True,
                      help="Per-precinct weighting of the MRO."),
         option_sampling,
         option_pool,
@@ -247,9 +247,7 @@ def _risk_options(fn):
 
 def _run_pipeline(returns_file, audits_file, *, weight, sampling,
                   pool, pooled_id, votes_per_voter):
-    test_config = TestConfig(
-        weight=WeightFunction(weight), sampling=_parse_sampling(sampling)
-    )
+    test_config = TestConfig(weight=weight, sampling=_parse_sampling(sampling))
     contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )

@@ -23,9 +23,9 @@ which validates or tabulates the returns again.  :func:`pool_contest` and
 taking bare setups and returns; each builds the contest and calls the same
 code.
 
-All values are immutable after construction (the row types are named
-tuples; a contest works out its outcome once, on first use) and all
-operations are pure, so they are safe to share across threads.
+All values are immutable after construction (the row types and the totals
+are named tuples; a contest works out its outcome once, on first use) and
+all operations are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ class AuditRecord(NamedTuple):
     hand_votes: Mapping[Candidate, int]
 
 
-@dataclass(frozen=True)
-class ContestTotals:
+class ContestTotals(NamedTuple):
     """Contest-wide totals, the winner/loser partition and pairwise margins.
 
     For apparent totals (from machine counts) every stored margin is strictly

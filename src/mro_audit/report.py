@@ -8,7 +8,8 @@ SHA-256 digests of the input files, so an audit is a reproducible artifact:
 ``precinct_count``; each row's ``precinct_id``, ``county_id``,
 ``ballot_bound``, ``votes``, ``sampled`` and ``mro``; ``risk.weight``,
 ``sampling`` and ``margin_threshold``) with the code that built them.
-``tool_version``, ``inputs`` and ``contest.pooled`` are carried.
+``tool_version``, ``inputs`` and ``contest.pooled`` are carried, and no
+object holds a field beyond these.
 
 Rationals are serialized as ``"numerator/denominator"`` strings (lossless);
 a float rendering sits alongside wherever humans read the number.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -26,13 +27,7 @@ from pathlib import Path
 from .core import ContestSetup, ContestTotals, PrecinctReturns, prepare_contest
 from .discrepancy import PrecinctDiscrepancy, precinct_bound
 from .errors import ValidationError
-from .risk import (
-    RiskReport,
-    SamplingDesign,
-    TestConfig,
-    WeightFunction,
-    assess_sample,
-)
+from .risk import RiskReport, SamplingDesign, TestConfig, assess_sample
 
 SCHEMA = "mro-audit/1"
 
@@ -62,7 +57,7 @@ def risk_block(report: RiskReport) -> dict:
         "effective_n": report.config.sampling.draws,
         "p_value": report.p_value,
         "p_value_percent": percent(report.p_value),
-        "weight": report.config.weight.kind,
+        "weight": report.config.weight,
         "sampling": {
             "method": report.config.sampling.method,
             "draws": report.config.sampling.draws,
@@ -290,6 +285,13 @@ def _fraction(part: Mapping, where: str, key: str) -> Fraction:
     return value
 
 
+def _no_extra(part: Mapping, where: str, names: Container[str]) -> None:
+    """Raise if the object at ``where`` has a field not among ``names``."""
+    for name in part:
+        if name not in names:
+            raise ValidationError(f"{where} has unexpected field {name!r}")
+
+
 def _match(stored: object, rebuilt: object, where: str, key: str) -> None:
     """Raise unless the stored output equals its rebuilt value, JSON type
     for JSON type (``1``, ``1.0`` and ``true`` differ) and field for field."""
@@ -298,15 +300,39 @@ def _match(stored: object, rebuilt: object, where: str, key: str) -> None:
         path = key if where == "document" else f"{where}.{key}"
         for name, value in rebuilt.items():
             _match(_read(stored, path, name), value, path, name)
-        for name in stored:
-            if name not in rebuilt:
-                raise ValidationError(f"{path} has unexpected field {name!r}")
+        _no_extra(stored, path, rebuilt)
     elif isinstance(rebuilt, list) and len(stored) == len(rebuilt):
         for index, pair in enumerate(zip(stored, rebuilt)):
             _match(*pair, where, f"{key}[{index}]")
     elif stored != rebuilt:
         raise ValidationError(
             f"{where}: stored {key} {stored} != recomputed {rebuilt}")
+
+
+_DOCUMENT_FIELDS = ("schema", "tool_version", "inputs", "contest", "totals",
+                    "winners", "losers", "pairwise_margins", "precincts",
+                    "risk")
+_CONTEST_FIELDS = ("candidates", "votes_per_voter", "precinct_count", "pooled")
+_ROW_FIELDS = ("precinct_id", "county_id", "ballot_bound", "votes", "bound",
+               "sampled", "mro")
+
+
+def _check_pooled(pooled: Mapping, candidates: Sequence[str]) -> None:
+    """Raise unless ``contest.pooled`` could describe a pool of these
+    candidates: some members, none of them still a candidate, merged into
+    ``pooled_id``, which is one."""
+    _no_extra(pooled, "contest.pooled", ("members", "pooled_id"))
+    members = _strings(pooled, "contest.pooled", "members")
+    pooled_id = _read(pooled, "contest.pooled", "pooled_id", str)
+    if not members:
+        raise ValidationError("contest.pooled: members is empty")
+    for member in members:
+        if member in candidates:
+            raise ValidationError(
+                f"contest.pooled: member {member!r} is still a candidate")
+    if pooled_id not in candidates:
+        raise ValidationError(
+            f"contest.pooled: pooled_id {pooled_id!r} is not a candidate")
 
 
 def verify_document(document: Mapping) -> bool:
@@ -322,36 +348,42 @@ def verify_document(document: Mapping) -> bool:
     output must equal its rebuilt value, JSON type and all: ``schema``,
     ``totals``, ``winners``, ``losers``, ``pairwise_margins``, each row's
     ``bound`` and the whole ``risk`` block, P-value bit for bit.
-    ``tool_version``, ``inputs`` and ``contest.pooled`` are carried, with
-    only their types checked.
+    ``tool_version`` and ``inputs`` are carried, with only their types
+    checked; ``contest.pooled`` is carried and checked against the
+    candidates (see :func:`_check_pooled`).  No object may hold a field
+    beyond these.
 
     Raises:
-        ValidationError: a field is missing or of the wrong type, or an
-            output differs (``"<where>: stored <field> X != recomputed Y"``).
+        ValidationError: a field is missing, unexpected or of the wrong
+            type, ``contest.pooled`` names no pool of these candidates, or
+            an output differs (``"<where>: stored <field> X != recomputed
+            Y"``).
         AuditError: what building the document from these inputs raises:
             a broken count rule, a tie, no sampled row, ...
     """
     if not isinstance(document, Mapping):
         raise ValidationError("document is not a JSON object")
+    _no_extra(document, "document", _DOCUMENT_FIELDS)
     contest = _read(document, "document", "contest", dict)
+    _no_extra(contest, "contest", _CONTEST_FIELDS)
     setup = ContestSetup(
         tuple(_strings(contest, "contest", "candidates")),
         _read(contest, "contest", "votes_per_voter", int),
         _read(contest, "contest", "precinct_count", int),
     )
     if "pooled" in contest:
-        pooled = _read(contest, "contest", "pooled", dict)
-        _strings(pooled, "contest.pooled", "members")
-        _read(pooled, "contest.pooled", "pooled_id", str)
+        _check_pooled(_read(contest, "contest", "pooled", dict),
+                      setup.candidates)
     _read(document, "document", "tool_version", str)
     inputs = _read(document, "document", "inputs", dict)
     for name in inputs:
-        _read(_read(inputs, "inputs", name, dict), f"inputs.{name}",
-              "sha256", str)
+        entry = _read(inputs, "inputs", name, dict)
+        _no_extra(entry, f"inputs.{name}", ("sha256",))
+        _read(entry, f"inputs.{name}", "sha256", str)
     risk = _read(document, "document", "risk", dict)
     sampling = _read(risk, "risk", "sampling", dict)
     config = TestConfig(
-        WeightFunction(_read(risk, "risk", "weight", str)),
+        _read(risk, "risk", "weight", str),
         SamplingDesign(_read(sampling, "risk.sampling", "method", str),
                        _read(sampling, "risk.sampling", "draws", int)),
         _fraction(risk, "risk", "margin_threshold"),
@@ -363,6 +395,8 @@ def verify_document(document: Mapping) -> bool:
         _check_kind(row, dict, "document", f"precincts[{index}]")
         precinct_id = _read(row, f"precincts[{index}]", "precinct_id", str)
         where = f"precinct {precinct_id}"
+        if len(row) > len(_ROW_FIELDS):
+            _no_extra(row, where, _ROW_FIELDS)
         returns.append(PrecinctReturns(
             precinct_id, _read(row, where, "county_id", str),
             _read(row, where, "ballot_bound", int),

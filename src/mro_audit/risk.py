@@ -41,33 +41,17 @@ from .errors import (
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Monotone per-precinct weighting of the observed MRO.
-
-    ``identity`` scores a precinct by its MRO directly; ``taint`` scores it
-    by MRO divided by the precinct's a priori bound, so precincts are
-    compared by how much of their error budget they used.
-    """
-
-    kind: Literal["identity", "taint"]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("identity", "taint"):
-            raise ValidationError(f"unknown weight function {self.kind!r}")
-
-    def apply(self, mro: Fraction, bound: Fraction) -> Fraction:
-        if self.kind == "identity":
-            return mro
-        if bound == 0:
-            raise ZeroBoundWithTaintWeight(
-                "taint weight undefined for a precinct with bound 0"
-            )
-        return mro / bound
+# The per-precinct weightings of the observed MRO.  ``identity`` scores a
+# precinct by its MRO directly; ``taint`` scores it by MRO divided by the
+# precinct's a priori bound, so precincts are compared by how much of their
+# error budget they used.
+IDENTITY = "identity"
+TAINT = "taint"
 
 
-IDENTITY = WeightFunction("identity")
-TAINT = WeightFunction("taint")
+def _check_weight(weight: str) -> None:
+    if weight not in (IDENTITY, TAINT):
+        raise ValidationError(f"unknown weight function {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -90,17 +74,17 @@ class TestConfig:
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    weight: WeightFunction
+    weight: Literal["identity", "taint"]
     sampling: SamplingDesign
     margin_threshold: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
+        _check_weight(self.weight)
         if self.margin_threshold <= 0:
             raise ValidationError("margin threshold must be positive")
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(NamedTuple):
     """Everything needed to reproduce one risk computation."""
 
     observed_statistic: Fraction
@@ -113,23 +97,31 @@ class RiskReport:
 
 
 def observed_statistic(
-    sample: Sequence[PrecinctDiscrepancy], weight: WeightFunction
+    sample: Sequence[PrecinctDiscrepancy], weight: str
 ) -> Fraction:
     """Maximum weighted MRO over the sampled precincts.
 
     Raises:
+        ValidationError: ``weight`` is neither ``identity`` nor ``taint``.
         EmptySample: no precincts were sampled.
         ZeroBoundWithTaintWeight: taint weighting hit a zero bound.
     """
+    _check_weight(weight)
     if not sample:
         raise EmptySample("observed statistic needs at least one sampled precinct")
-    return max(weight.apply(d.max_overstatement, d.bound) for d in sample)
+    if weight == IDENTITY:
+        return max(d.max_overstatement for d in sample)
+    if any(d.bound == 0 for d in sample):
+        raise ZeroBoundWithTaintWeight(
+            "taint weight undefined for a precinct with bound 0"
+        )
+    return max(d.max_overstatement / d.bound for d in sample)
 
 
 def taint_count(
     bounds: Sequence[Rational],
     threshold: Rational,
-    weight: WeightFunction = IDENTITY,
+    weight: str = IDENTITY,
     margin_threshold: Rational = Fraction(1),
 ) -> int:
     """Minimum number of precincts that must exceed the sample-implied cap.
@@ -150,8 +142,10 @@ def taint_count(
     their denominators.
 
     Raises:
+        ValidationError: ``weight`` is neither ``identity`` nor ``taint``.
         InconsistentBounds: a bound is negative.
     """
+    _check_weight(weight)
     nums = [bound.numerator for bound in bounds]
     dens = [bound.denominator for bound in bounds]
     if nums and min(nums) < 0:
@@ -159,7 +153,7 @@ def taint_count(
         raise InconsistentBounds(f"negative per-precinct bound {first}")
     threshold = Fraction(threshold)
     target = Fraction(margin_threshold)
-    if weight.kind == "taint" and threshold > 1:
+    if weight == TAINT and threshold > 1:
         # A weighted observation above 1 exceeds every bound; cap at the bound.
         threshold = Fraction(1)
     tn, td = threshold.numerator, threshold.denominator
@@ -170,7 +164,7 @@ def taint_count(
         (num * factor[den] for num, den in zip(nums, dens)), reverse=True
     )
     goal = target.numerator * (scale // target.denominator)
-    if weight.kind == "identity":
+    if weight == IDENTITY:
         # In units of 1/scale: precinct i starts at min(threshold, bound_i),
         # so only a bound above the threshold gains when tainted.
         cap = tn * (scale // td)

@@ -36,7 +36,13 @@ LARGE_PRECINCT_VOTES = 150
 
 @dataclass(frozen=True)
 class CountyPlan:
-    """How many precincts one county must draw, and from which."""
+    """How many precincts one county must draw, and from which.
+
+    A plan can model any stratified design, such as the one-draw counties
+    that the draw and reduction tests build, so it does not apply the
+    statutory minimum: that is the county table's rule, which
+    ``io.load_county_plans`` applies.
+    """
 
     county_id: str
     registered_voters: int
@@ -84,6 +90,37 @@ def _no_large_precinct(plan: CountyPlan) -> InfeasibleConstraint:
                                 f"at least {LARGE_PRECINCT_VOTES} votes")
 
 
+def _returns_by_id(
+    plans: Sequence[CountyPlan], returns: Sequence[PrecinctReturns]
+) -> dict[str, PrecinctReturns]:
+    """The returns by precinct id, once each is found in exactly one plan.
+
+    Raises:
+        UnknownPrecinct: a plan lists a precinct absent from the returns.
+        ValidationError: a precinct appears in two plans, or in none.
+    """
+    by_id = {ret.precinct_id: ret for ret in returns}
+    claimed: set[str] = set()
+    for plan in plans:
+        for pid in plan.precincts:
+            if pid not in by_id:
+                raise UnknownPrecinct(
+                    f"county {plan.county_id}: precinct {pid!r} not in returns"
+                )
+            if pid in claimed:
+                raise ValidationError(
+                    f"precinct {pid!r} appears in more than one county plan"
+                )
+            claimed.add(pid)
+    if len(claimed) < len(by_id):
+        unplanned = [pid for pid in by_id if pid not in claimed]
+        raise ValidationError(
+            f"{len(unplanned)} precinct(s) in no county plan, "
+            f"e.g. {unplanned[:5]}"
+        )
+    return by_id
+
+
 def draw_sample(
     plans: Sequence[CountyPlan],
     returns: Sequence[PrecinctReturns],
@@ -98,24 +135,11 @@ def draw_sample(
 
     Raises:
         InfeasibleConstraint: a county has no precinct with >= 150 votes.
-        UnknownPrecinct: a plan lists a precinct absent from the returns.
-        ValidationError: a precinct appears in two plans.
+        UnknownPrecinct, ValidationError: as :func:`_returns_by_id`.
     """
-    by_id = {ret.precinct_id: ret for ret in returns}
-    claimed: set[str] = set()
+    by_id = _returns_by_id(plans, returns)
     sample: list[str] = []
     for plan in plans:
-        for pid in plan.precincts:
-            if pid not in by_id:
-                raise UnknownPrecinct(
-                    f"county {plan.county_id}: precinct {pid!r} not in returns"
-                )
-            if pid in claimed:
-                raise ValidationError(
-                    f"precinct {pid!r} appears in more than one county plan"
-                )
-            claimed.add(pid)
-
         ordered = sorted(
             plan.precincts, key=lambda pid: (_ticket(seed, pid), pid)
         )
@@ -142,11 +166,12 @@ def conservative_effective_n(plans: Sequence[CountyPlan],
 
     Raises:
         InfeasibleConstraint: a county has no precinct with >= 150 votes.
-        ValidationError: no plans are given.
+        UnknownPrecinct: as :func:`_returns_by_id`.
+        ValidationError: no plans are given, or as :func:`_returns_by_id`.
     """
     if not plans:
         raise ValidationError("no county plans supplied")
-    small = {ret.precinct_id for ret in returns
+    small = {pid for pid, ret in _returns_by_id(plans, returns).items()
              if ret.total_votes() < LARGE_PRECINCT_VOTES}
     rates = []
     for plan in plans:

@@ -212,11 +212,39 @@ class TestMalformedDocument:
          r"pairwise_margins\[0\]: winner is \['x'\], not a string"),
         (lambda d: d["risk"].update(note="n/a"),
          r"risk has unexpected field 'note'"),
+        (lambda d: d.update(note="n/a"),
+         r"^document has unexpected field 'note'$"),
+        (lambda d: d["contest"].update(note="n/a"),
+         r"^contest has unexpected field 'note'$"),
+        (lambda d: d["contest"]["pooled"].update(note="n/a"),
+         r"^contest.pooled has unexpected field 'note'$"),
+        (lambda d: d["inputs"]["returns"].update(note="n/a"),
+         r"^inputs.returns has unexpected field 'note'$"),
+        (lambda d: row_of(d, "P-101").update(note="n/a"),
+         r"^precinct P-101 has unexpected field 'note'$"),
+        (lambda d: d["contest"]["pooled"].update(pooled_id="Zed"),
+         r"^contest.pooled: pooled_id 'Zed' is not a candidate$"),
+        (lambda d: d["contest"]["pooled"].update(members=["Alpha"]),
+         r"^contest.pooled: member 'Alpha' is still a candidate$"),
+        (lambda d: d["contest"]["pooled"].update(members=[]),
+         r"^contest.pooled: members is empty$"),
+        (lambda d: d["risk"].update(weight="bogus"),
+         r"^unknown weight function 'bogus'$"),
+        (lambda d: d["risk"]["sampling"].update(method="bogus"),
+         r"^unknown sampling method 'bogus'$"),
+        (lambda d: d["risk"].update(margin_threshold="0/1"),
+         r"^margin threshold must be positive$"),
+        (lambda d: d["risk"]["sampling"].update(draws=0),
+         r"^sampling design needs at least one draw$"),
     ], ids=["swapped-partition", "no-winners", "no-losers", "dropped-pair",
             "duplicate-id", "precinct-count", "unsampled-mro", "effective-n",
             "p-value-percent", "statistic-float", "schema",
             "taint-count-type", "draws-type", "votes-per-voter-type",
-            "pair-winner-type", "extra-risk-field"])
+            "pair-winner-type", "extra-risk-field", "extra-document-field",
+            "extra-contest-field", "extra-pooled-field", "extra-input-field",
+            "extra-row-field", "pooled-id-not-a-candidate",
+            "member-still-a-candidate", "no-members", "unknown-weight",
+            "unknown-method", "zero-margin-threshold", "no-draws"])
     def test_tampering_named(self, docs_report, edit, message):
         edit(docs_report)
         with pytest.raises(AuditError, match=message):
@@ -281,9 +309,13 @@ def documents(draw):
         "with_replacement", draw(st.integers(1, 50))))
     contest = prepare_contest(setup, returns)
     report, bounds, discrepancies = run_contest_test(contest, audits, config)
+    # A pool as the loader records it: members that are no longer
+    # candidates, merged into a pooled id that is one.
     pooled = draw(st.none() | st.fixed_dictionaries({
-        "members": st.lists(any_names, min_size=1, max_size=3),
-        "pooled_id": any_names,
+        "members": st.lists(
+            any_names.filter(lambda name: name not in setup.candidates),
+            min_size=1, max_size=3),
+        "pooled_id": st.sampled_from(setup.candidates),
     }))
     return build_document(
         setup, returns, contest.totals, bounds, discrepancies, report,

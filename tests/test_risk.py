@@ -73,6 +73,23 @@ class TestObservedStatistic:
             observed_statistic([disc(0, 0)], TAINT)
 
 
+class TestRejectedArguments:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TestConfig("bogus", WR(2)),
+         r"^unknown weight function 'bogus'$"),
+        (lambda: taint_count([Fraction(1, 2)], 0, "bogus"),
+         r"^unknown weight function 'bogus'$"),
+        (lambda: observed_statistic([disc(0, 1)], "bogus"),
+         r"^unknown weight function 'bogus'$"),
+        (lambda: TestConfig(IDENTITY, WR(2), Fraction(0)),
+         r"^margin threshold must be positive$"),
+    ], ids=["config-weight", "taint-count-weight", "statistic-weight",
+            "margin-threshold"])
+    def test_message_pinned(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 class TestTaintCount:
     def test_uniform_bounds_greedy_accumulation(self):
         # 104 precincts at 97/10000 are needed before the sum reaches 1.

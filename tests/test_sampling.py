@@ -223,6 +223,45 @@ class TestConservativeEffectiveN:
             conservative_effective_n(plans, returns)
 
 
+def uncovered():
+    """One county of 2 precincts drawing 2, and 98 returns in no plan."""
+    plans = [CountyPlan("c1", 10_000, ("p0", "p1"), 2)]
+    others = returns_for("c2", {f"q{i}": 200 for i in range(98)})
+    return plans, large_returns(plans) + others
+
+
+def ghost():
+    plans = [CountyPlan("c1", 10_000, ("p1", "ghost"), 2)]
+    return plans, returns_for("c1", {"p1": 200})
+
+
+def doubly_listed():
+    plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2),
+             CountyPlan("c2", 10_000, ("p2", "p3"), 2)]
+    return plans, returns_for("c1", {"p1": 200, "p2": 200, "p3": 200})
+
+
+class TestPlansCoverTheReturns:
+    """Both the draw and its reduction need every precinct in one plan."""
+
+    @pytest.mark.parametrize("reduce", [
+        lambda plans, returns: draw_sample(plans, returns, 1),
+        conservative_effective_n,
+    ], ids=["draw", "reduction"])
+    @pytest.mark.parametrize("case, error, message", [
+        (uncovered, ValidationError,
+         r"^98 precinct\(s\) in no county plan, "
+         r"e\.g\. \['q0', 'q1', 'q2', 'q3', 'q4'\]$"),
+        (ghost, UnknownPrecinct,
+         r"^county c1: precinct 'ghost' not in returns$"),
+        (doubly_listed, ValidationError,
+         r"^precinct 'p2' appears in more than one county plan$"),
+    ], ids=["unplanned", "ghost", "doubly-listed"])
+    def test_rejected(self, reduce, case, error, message):
+        with pytest.raises(error, match=message):
+            reduce(*case())
+
+
 SMALL_COUNTY = (
     [CountyPlan("c1", 10_000, ("big", "small1", "small2"), 2)],
     returns_for("c1", {"big": 300, "small1": 20, "small2": 30}),
