@@ -55,9 +55,9 @@ class ContestSetup:
     """Static description of a contest.
 
     Attributes:
-        candidates: ordered, unique candidate identifiers (write-ins are
-            modelled as an ordinary candidate so pooling handles them
-            uniformly).
+        candidates: ordered, unique, nonempty candidate identifiers
+            (write-ins are modelled as an ordinary candidate so pooling
+            handles them uniformly).
         votes_per_voter: how many candidates each voter may vote for; the
             contest seats exactly this many winners.
         precinct_count: number of precincts reporting in this contest.
@@ -71,6 +71,8 @@ class ContestSetup:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if len(self.candidates) < 2:
             raise ValidationError("a contest needs at least two candidates")
+        if "" in self.candidates:
+            raise ValidationError("candidate identifiers must be nonempty")
         if len(set(self.candidates)) != len(self.candidates):
             raise ValidationError("candidate identifiers must be unique")
         if not 1 <= self.votes_per_voter < len(self.candidates):

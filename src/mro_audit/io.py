@@ -341,18 +341,23 @@ def load_county_plans(
                 f"county {county_id!r} has no precincts in the returns",
                 path=path, row=row,
             )
-        required = statutory_minimum(voters)
+        minimum = required = statutory_minimum(voters)
         if has_required and cells[2].strip():
             required, = _ints(cells[2:], header[2:], path, row)
-            if required < statutory_minimum(voters):
+            if required < minimum:
                 raise ValidationError(
                     f"required_samples {required} below the statutory "
-                    f"minimum {statutory_minimum(voters)}",
+                    f"minimum {minimum}",
                     path=path, row=row,
                 )
+        if voters < 0:
+            raise ValidationError(
+                f"county {county_id}: negative registered voters",
+                path=path, row=row,
+            )
         try:
-            plans.append(CountyPlan(county_id, voters,
-                                    precincts_by_county[county_id], required))
+            plans.append(CountyPlan(county_id, precincts_by_county[county_id],
+                                    required))
         except ValidationError as exc:
             raise ValidationError(str(exc), path=path, row=row) from None
     missing = set(precincts_by_county) - {plan.county_id for plan in plans}
@@ -364,14 +369,13 @@ def load_county_plans(
     return plans
 
 
-def load_config(path: str | Path,
-                flags: Container[str] | None = None) -> dict[str, str]:
+def load_config(path: str | Path, flags: Container[str]) -> dict[str, str]:
     """Read a key=value config file; keys mirror the CLI flag names and
     come back as their parameter names, ``-`` read as ``_``.
 
-    A key set on an earlier line is a ``ParseError`` at its line.  Given
-    ``flags``, the parameter names of the flags a key may set, so is a key
-    that is none of them.
+    ``flags`` holds the parameter names of the flags a key may set.  A key
+    that is none of them, or that an earlier line set, is a ``ParseError``
+    at its line.
     """
     config: dict[str, str] = {}
     rows: dict[str, int] = {}
@@ -391,7 +395,7 @@ def load_config(path: str | Path,
             key, _, value = line.partition("=")
             key = key.strip()
             name = key.replace("-", "_")
-            if flags is not None and name not in flags:
+            if name not in flags:
                 raise ParseError(f"unknown key {key!r}, not a flag of any "
                                  "command", path=path, row=lineno)
             if name in rows:

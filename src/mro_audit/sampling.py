@@ -22,6 +22,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import PrecinctReturns
 from .errors import (
@@ -36,31 +37,27 @@ LARGE_PRECINCT_VOTES = 150
 
 @dataclass(frozen=True)
 class CountyPlan:
-    """How many precincts one county must draw, and from which.
-
-    A plan can model any stratified design, such as the one-draw counties
-    that the draw and reduction tests build, so it does not apply the
-    statutory minimum: that is the county table's rule, which
-    ``io.load_county_plans`` applies.
-    """
+    """How many precincts one county must draw, and from which."""
 
     county_id: str
-    registered_voters: int
     precincts: tuple[str, ...]
     required_samples: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "precincts", tuple(self.precincts))
-        if self.registered_voters < 0:
-            raise ValidationError(
-                f"county {self.county_id}: negative registered voters"
-            )
         if self.required_samples < 1:
             raise ValidationError(
                 f"county {self.county_id}: must sample at least one precinct"
             )
         if not self.precincts:
             raise EmptyCounty(f"county {self.county_id} has no precincts")
+        if len(set(self.precincts)) < len(self.precincts):
+            repeated = next(pid for i, pid in enumerate(self.precincts)
+                            if pid in self.precincts[:i])
+            raise ValidationError(
+                f"county {self.county_id}: precinct {repeated!r} is listed "
+                "twice"
+            )
         if self.required_samples > len(self.precincts):
             raise ValidationError(
                 f"county {self.county_id}: {self.required_samples} samples "
@@ -85,25 +82,22 @@ def _ticket(seed: int | str, precinct_id: str) -> str:
     return hashlib.sha256(f"{seed}|{precinct_id}".encode("utf-8")).hexdigest()
 
 
-def _no_large_precinct(plan: CountyPlan) -> InfeasibleConstraint:
-    return InfeasibleConstraint(f"county {plan.county_id}: no precinct has "
-                                f"at least {LARGE_PRECINCT_VOTES} votes")
-
-
-def _returns_by_id(
+def _eligible(
     plans: Sequence[CountyPlan], returns: Sequence[PrecinctReturns]
-) -> dict[str, PrecinctReturns]:
-    """The returns by precinct id, once each is found in exactly one plan.
+) -> list[set[str]]:
+    """Each plan's eligible precincts, those with at least 150 votes, once
+    every precinct of the returns is found in exactly one plan.
 
     Raises:
         UnknownPrecinct: a plan lists a precinct absent from the returns.
         ValidationError: a precinct appears in two plans, or in none.
+        InfeasibleConstraint: a plan has no precinct with >= 150 votes.
     """
-    by_id = {ret.precinct_id: ret for ret in returns}
+    votes = {ret.precinct_id: ret.total_votes() for ret in returns}
     claimed: set[str] = set()
     for plan in plans:
         for pid in plan.precincts:
-            if pid not in by_id:
+            if pid not in votes:
                 raise UnknownPrecinct(
                     f"county {plan.county_id}: precinct {pid!r} not in returns"
                 )
@@ -112,13 +106,21 @@ def _returns_by_id(
                     f"precinct {pid!r} appears in more than one county plan"
                 )
             claimed.add(pid)
-    if len(claimed) < len(by_id):
-        unplanned = [pid for pid in by_id if pid not in claimed]
+    if len(claimed) < len(votes):
+        unplanned = [pid for pid in votes if pid not in claimed]
         raise ValidationError(
             f"{len(unplanned)} precinct(s) in no county plan, "
             f"e.g. {unplanned[:5]}"
         )
-    return by_id
+    eligible = [{pid for pid in plan.precincts
+                 if votes[pid] >= LARGE_PRECINCT_VOTES} for plan in plans]
+    for plan, large in zip(plans, eligible):
+        if not large:
+            raise InfeasibleConstraint(
+                f"county {plan.county_id}: no precinct has at least "
+                f"{LARGE_PRECINCT_VOTES} votes"
+            )
+    return eligible
 
 
 def draw_sample(
@@ -134,22 +136,13 @@ def draw_sample(
     sum of the counties' required samples, with no duplicates.
 
     Raises:
-        InfeasibleConstraint: a county has no precinct with >= 150 votes.
-        UnknownPrecinct, ValidationError: as :func:`_returns_by_id`.
+        InfeasibleConstraint, UnknownPrecinct, ValidationError: as
+            :func:`_eligible`.
     """
-    by_id = _returns_by_id(plans, returns)
     sample: list[str] = []
-    for plan in plans:
-        ordered = sorted(
-            plan.precincts, key=lambda pid: (_ticket(seed, pid), pid)
-        )
-        first = next(
-            (pid for pid in ordered
-             if by_id[pid].total_votes() >= LARGE_PRECINCT_VOTES),
-            None,
-        )
-        if first is None:
-            raise _no_large_precinct(plan)
+    for plan, large in zip(plans, _eligible(plans, returns)):
+        ordered = sorted(plan.precincts, key=partial(_ticket, seed))
+        first = next(pid for pid in ordered if pid in large)
         rest = [pid for pid in ordered if pid != first]
         sample.extend([first, *rest[: plan.required_samples - 1]])
     return sample
@@ -165,20 +158,15 @@ def conservative_effective_n(plans: Sequence[CountyPlan],
     a precinct under 150 votes, which only the later draws reach.
 
     Raises:
-        InfeasibleConstraint: a county has no precinct with >= 150 votes.
-        UnknownPrecinct: as :func:`_returns_by_id`.
-        ValidationError: no plans are given, or as :func:`_returns_by_id`.
+        InfeasibleConstraint, UnknownPrecinct: as :func:`_eligible`.
+        ValidationError: no plans are given, or as :func:`_eligible`.
     """
     if not plans:
         raise ValidationError("no county plans supplied")
-    small = {pid for pid, ret in _returns_by_id(plans, returns).items()
-             if ret.total_votes() < LARGE_PRECINCT_VOTES}
     rates = []
-    for plan in plans:
+    for plan, large in zip(plans, _eligible(plans, returns)):
         size, take = len(plan.precincts), plan.required_samples
-        if not small.isdisjoint(plan.precincts):
-            if small.issuperset(plan.precincts):
-                raise _no_large_precinct(plan)
+        if len(large) < size:
             size, take = size - 1, take - 1
         rates.append(Fraction(take, size))
     smallest = min(rates)

@@ -87,6 +87,13 @@ class TestMargins:
         assert ("ValidationError: pool members not in contest: ['Z']"
                 in result.output)
 
+    def test_empty_pooled_id_exits_one(self, runner, docs_returns_path):
+        result = runner.invoke(cli, ["margins", str(docs_returns_path),
+                                     "--pool", "Gamma", "--pooled-id", ""])
+        assert result.exit_code == 1
+        assert result.output == ("Error: ValidationError: candidate "
+                                 "identifiers must be nonempty\n")
+
     def test_minnesota_aggregate_pooled(self, runner, minnesota_aggregate_path):
         result = invoke(runner, [
             "margins", str(minnesota_aggregate_path),

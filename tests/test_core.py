@@ -115,6 +115,12 @@ class TestContestSetup:
         with pytest.raises(ValidationError):
             ContestSetup(candidates=("A",), votes_per_voter=1, precinct_count=1)
 
+    def test_rejects_empty_candidate(self):
+        with pytest.raises(ValidationError, match="^candidate identifiers "
+                                                  "must be nonempty$"):
+            ContestSetup(candidates=("A", ""), votes_per_voter=1,
+                         precinct_count=1)
+
     def test_rejects_duplicate_candidates(self):
         with pytest.raises(ValidationError):
             ContestSetup(candidates=("A", "A"), votes_per_voter=1, precinct_count=1)

@@ -316,24 +316,28 @@ class TestLoadCountyPlans:
             load_county_plans(counties_path, returns)
 
 
+# The flag names that the config files of these tests set.
+CONFIG_FLAGS = {"pool", "pooled_id", "sampling", "counties"}
+
+
 class TestLoadConfig:
     def test_keys_values_and_comments(self, tmp_path):
         path = write(tmp_path, "audit.cfg",
                      "# sample config\npool=Cavlan,Powers\n\nsampling = wr:78\n"
                      "pooled-id=Minor\n")
-        assert load_config(path) == {"pool": "Cavlan,Powers", "sampling": "wr:78",
-                                     "pooled_id": "Minor"}
+        assert load_config(path, CONFIG_FLAGS) == {
+            "pool": "Cavlan,Powers", "sampling": "wr:78", "pooled_id": "Minor"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = write(tmp_path, "audit.cfg", "just words\n")
         with pytest.raises(ParseError):
-            load_config(path)
+            load_config(path, CONFIG_FLAGS)
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "audit.cfg"
         path.write_bytes(b"pool=Caf\xe9\n")
         with pytest.raises(ParseError, match="not valid UTF-8"):
-            load_config(path)
+            load_config(path, CONFIG_FLAGS)
 
     @pytest.mark.parametrize("text", [
         "sampling=wr:2\nsampling=wr:5\n",
@@ -344,12 +348,12 @@ class TestLoadConfig:
         path = write(tmp_path, "audit.cfg", text)
         with pytest.raises(ParseError, match="row 2: key .* already set at "
                                              "row 1"):
-            load_config(path)
+            load_config(path, CONFIG_FLAGS)
 
     def test_nul_character_rejected(self, tmp_path):
         path = write(tmp_path, "audit.cfg", "sampling=wr:2\ncounties=a\0b\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_config(path)
+            load_config(path, CONFIG_FLAGS)
 
 
 # Two precincts a county, so that a table within the statute asks for no
@@ -362,7 +366,7 @@ LOADERS = {
     "returns": load_returns,
     "audits": load_audits,
     "counties": lambda path: load_county_plans(path, COUNTY_RETURNS),
-    "config": load_config,
+    "config": lambda path: load_config(path, CONFIG_FLAGS),
 }
 
 

@@ -49,7 +49,7 @@ class TestDrawSample:
     def test_same_seed_same_sample(self):
         votes = {f"p{i}": 100 + i * 30 for i in range(8)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", 10_000, tuple(votes), 3)]
+        plans = [CountyPlan("c1", tuple(votes), 3)]
         assert draw_sample(plans, returns, "seed-a") == draw_sample(
             plans, returns, "seed-a"
         )
@@ -57,13 +57,13 @@ class TestDrawSample:
     def test_different_seed_can_differ(self):
         votes = {f"p{i}": 200 for i in range(30)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", 10_000, tuple(votes), 3)]
+        plans = [CountyPlan("c1", tuple(votes), 3)]
         draws = {tuple(draw_sample(plans, returns, seed)) for seed in range(6)}
         assert len(draws) > 1
 
     def test_forced_sample_takes_both_precincts(self):
         returns = returns_for("c1", {"p1": 200, "p2": 20})
-        plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2)]
+        plans = [CountyPlan("c1", ("p1", "p2"), 2)]
         for seed in ("x", "y", 3):
             assert sorted(draw_sample(plans, returns, seed)) == ["p1", "p2"]
 
@@ -73,7 +73,7 @@ class TestDrawSample:
         for c in range(5):
             votes = {f"c{c}-p{i}": 150 + i for i in range(9)}
             returns.extend(returns_for(f"c{c}", votes))
-            plans.append(CountyPlan(f"c{c}", 60_000, tuple(votes), 3))
+            plans.append(CountyPlan(f"c{c}", tuple(votes), 3))
         sample = draw_sample(plans, returns, 42)
         assert len(sample) == 15
         assert len(set(sample)) == 15
@@ -82,19 +82,19 @@ class TestDrawSample:
         # Only one precinct clears 150 votes; it must always be drawn.
         votes = {"small1": 10, "small2": 20, "big": 300, "small3": 30}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", 10_000, tuple(votes), 2)]
+        plans = [CountyPlan("c1", tuple(votes), 2)]
         for seed in range(10):
             assert "big" in draw_sample(plans, returns, seed)
 
     def test_infeasible_when_no_large_precinct(self):
         returns = returns_for("c1", {"p1": 10, "p2": 20})
-        plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2)]
+        plans = [CountyPlan("c1", ("p1", "p2"), 2)]
         with pytest.raises(InfeasibleConstraint):
             draw_sample(plans, returns, 1)
 
     def test_unknown_precinct_rejected(self):
         returns = returns_for("c1", {"p1": 200})
-        plans = [CountyPlan("c1", 10_000, ("p1", "ghost"), 2)]
+        plans = [CountyPlan("c1", ("p1", "ghost"), 2)]
         with pytest.raises(UnknownPrecinct):
             draw_sample(plans, returns, 1)
 
@@ -105,7 +105,7 @@ class TestDrawSample:
         # twice, and the sample is always the required size.
         votes = {f"p{i}": (300 if i == 0 else 50) for i in range(6)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", 10_000, tuple(votes), 2)]
+        plans = [CountyPlan("c1", tuple(votes), 2)]
         sample = draw_sample(plans, returns, seed)
         assert len(sample) == len(set(sample)) == 2
         assert "p0" in sample
@@ -137,7 +137,7 @@ class TestDrawMatchesReference:
         for c in range(6):
             votes = {f"c{c}-p{i}": 80 * i + c for i in range(3 + 2 * c)}
             returns.extend(returns_for(f"c{c}", votes))
-            plans.append(CountyPlan(f"c{c}", 10_000, tuple(votes), 2 + c % 3))
+            plans.append(CountyPlan(f"c{c}", tuple(votes), 2 + c % 3))
         assert draw_sample(plans, returns, seed) == reference_draw(
             plans, returns, seed
         )
@@ -161,24 +161,33 @@ class TestCountyPlan:
     def test_more_samples_than_precincts_rejected(self):
         with pytest.raises(ValidationError, match=r"^county c1: 3 samples "
                                                   r"requested from 2 precincts$"):
-            CountyPlan("c1", 10_000, ("p1", "p2"), 3)
+            CountyPlan("c1", ("p1", "p2"), 3)
+
+    def test_repeated_precinct_rejected(self):
+        with pytest.raises(ValidationError, match=r"^county c1: precinct "
+                                                  r"'p1' is listed twice$"):
+            CountyPlan("c1", ("p1", "p1", "p2"), 2)
+
+    def test_repeat_named_before_the_sample_count(self):
+        with pytest.raises(ValidationError, match="'p1' is listed twice"):
+            CountyPlan("c1", ("p1", "p1"), 3)
 
 
 class TestConservativeEffectiveN:
     def test_single_county_identity(self):
-        plans = [CountyPlan("c1", 10_000, tuple(f"p{i}" for i in range(100)), 2)]
+        plans = [CountyPlan("c1", tuple(f"p{i}" for i in range(100)), 2)]
         assert conservative_effective_n(plans, large_returns(plans)) == 2
 
     def test_min_fraction_rule(self):
         plans = [
-            CountyPlan("c1", 10_000, tuple(f"a{i}" for i in range(10)), 2),
-            CountyPlan("c2", 10_000, tuple(f"b{i}" for i in range(100)), 2),
+            CountyPlan("c1", tuple(f"a{i}" for i in range(10)), 2),
+            CountyPlan("c2", tuple(f"b{i}" for i in range(100)), 2),
         ]
         assert conservative_effective_n(plans, large_returns(plans)) == 2
 
     def test_empty_county_rejected(self):
         with pytest.raises(EmptyCounty):
-            CountyPlan("c2", 10_000, (), 2)
+            CountyPlan("c2", (), 2)
 
     def test_minnesota_fixture_reduces_to_78(self, minnesota_files):
         plans = minnesota_files["plans"]
@@ -191,8 +200,8 @@ class TestConservativeEffectiveN:
     @settings(max_examples=100)
     def test_never_exceeds_total_sample_size(self, shape):
         plans = [
-            CountyPlan(f"c{c}", 10_000,
-                       tuple(f"c{c}-p{i}" for i in range(count)), required)
+            CountyPlan(f"c{c}", tuple(f"c{c}-p{i}" for i in range(count)),
+                       required)
             for c, (required, count) in enumerate(shape)
         ]
         effective = conservative_effective_n(plans, large_returns(plans))
@@ -216,7 +225,7 @@ class TestConservativeEffectiveN:
         assert Fraction(2, 3) ** 2 < Fraction(misses, seeds)
 
     def test_county_without_a_large_precinct_rejected(self):
-        plans = [CountyPlan("c1", 10_000, ("p1",), 1)]
+        plans = [CountyPlan("c1", ("p1",), 1)]
         returns = returns_for("c1", {"p1": 20})
         with pytest.raises(InfeasibleConstraint,
                            match="county c1: no precinct has at least 150"):
@@ -225,24 +234,41 @@ class TestConservativeEffectiveN:
 
 def uncovered():
     """One county of 2 precincts drawing 2, and 98 returns in no plan."""
-    plans = [CountyPlan("c1", 10_000, ("p0", "p1"), 2)]
+    plans = [CountyPlan("c1", ("p0", "p1"), 2)]
     others = returns_for("c2", {f"q{i}": 200 for i in range(98)})
     return plans, large_returns(plans) + others
 
 
 def ghost():
-    plans = [CountyPlan("c1", 10_000, ("p1", "ghost"), 2)]
+    plans = [CountyPlan("c1", ("p1", "ghost"), 2)]
     return plans, returns_for("c1", {"p1": 200})
 
 
 def doubly_listed():
-    plans = [CountyPlan("c1", 10_000, ("p1", "p2"), 2),
-             CountyPlan("c2", 10_000, ("p2", "p3"), 2)]
+    plans = [CountyPlan("c1", ("p1", "p2"), 2),
+             CountyPlan("c2", ("p2", "p3"), 2)]
     return plans, returns_for("c1", {"p1": 200, "p2": 200, "p3": 200})
 
 
+def no_large_precinct():
+    plans = [CountyPlan("c1", ("p1", "p2"), 2),
+             CountyPlan("c2", ("p3",), 1)]
+    return plans, (returns_for("c1", {"p1": 200, "p2": 200})
+                   + returns_for("c2", {"p3": 149}))
+
+
+def ghost_and_no_large_precinct():
+    """The cover rules are checked before any county's eligibility."""
+    plans = [CountyPlan("c1", ("p1",), 1),
+             CountyPlan("c2", ("p2", "ghost"), 2)]
+    return plans, (returns_for("c1", {"p1": 20})
+                   + returns_for("c2", {"p2": 200}))
+
+
 class TestPlansCoverTheReturns:
-    """Both the draw and its reduction need every precinct in one plan."""
+    """The draw and its reduction reject the same designs, with the same
+    messages: every precinct must be in one plan, and every plan must hold
+    a precinct of 150 votes or more."""
 
     @pytest.mark.parametrize("reduce", [
         lambda plans, returns: draw_sample(plans, returns, 1),
@@ -256,14 +282,43 @@ class TestPlansCoverTheReturns:
          r"^county c1: precinct 'ghost' not in returns$"),
         (doubly_listed, ValidationError,
          r"^precinct 'p2' appears in more than one county plan$"),
-    ], ids=["unplanned", "ghost", "doubly-listed"])
+        (no_large_precinct, InfeasibleConstraint,
+         r"^county c2: no precinct has at least 150 votes$"),
+        (ghost_and_no_large_precinct, UnknownPrecinct,
+         r"^county c2: precinct 'ghost' not in returns$"),
+    ], ids=["unplanned", "ghost", "doubly-listed", "no-large-precinct",
+            "ghost-and-no-large-precinct"])
     def test_rejected(self, reduce, case, error, message):
         with pytest.raises(error, match=message):
             reduce(*case())
 
 
+def threshold_county(middle_votes):
+    """One county of three precincts drawing 2: 200, ``middle_votes`` and
+    150 votes."""
+    votes = {"p200": 200, "mid": middle_votes, "p150": 150}
+    return [CountyPlan("c1", tuple(votes), 2)], returns_for("c1", votes)
+
+
+class TestLargePrecinctThreshold:
+    """150 votes is eligible for the first draw; 149 is not."""
+
+    @pytest.mark.parametrize("middle_votes, effective", [(150, 2), (149, 1)])
+    def test_reduction(self, middle_votes, effective):
+        assert conservative_effective_n(*threshold_county(middle_votes)) == (
+            effective)
+
+    def test_first_draw(self):
+        plans, returns = threshold_county(149)
+        firsts = {draw_sample(plans, returns, seed)[0] for seed in range(40)}
+        assert firsts == {"p200", "p150"}
+        plans, returns = threshold_county(150)
+        firsts = {draw_sample(plans, returns, seed)[0] for seed in range(40)}
+        assert firsts == {"p200", "mid", "p150"}
+
+
 SMALL_COUNTY = (
-    [CountyPlan("c1", 10_000, ("big", "small1", "small2"), 2)],
+    [CountyPlan("c1", ("big", "small1", "small2"), 2)],
     returns_for("c1", {"big": 300, "small1": 20, "small2": 30}),
 )
 
@@ -330,7 +385,7 @@ def design_inputs(design):
     for c, (eligible, take) in enumerate(design):
         votes = {f"c{c}-p{i}": 200 if big else 100
                  for i, big in enumerate(eligible)}
-        plans.append(CountyPlan(f"c{c}", 10_000, tuple(votes), take))
+        plans.append(CountyPlan(f"c{c}", tuple(votes), take))
         returns.extend(returns_for(f"c{c}", votes))
     return plans, returns
 
