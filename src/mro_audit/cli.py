@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .core import pool_audit_records
-from .discrepancy import analyze_precinct, mro_sum, precinct_bound
+from .discrepancy import BoundColumns, analyze_precinct, mro_sum
 from .errors import AuditError
 from .io import (
     load_audits,
@@ -176,7 +176,7 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
         "schema": SCHEMA,
         "candidates": list(contest.setup.candidates),
         **outcome_block(contest.totals),
-        "total_ballot_bound": sum(r.ballot_bound for r in contest.returns),
+        "total_ballot_bound": sum(contest.ballot_bounds),
     }
     if pooled_info:
         payload["pooled"] = pooled_info
@@ -193,10 +193,7 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
 def bounds(returns_file, pool, pooled_id, votes_per_voter):
     """Per-precinct a priori MRO bounds (no hand counts needed)."""
     contest, _ = _load_contest(returns_file, votes_per_voter, pool, pooled_id)
-    margins = contest.totals.pairwise_margins
-    click.echo(bounds_json(
-        contest.returns, (precinct_bound(r, margins) for r in contest.returns)
-    ))
+    click.echo(bounds_json(contest.county_ids, BoundColumns(contest)))
 
 
 @cli.command()

@@ -14,25 +14,26 @@ A bound above 10**18 is rejected too: no precinct comes near it, and
 larger ones give MRO bounds that overflow a float in the output.
 
 A :class:`Contest` is the one validated, tabulated value a run works from:
-the setup, the returns and their totals, built once (by
-:func:`prepare_contest`, or ``io.load_contest`` for a returns file, which
-pools in the same pass) and handed to bounds and the risk test, none of
-which validates or tabulates the returns again.  :func:`pool_contest` and
-``io.load_contest`` share one statement of the pool rules.
+the setup, the returns as columns and their totals, built once (by
+:func:`prepare_contest`, or ``io.load_contest`` for a returns file) and
+handed to bounds and the risk test, none of which validates or tabulates
+the returns again, or builds rows it does not need.  :func:`pool_contest`
+is the one statement of the pool rules.
 :func:`compute_totals`, :func:`pool_candidates` and ``risk.run_test`` keep
 taking bare setups and returns; each builds the contest and calls the same
 code.
 
 All values are immutable after construction (the row types and the totals
-are named tuples; a contest works out its outcome once, on first use) and
-all operations are pure, so they are safe to share across threads.
+are named tuples; a contest works out its outcome and rows on first use)
+and all operations are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from .errors import (
@@ -126,26 +127,35 @@ class ContestTotals(NamedTuple):
 
 
 class Contest:
-    """Validated returns and their tabulation, built once per run.
+    """Validated returns as columns, and their tabulation, built once per run.
 
-    ``setup`` and ``returns`` satisfy every invariant :func:`validate_returns`
-    checks, and ``votes`` is each candidate's total over ``returns`` (see
-    :func:`tabulate`).  The constructor trusts all three; build a contest
+    ``precinct_ids``, ``county_ids``, ``ballot_bounds`` and, in ``counts``,
+    one column per candidate of ``setup.candidates`` satisfy every
+    invariant :func:`validate_returns` checks, and ``votes`` is each
+    candidate's total.  The constructor trusts them all; build a contest
     with :func:`prepare_contest`, ``io.load_contest`` or :func:`pool_contest`.
 
     ``totals`` adds the apparent outcome on first use, so that a caller can
     check its own arguments against the contest (a pool naming an unknown
     candidate, say) before a tie at the seat boundary is reported.
+    ``returns`` builds the rows on first use, unless they were given.
     """
 
-    __slots__ = ("setup", "returns", "_votes", "_totals")
+    __slots__ = ("setup", "precinct_ids", "county_ids", "ballot_bounds",
+                 "counts", "_votes", "_totals", "_returns")
 
-    def __init__(self, setup: ContestSetup, returns: Sequence[PrecinctReturns],
-                 votes: dict[Candidate, int]) -> None:
+    def __init__(self, setup: ContestSetup, precinct_ids: Sequence[str],
+                 county_ids: Sequence[str], ballot_bounds: Sequence[int],
+                 counts: list[Sequence[int]], votes: dict[Candidate, int],
+                 returns: Sequence[PrecinctReturns] | None = None) -> None:
         self.setup = setup
-        self.returns = returns
+        self.precinct_ids = precinct_ids
+        self.county_ids = county_ids
+        self.ballot_bounds = ballot_bounds
+        self.counts = counts
         self._votes = votes
         self._totals: ContestTotals | None = None
+        self._returns = returns
 
     @property
     def totals(self) -> ContestTotals:
@@ -157,6 +167,25 @@ class Contest:
         if self._totals is None:
             self._totals = _outcome(self.setup, self._votes)
         return self._totals
+
+    @property
+    def returns(self) -> Sequence[PrecinctReturns]:
+        """The rows, each vote map in ``setup.candidates`` order."""
+        if self._returns is None:
+            votes = map(dict, map(zip, repeat(self.setup.candidates),
+                                  zip(*self.counts)))
+            self._returns = list(map(
+                tuple.__new__, repeat(PrecinctReturns),
+                zip(self.precinct_ids, self.county_ids, self.ballot_bounds,
+                    votes)))
+        return self._returns
+
+    def row(self, i: int) -> PrecinctReturns:
+        """The returns of the precinct at position ``i``, built alone."""
+        votes = {c: column[i] for c, column in zip(self.setup.candidates,
+                                                   self.counts)}
+        return PrecinctReturns(self.precinct_ids[i], self.county_ids[i],
+                               self.ballot_bounds[i], votes)
 
 
 def _negative_count(candidate: Candidate, count: int) -> str:
@@ -250,39 +279,31 @@ def validate_returns(setup: ContestSetup, returns: Sequence[PrecinctReturns]) ->
 
 def join_audits(
     contest: Contest, audits: Iterable[AuditRecord]
-) -> list[tuple[PrecinctReturns, AuditRecord]]:
-    """Pair each hand-count record with its precinct's returns, in order,
-    checking the hand counts against that precinct's ballot bound.
+) -> list[tuple[int, PrecinctReturns, AuditRecord]]:
+    """Pair each hand-count record with its precinct's position and row, in
+    order, checking the hand counts against that precinct's ballot bound.
 
     Raises:
         UnknownPrecinct: a record names a precinct not in the returns.
         ValidationError, CandidateMismatch: a second record for a precinct,
             or hand counts that break the count rules or miss a candidate.
     """
-    by_id = {ret.precinct_id: ret for ret in contest.returns}
-    joined: dict[str, tuple[PrecinctReturns, AuditRecord]] = {}
+    positions = {pid: i for i, pid in enumerate(contest.precinct_ids)}
+    joined: dict[str, tuple[int, PrecinctReturns, AuditRecord]] = {}
     for audit in audits:
         precinct_id = audit.precinct_id
-        ret = by_id.get(precinct_id)
-        if ret is None:
+        position = positions.get(precinct_id)
+        if position is None:
             raise UnknownPrecinct(
                 f"audited precinct {precinct_id!r} not in the returns"
             )
         if precinct_id in joined:
             raise ValidationError(f"duplicate audit for precinct {precinct_id!r}")
-        _check_vote_map(contest.setup, audit.hand_votes, ret.ballot_bound,
+        _check_vote_map(contest.setup, audit.hand_votes,
+                        contest.ballot_bounds[position],
                         f"audit of precinct {precinct_id}")
-        joined[precinct_id] = ret, audit
+        joined[precinct_id] = position, contest.row(position), audit
     return list(joined.values())
-
-
-def tabulate(candidates: Iterable[Candidate],
-             vote_maps: Sequence[Mapping[Candidate, int]]) -> dict[Candidate, int]:
-    """Each candidate's total over vote maps already checked to cover them."""
-    return {
-        candidate: sum(map(itemgetter(candidate), vote_maps))
-        for candidate in candidates
-    }
 
 
 def _outcome(setup: ContestSetup, votes: dict[Candidate, int]) -> ContestTotals:
@@ -303,14 +324,16 @@ def _outcome(setup: ContestSetup, votes: dict[Candidate, int]) -> ContestTotals:
 
 def prepare_contest(setup: ContestSetup,
                     returns: Sequence[PrecinctReturns]) -> Contest:
-    """Validate and tabulate hand-built returns into a :class:`Contest`.
+    """Validate hand-built returns into a :class:`Contest` that keeps them.
 
     Raises:
         ValidationError, CandidateMismatch: as :func:`validate_returns`.
     """
     validate_returns(setup, returns)
-    votes = [ret.machine_votes for ret in returns]
-    return Contest(setup, returns, tabulate(setup.candidates, votes))
+    ids, counties, bounds, votes = zip(*returns)
+    counts = [list(map(itemgetter(c), votes)) for c in setup.candidates]
+    return Contest(setup, ids, counties, bounds, counts,
+                   dict(zip(setup.candidates, map(sum, counts))), returns)
 
 
 def compute_totals(setup: ContestSetup,
@@ -340,40 +363,6 @@ def _check_pool(setup: ContestSetup, pool: set[Candidate],
         raise ValidationError(f"pooled id {pooled_id!r} is already a candidate")
 
 
-def _pooled_contest(setup: ContestSetup, votes: dict[Candidate, int],
-                    pool: set[Candidate], pooled_id: Candidate,
-                    returns: Sequence[PrecinctReturns]) -> Contest:
-    """The pool rules, in order, then the pooled contest: ``setup`` and
-    ``votes`` are unpooled, ``returns`` already merge the pool's known
-    members into ``pooled_id`` and are trusted only once every rule holds.
-    A pooled count above its bound is the one count rule pooling can break.
-    """
-    _check_pool(setup, pool, pooled_id)
-    outcome = _outcome(setup, votes)
-    winners_in_pool = pool & set(outcome.winners)
-    if winners_in_pool:
-        raise PoolContainsWinner(
-            f"pool contains apparent winner(s): {sorted(winners_in_pool)}"
-        )
-    for ret in returns:
-        pooled = ret.machine_votes[pooled_id]
-        if pooled > ret.ballot_bound:
-            problem = _count_problem([(pooled_id, pooled)], ret.ballot_bound,
-                                     setup.votes_per_voter)
-            raise ValidationError(f"precinct {ret.precinct_id}: {problem}")
-    pooled_total = sum(votes[c] for c in pool)
-    weakest = outcome.winners[-1]
-    if pooled_total >= votes[weakest]:
-        raise PoolContainsWinner(
-            f"pooled total {pooled_total} for {pooled_id!r} does not trail "
-            f"winner {weakest!r} ({votes[weakest]})"
-        )
-    new_votes = {c: votes[c] for c in setup.candidates if c not in pool}
-    new_votes[pooled_id] = pooled_total
-    return Contest(ContestSetup(tuple(new_votes), setup.votes_per_voter,
-                                setup.precinct_count), returns, new_votes)
-
-
 def pool_contest(contest: Contest, pool: Iterable[Candidate],
                  pooled_id: Candidate) -> Contest:
     """Merge losing candidates into a single pseudo-candidate.
@@ -382,7 +371,7 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
     votes; all other entries, ballot bounds and county assignments are
     unchanged.  Margins between unpooled candidates are preserved.  The
     pooled totals are summed from the contest's totals; the returns are not
-    validated or tabulated again.
+    validated or tabulated again, save the pooled column against the bound.
 
     The pool arguments are checked before the contest's outcome is taken,
     so a bad pool is reported ahead of a tie.
@@ -396,16 +385,35 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
             its precinct's ballot bound.
         AmbiguousOutcome: the contest itself has no strict outcome.
     """
-    setup, pool = contest.setup, set(pool)
-    kept = [c for c in setup.candidates if c not in pool]
-    members = pool.intersection(setup.candidates)
-    returns = []
-    for ret in contest.returns:
-        machine = ret.machine_votes
-        votes = {c: machine[c] for c in kept}
-        votes[pooled_id] = sum(map(machine.__getitem__, members))
-        returns.append(ret._replace(machine_votes=votes))
-    return _pooled_contest(setup, contest._votes, pool, pooled_id, returns)
+    setup, votes, pool = contest.setup, contest._votes, set(pool)
+    _check_pool(setup, pool, pooled_id)
+    outcome = _outcome(setup, votes)
+    winners_in_pool = pool & set(outcome.winners)
+    if winners_in_pool:
+        raise PoolContainsWinner(
+            f"pool contains apparent winner(s): {sorted(winners_in_pool)}"
+        )
+    columns = dict(zip(setup.candidates, contest.counts))
+    pooled = list(map(sum, zip(*map(columns.get, pool))))
+    bounds = contest.ballot_bounds
+    if not all(map(le, pooled, bounds)):
+        i = next(i for i, bound in enumerate(bounds) if pooled[i] > bound)
+        problem = _count_problem([(pooled_id, pooled[i])], bounds[i],
+                                 setup.votes_per_voter)
+        raise ValidationError(f"precinct {contest.precinct_ids[i]}: {problem}")
+    pooled_total = sum(votes[c] for c in pool)
+    weakest = outcome.winners[-1]
+    if pooled_total >= votes[weakest]:
+        raise PoolContainsWinner(
+            f"pooled total {pooled_total} for {pooled_id!r} does not trail "
+            f"winner {weakest!r} ({votes[weakest]})"
+        )
+    new_votes = {c: votes[c] for c in setup.candidates if c not in pool}
+    new_votes[pooled_id] = pooled_total
+    counts = [columns[c] for c in setup.candidates if c not in pool]
+    return Contest(ContestSetup(tuple(new_votes), setup.votes_per_voter,
+                                setup.precinct_count), contest.precinct_ids,
+                   contest.county_ids, bounds, [*counts, pooled], new_votes)
 
 
 def pool_candidates(
@@ -492,13 +500,14 @@ def actual_margins(
     apparent = contest.totals
     joined = join_audits(contest, audits)
     missing = sorted({ret.precinct_id for ret in returns}
-                     - {audit.precinct_id for _, audit in joined})
+                     - {audit.precinct_id for _, _, audit in joined})
     if missing:
         raise IncompleteTally(
             f"{len(missing)} precinct(s) lack an audit record, "
             f"e.g. {missing[:3]}"
         )
-    totals = tabulate(setup.candidates, [audit.hand_votes for _, audit in joined])
+    hand = [audit.hand_votes for _, _, audit in joined]
+    totals = {c: sum(map(itemgetter(c), hand)) for c in setup.candidates}
 
     margins = {
         (w, l): totals[w] - totals[l]

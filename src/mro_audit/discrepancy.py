@@ -15,18 +15,21 @@ over pairs, which needs no hand counts and so supports audit planning.
 Both maxima are one walk over the pairs (:func:`_max_over_pairs`): the MRO
 walks the machine-minus-hand counts, the bound walks the machine counts
 offset by the ballot bound.  Everything is exact: the walk compares pairs by
-integer cross-multiplication and builds one `Fraction`.  Floats appear only
-at the risk-test and reporting boundaries.  Understatements (negative
-values) are preserved, never clamped.
+integer cross-multiplication; :class:`BoundColumns` keeps a contest's bounds
+as two int columns, with no `Fraction` per precinct.  Floats appear only at
+the risk-test and reporting boundaries.  Understatements (negative values)
+are preserved, never clamped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
-from .core import AuditRecord, Candidate, Pair, PrecinctReturns
+from .core import AuditRecord, Candidate, Contest, Pair, PrecinctReturns
 from .errors import (
     CandidateMismatch,
     EmptyPairSet,
@@ -51,18 +54,18 @@ def _check_margins(margins: Mapping[Pair, int]) -> None:
             raise ValidationError(f"margin for {pair} is {margin}, must be positive")
 
 
-def _max_over_pairs(values: Mapping[Candidate, int], offset: int,
-                    margins: Mapping[Pair, int]) -> Fraction:
-    """Max over pairs (w, l) of (values[w] - values[l] + offset) / margin(w, l).
+def _max_over_pairs(values: Sequence[int] | Mapping[Candidate, int],
+                    offset: int, margins: Mapping[Pair, int]) -> tuple[int, int]:
+    """Max over pairs (w, l) of (values[w] - values[l] + offset) / margin(w, l),
+    as its numerator and margin; ``values`` is indexed as the pairs are.
 
     Raises:
         EmptyPairSet: no pairs.
         ValidationError: a margin is not positive.
     """
     # With positive margins, n/m > bn/bm exactly when n*bm > bn*m: pick the
-    # winning pair in integers and build a single Fraction for it.  The
-    # margins are checked in the same pass, which keeps a separate check off
-    # this per-precinct path; _check_margins raises the error.
+    # winning pair in integers.  The margins are checked in the same pass,
+    # which keeps a separate check off this per-precinct path.
     best_num = best_margin = None
     for (w, l), margin in margins.items():
         if margin <= 0:
@@ -72,7 +75,39 @@ def _max_over_pairs(values: Mapping[Candidate, int], offset: int,
             best_num, best_margin = num, margin
     if best_num is None:
         _check_margins(margins)
-    return Fraction(best_num, best_margin)
+    return best_num, best_margin
+
+
+class BoundColumns(Mapping):
+    """A contest's :func:`precinct_bound` by precinct id, from one walk over
+    the rows of its count columns (each pair as its candidates' positions).
+    Kept as the int columns ``numerators`` and ``margins``, unreduced; a
+    `Fraction` is built only for a bound looked up."""
+
+    def __init__(self, contest: Contest) -> None:
+        position = {c: i for i, c in enumerate(contest.setup.candidates)}
+        pairs = {(position[w], position[l]): margin for (w, l), margin
+                 in contest.totals.pairwise_margins.items()}
+        self.precinct_ids = contest.precinct_ids
+        self.numerators, self.margins = nums, margins = [], []
+        for num, margin in map(_max_over_pairs, zip(*contest.counts),
+                               contest.ballot_bounds, repeat(pairs)):
+            nums.append(num)
+            margins.append(margin)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.precinct_ids)}
+
+    def __getitem__(self, precinct_id: str) -> Fraction:
+        i = self._positions[precinct_id]
+        return Fraction(self.numerators[i], self.margins[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.precinct_ids)
+
+    def __len__(self) -> int:
+        return len(self.precinct_ids)
 
 
 def precinct_bound(
@@ -86,8 +121,8 @@ def precinct_bound(
     must obey the count rules of :mod:`mro_audit.core`, as every validated
     or loaded contest's do.
     """
-    return _max_over_pairs(returns_p.machine_votes, returns_p.ballot_bound,
-                           margins)
+    return Fraction(*_max_over_pairs(returns_p.machine_votes,
+                                     returns_p.ballot_bound, margins))
 
 
 def mro_sum(discrepancies: Iterable[PrecinctDiscrepancy]) -> Fraction:
@@ -127,6 +162,6 @@ def analyze_precinct(
     error = {c: machine[c] - hand[c] for c in machine}
     return PrecinctDiscrepancy(
         returns_p.precinct_id,
-        _max_over_pairs(error, 0, margins),
+        Fraction(*_max_over_pairs(error, 0, margins)),
         precinct_bound(returns_p, margins) if bound is None else bound,
     )

@@ -22,22 +22,22 @@ Every file is opened through :func:`_opened`: one that cannot be opened or
 is not UTF-8 is a ``ParseError``.  :func:`_table` reads a CSV table whole,
 and closes it, before any row is checked; row N counts CSV records, the
 header being row 1.  Audits and county tables are walked row by row
-(:func:`_records`).  :func:`load_contest` takes the returns
-:data:`_CHUNK_ROWS` records at a time: it transposes each chunk and runs
-every row rule as a pass over its columns, which also build the rows and
-the column totals.  A chunk that breaks a rule is walked row by row with
-the per-row checks (:func:`_check_record`, :func:`_counts`,
-``core._count_problem``), which raise its first fault as the row walk
-would.  Each integer cell is parsed once.
+(:func:`_records`).  :func:`load_contest` turns each run of
+:data:`_CHUNK_ROWS` returns records into columns as it reads them, and
+runs every row rule as a pass over the columns; no row is built.  Returns
+that break a rule are walked row by row with the per-row checks
+(:func:`_check_record`, :func:`_counts`, ``core._count_problem``), which
+raise the first fault as the row walk would.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from contextlib import contextmanager
-from itertools import compress, repeat
-from operator import add, le, mul
+from functools import partial
+from itertools import repeat
+from operator import le, mul
 from pathlib import Path
 from typing import TextIO
 
@@ -48,16 +48,16 @@ from .core import (
     ContestSetup,
     PrecinctReturns,
     _count_problem,
-    _pooled_contest,
+    pool_contest,
 )
 from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
 
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
-# Returns records per column pass: enough that the passes run in C, few
-# enough that a chunk's ints beside the unread table add little to the
-# load's peak memory.
-_CHUNK_ROWS = 1024
+# Returns records converted to columns at once: enough that the passes run
+# in C, few enough that their cells add little to the load's peak memory
+# beside the columns.
+_CHUNK_ROWS = 256
 
 
 @contextmanager
@@ -72,25 +72,33 @@ def _opened(path: str) -> Iterator[TextIO]:
         raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
 
 
-def _table(path: str) -> tuple[list[str], list[list[str]]]:
+def _table(path: str, convert: Callable[[list[list[str]]], object]
+           ) -> tuple[list[str], list]:
     """Read a CSV table whole, and close it, before any row is checked.
 
-    Returns the header, its cells stripped, and the later records in
-    reverse order, so that a caller can pop them and let each go once it is
-    walked: a load then holds the unread records and what it kept of the
-    read ones, not the whole table twice over.
+    Returns the header, its cells stripped, and the later records, each run
+    of :data:`_CHUNK_ROWS` of them kept as ``convert`` turns it the moment
+    it is read: a caller can let each run go once it is walked, or keep it
+    in a smaller form than cells.
     """
-    table: list[list[str]] = []
+    header, table, chunk = None, [], []
     with _opened(path) as handle:
+        reader = csv.reader(handle)
         try:
-            for cells in csv.reader(handle):
-                table.append(cells)
+            header = next(reader, None)
+            for cells in reader:
+                chunk.append(cells)
+                if len(chunk) == _CHUNK_ROWS:
+                    table.append(convert(chunk))
+                    chunk = []
         except csv.Error as exc:
-            raise ParseError(str(exc), path=path, row=len(table) + 1) from exc
-    if not table:
+            read = (header is not None) + len(table) * _CHUNK_ROWS + len(chunk)
+            raise ParseError(str(exc), path=path, row=read + 1) from exc
+    if chunk:
+        table.append(convert(chunk))
+    if header is None:
         raise ParseError("empty file, expected a header row", path=path)
-    table.reverse()
-    header = [cell.strip() for cell in table.pop()]
+    header = [cell.strip() for cell in header]
     if not any(header):
         raise ParseError("header row is empty", path=path, row=1)
     if header[:1] and header[0].startswith("\ufeff"):
@@ -117,13 +125,15 @@ def _records(path: str) -> Iterator[tuple[int, list[str]]]:
     """Walk a CSV table as ``(row, cells)``, numbering rows by record: the
     header first, as row 1, then each later record once
     :func:`_check_record` passes it."""
-    header, table = _table(path)
+    header, table = _table(path, list)
     yield 1, header
     seen: set[str] = set()
-    for row in range(2, len(table) + 2):
-        cells = table.pop()
-        _check_record(cells, header, seen, path, row)
-        yield row, cells
+    row = 1
+    table.reverse()
+    while table:
+        for row, cells in enumerate(table.pop(), row + 1):
+            _check_record(cells, header, seen, path, row)
+            yield row, cells
 
 
 def _ints(cells: list[str], columns: list[str], path: str,
@@ -187,102 +197,93 @@ def load_contest(path: str | Path, votes_per_voter: int = 1,
 
     The candidates are the header columns after the three fixed columns.
     Every cell must be an integer, precinct ids must be unique and each
-    row's counts must obey the count rules of :mod:`mro_audit.core`.  The
-    rows are taken :data:`_CHUNK_ROWS` at a time, and every rule runs as a
-    pass over the chunk's columns, which also build its vote maps and rows
-    and add to the column totals.  A chunk that breaks a rule is walked row
-    by row with the per-row checks; every earlier chunk passed them all, so
-    the walk raises the first fault where a row walk of the file would.
-    Then the pool rules run.  The result, each error and their order are
-    those of ``core.pool_contest`` on the unpooled contest, except that an
-    empty pool means no pooling.
+    row's counts must obey the count rules of :mod:`mro_audit.core`.  Each
+    run of :data:`_CHUNK_ROWS` records becomes columns as it is read, and
+    every rule runs as a pass over the whole columns.  If one breaks, the
+    records are walked row by row with the per-row checks, which raise the
+    first fault as a row walk of the file would.  Then the pool rules run,
+    through ``core.pool_contest``; an empty pool means no pooling.
 
     Raises:
         ParseError, ValidationError: a malformed row or a broken count rule,
             located by row; then what ``core.pool_contest`` raises.
     """
     path, pool = str(path), set(pool)
-    header, table = _table(path)
+    columns: list[list] = []
+    header, table = _table(path, partial(_append_columns, columns))
     candidates = _candidates(header, RETURNS_FIXED_COLUMNS, 2, path)
-    kept_mask = [candidate not in pool for candidate in candidates]
-    pool_mask = [not kept for kept in kept_mask]
-    keys = list(compress(candidates, kept_mask))
-    if pool:
-        keys.append(pooled_id)
-    width, seen, returns = len(header), set(), []
-    totals = [0] * len(candidates)
-    while table:
-        row = len(returns) + 2
-        chunk = table[-_CHUNK_ROWS:]
-        del table[-_CHUNK_ROWS:]
-        chunk.reverse()
-        columns = _chunk_columns(chunk, width, seen, votes_per_voter)
-        if columns is None:
-            _raise_first_fault(chunk, header, seen, votes_per_voter, path, row)
-        del chunk  # let its count cells go before the rows are built
-        ids, counties, bounds, counts = columns
-        vote_columns = list(compress(counts, kept_mask))
-        if pool:  # with no known member, the pool rules reject the pool
-            pooled = list(compress(counts, pool_mask))
-            vote_columns.append(list(map(sum, zip(*pooled))) if pooled
-                                else [0] * len(bounds))
-        votes = map(dict, map(zip, repeat(keys), zip(*vote_columns)))
-        returns += map(tuple.__new__, repeat(PrecinctReturns),
-                       zip(ids, map(str.strip, counties), bounds, votes))
-        totals = list(map(add, totals, map(sum, counts)))
-    if not returns:
+    if not table:
         raise ValidationError("no precinct rows", path=path)
-    setup = ContestSetup(candidates, votes_per_voter, len(returns))
-    totals = dict(zip(candidates, totals))
-    if pool:
-        return _pooled_contest(setup, totals, pool, pooled_id, returns)
-    return Contest(setup, returns, totals)
+    if not _columns_pass(columns, table, len(header), votes_per_voter):
+        _raise_first_fault(columns, table, header, votes_per_voter, path)
+    ids, counties, bounds, *counts = columns
+    contest = Contest(ContestSetup(candidates, votes_per_voter, len(ids)),
+                      ids, counties, bounds, counts,
+                      dict(zip(candidates, map(sum, counts))))
+    return pool_contest(contest, pool, pooled_id) if pool else contest
 
 
-def _chunk_columns(
-    chunk: list[list[str]], width: int, seen: set[str], votes_per_voter: int
-) -> tuple[list[str], tuple[str, ...], list[int], list[list[int]]] | None:
-    """A chunk of returns records as ``(ids, counties, bounds, counts)``
-    columns, each rule checked as a pass over a column, or ``None`` if a
-    record breaks one.  ``ids`` are stripped, ``counts`` holds one list of
-    ints per candidate, and the ids join ``seen`` once every rule holds."""
-    if set(map(len, chunk)) != {width}:
-        return None
-    ids, counties, *cells = zip(*chunk)
-    ids = list(map(str.strip, ids))
-    unique = set(ids)
-    if "" in unique or len(unique) != len(ids) or not seen.isdisjoint(unique):
-        return None
+def _append_columns(columns: list[list],
+                    chunk: list[list[str]]) -> int | list[list[str]]:
+    """Append returns records to ``columns``, ids and county ids stripped,
+    ints for the other cells, and return how many; or return the records,
+    appending nothing, if their widths differ from each other or from
+    ``columns`` or a cell after the second is no integer."""
     try:
-        bounds, *counts = [list(map(int, map(str.strip, column)))
-                           for column in cells]
+        ids, counties, *cells = zip(*chunk)
+        ints = [list(map(int, map(str.strip, column))) for column in cells]
     except ValueError:
-        return None
+        return chunk
+    width = len(cells) + 2
+    if set(map(len, chunk)) != {width} or len(columns) not in (0, width):
+        return chunk
+    if not columns:
+        columns += ([] for _ in range(width))
+    columns[0] += map(str.strip, ids)
+    columns[1] += map(str.strip, counties)
+    for column, chunk_column in zip(columns[2:], ints):
+        column += chunk_column
+    return len(chunk)
+
+
+def _columns_pass(columns: list[list], table: list, width: int,
+                  votes_per_voter: int) -> bool:
+    """Whether every chunk of ``table`` went into ``columns`` and keeps
+    every row rule, each checked as one pass over a column."""
+    if len(columns) != width or not all(isinstance(c, int) for c in table):
+        return False
+    ids, _, bounds, *counts = columns
+    unique = dict.fromkeys(ids)  # smaller than a set of the same ids
+    if "" in unique or len(unique) != len(ids):
+        return False
     if min(bounds) < 0 or max(bounds) > MAX_BALLOT_BOUND:
-        return None
+        return False
     for column in counts:
         if min(column) < 0 or not all(map(le, column, bounds)):
-            return None
+            return False
     caps = map(mul, bounds, repeat(votes_per_voter))
-    if not all(map(le, map(sum, zip(*counts)), caps)):
-        return None
-    seen.update(unique)
-    return ids, counties, bounds, counts
+    return all(map(le, map(sum, zip(*counts)), caps))
 
 
-def _raise_first_fault(chunk: list[list[str]], header: list[str],
-                       seen: set[str], votes_per_voter: int, path: str,
-                       row: int) -> None:
-    """Walk a rejected chunk, whose first record is row ``row``, with the
-    per-row checks, and raise its first fault as the row walk would."""
-    candidates = header[3:]
-    for row, cells in enumerate(chunk, row):
-        _check_record(cells, header, seen, path, row)
-        bound, *counts = _counts(cells, header, 2, path, row)
-        problem = _count_problem(zip(candidates, counts), bound,
-                                 votes_per_voter)
-        if problem is not None:
-            raise ValidationError(problem, path=path, row=row)
+def _raise_first_fault(columns: list[list], table: list, header: list[str],
+                       votes_per_voter: int, path: str) -> None:
+    """Walk the records with the per-row checks, and raise the first fault
+    as a row walk of the file would.  A chunk that went into ``columns`` is
+    walked as records again, its ints as text."""
+    candidates, seen, start, row = header[3:], set(), 0, 2
+    for chunk in table:
+        if isinstance(chunk, int):
+            begin, start = start, start + chunk
+            chunk = [[*cells[:2], *map(str, cells[2:])] for cells
+                     in zip(*(column[begin:start] for column in columns))]
+        for row, cells in enumerate(chunk, row):
+            _check_record(cells, header, seen, path, row)
+            bound, *counts = _counts(cells, header, 2, path, row)
+            problem = _count_problem(zip(candidates, counts), bound,
+                                     votes_per_voter)
+            if problem is not None:
+                raise ValidationError(problem, path=path, row=row)
+        row += 1
 
 
 def load_audits(path: str | Path) -> list[AuditRecord]:

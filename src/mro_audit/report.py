@@ -22,18 +22,26 @@ import json
 from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
+from math import gcd
+from operator import truediv
 from pathlib import Path
 
 from .core import ContestSetup, ContestTotals, PrecinctReturns, prepare_contest
-from .discrepancy import PrecinctDiscrepancy, precinct_bound
+from .discrepancy import BoundColumns, PrecinctDiscrepancy
 from .errors import ValidationError
 from .risk import RiskReport, SamplingDesign, TestConfig, assess_sample
 
 SCHEMA = "mro-audit/1"
 
 
+def ratio_str(numerator: int, denominator: int) -> str:
+    """A ratio with a positive denominator as ``"n/d"`` in lowest terms."""
+    divisor = gcd(numerator, denominator)
+    return f"{numerator // divisor}/{denominator // divisor}"
+
+
 def fraction_str(value: Fraction | int) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_str(value.numerator, value.denominator)
 
 
 def file_digest(path: str | Path) -> str:
@@ -86,7 +94,7 @@ def build_document(
     setup: ContestSetup,
     returns: Sequence[PrecinctReturns],
     totals: ContestTotals,
-    bounds: Mapping[str, Fraction],
+    bounds: Mapping[str, Fraction] | BoundColumns,
     discrepancies: Sequence[PrecinctDiscrepancy],
     report: RiskReport,
     *,
@@ -94,8 +102,14 @@ def build_document(
     input_digests: Mapping[str, str],
     pooled: Mapping[str, object] | None = None,
 ) -> dict:
-    """Assemble the full report document."""
+    """Assemble the full report document; a ``BoundColumns`` is rendered
+    from its int columns, with no `Fraction` per precinct."""
     by_id = {d.precinct_id: d for d in discrepancies}
+    if isinstance(bounds, BoundColumns):
+        ratios = map(ratio_str, bounds.numerators, bounds.margins)
+    else:
+        ratios = map(fraction_str, bounds.values())
+    texts = dict(zip(bounds, ratios))
     precinct_rows = []
     for ret in returns:
         disc = by_id.get(ret.precinct_id)
@@ -105,7 +119,7 @@ def build_document(
                 "county_id": ret.county_id,
                 "ballot_bound": ret.ballot_bound,
                 "votes": dict(ret.machine_votes),
-                "bound": fraction_str(bounds[ret.precinct_id]),
+                "bound": texts[ret.precinct_id],
                 "sampled": disc is not None,
                 "mro": fraction_str(disc.max_overstatement)
                 if disc is not None else None,
@@ -163,7 +177,7 @@ _BOUNDS_ROW = (
     '      "precinct_id": %s,\n'
     '      "county_id": %s,\n'
     # The "n/d" string: its digits, sign and slash need no escaping.
-    '      "bound": "%d/%d",\n'
+    '      "bound": "%s",\n'
     '      "bound_float": %r\n'
     '    }'
 )
@@ -218,30 +232,25 @@ def document_json(document: Mapping) -> str:
     )
 
 
-def bounds_json(returns: Iterable[PrecinctReturns],
-                bounds: Iterable[Fraction]) -> str:
+def bounds_json(county_ids: Iterable[str], bounds: BoundColumns) -> str:
     """The ``bounds`` command's document, rendered as ``json.dumps(...,
-    indent=2)`` renders it, from each precinct's returns and a priori bound.
+    indent=2)`` renders it, from a contest's county ids and bounds.
 
     Every row carries ``precinct_id``, ``county_id``, ``bound`` (``"n/d"``)
-    and ``bound_float``; ``max_bound_float`` is the largest ``bound_float``
-    (0.0 with no rows), taken in the same pass.  Bounds are nonnegative and,
-    with ballot bounds of at most 10**18, finite as floats.
+    and ``bound_float``, n / m by int true division, which rounds correctly
+    as ``float(Fraction(n, m))`` does; ``max_bound_float`` is the largest
+    (0.0 with no rows).  Bounds are nonnegative and, with ballot bounds of
+    at most 10**18, finite as floats.
     """
-    rendered = []
-    largest = 0.0
-    for ret, bound in zip(returns, bounds):
-        value = float(bound)
-        if value > largest:
-            largest = value
-        rendered.append(_BOUNDS_ROW % (
-            _string(ret.precinct_id), _string(ret.county_id),
-            bound.numerator, bound.denominator, value,
-        ))
+    nums, dens = bounds.numerators, bounds.margins
+    floats = list(map(truediv, nums, dens))
+    rendered = list(map(_BOUNDS_ROW.__mod__, zip(
+        map(_string, bounds), map(_string, county_ids),
+        map(ratio_str, nums, dens), floats)))
     return _object_json((
         ("schema", _string(SCHEMA)),
         ("precincts", _rows_json(rendered)),
-        ("max_bound_float", repr(largest)),
+        ("max_bound_float", repr(max(floats, default=0.0))),
     ))
 
 
@@ -344,7 +353,7 @@ def verify_document(document: Mapping) -> bool:
     ``sampled`` and ``mro`` (``null`` unless sampled); and ``risk.weight``,
     ``sampling`` and ``margin_threshold``.  They go through the code that
     built the document (``prepare_contest``, :func:`outcome_block`,
-    ``precinct_bound``, ``assess_sample`` and :func:`risk_block`), and each
+    ``BoundColumns``, ``assess_sample`` and :func:`risk_block`), and each
     output must equal its rebuilt value, JSON type and all: ``schema``,
     ``totals``, ``winners``, ``losers``, ``pairwise_margins``, each row's
     ``bound`` and the whole ``risk`` block, P-value bit for bit.
@@ -407,18 +416,19 @@ def verify_document(document: Mapping) -> bool:
         else:
             _match(_read(row, where, "mro"), None, where, "mro")
 
-    totals = prepare_contest(setup, returns).totals
-    for key, value in {"schema": SCHEMA, **outcome_block(totals)}.items():
+    rebuilt = prepare_contest(setup, returns)
+    for key, value in {"schema": SCHEMA,
+                       **outcome_block(rebuilt.totals)}.items():
         _match(_read(document, "document", key), value, "document", key)
-    bounds, sample = [], []
-    for row, ret in zip(rows, returns):
-        bound = precinct_bound(ret, totals.pairwise_margins)
-        where = f"precinct {ret.precinct_id}"
-        _match(_read(row, where, "bound"), fraction_str(bound), where, "bound")
-        bounds.append(bound)
-        if ret.precinct_id in mros:
+    bounds = BoundColumns(rebuilt)
+    sample = []
+    for row, precinct_id, num, den in zip(rows, bounds, bounds.numerators,
+                                          bounds.margins):
+        where = f"precinct {precinct_id}"
+        _match(_read(row, where, "bound"), ratio_str(num, den), where, "bound")
+        if precinct_id in mros:
             sample.append(PrecinctDiscrepancy(
-                ret.precinct_id, mros[ret.precinct_id], bound))
+                precinct_id, mros[precinct_id], Fraction(num, den)))
     _match(risk, risk_block(assess_sample(bounds, sample, config)),
            "document", "risk")
     return True

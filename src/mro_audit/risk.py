@@ -29,7 +29,7 @@ from .core import (
     join_audits,
     prepare_contest,
 )
-from .discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
+from .discrepancy import BoundColumns, PrecinctDiscrepancy, analyze_precinct
 from .errors import (
     EmptySample,
     InconsistentBounds,
@@ -119,7 +119,7 @@ def observed_statistic(
 
 
 def taint_count(
-    bounds: Sequence[Rational],
+    bounds: Sequence[Rational] | BoundColumns,
     threshold: Rational,
     weight: str = IDENTITY,
     margin_threshold: Rational = Fraction(1),
@@ -137,17 +137,21 @@ def taint_count(
     ``margin_threshold``.  Returns ``len(bounds) + 1`` as a sentinel when
     even t = N cannot reach it (the null is impossible and the P-value is 0).
 
-    Bounds are ints or Fractions.  The walk is exact integer arithmetic:
-    bounds, threshold and target are scaled to integers over the lcm of
-    their denominators.
+    Bounds are ints or Fractions, or a contest's ``BoundColumns``, whose
+    int columns are read as they are.  The walk is exact integer
+    arithmetic: bounds, threshold and target are scaled to integers over
+    the lcm of their denominators.
 
     Raises:
         ValidationError: ``weight`` is neither ``identity`` nor ``taint``.
         InconsistentBounds: a bound is negative.
     """
     _check_weight(weight)
-    nums = [bound.numerator for bound in bounds]
-    dens = [bound.denominator for bound in bounds]
+    if isinstance(bounds, BoundColumns):
+        nums, dens = bounds.numerators, bounds.margins
+    else:
+        nums = [bound.numerator for bound in bounds]
+        dens = [bound.denominator for bound in bounds]
     if nums and min(nums) < 0:
         first = next(Fraction(n, d) for n, d in zip(nums, dens) if n < 0)
         raise InconsistentBounds(f"negative per-precinct bound {first}")
@@ -441,7 +445,7 @@ def run_contest_test(
     contest: Contest,
     audits: Sequence[AuditRecord],
     config: TestConfig,
-) -> tuple[RiskReport, dict[str, Fraction], list[PrecinctDiscrepancy]]:
+) -> tuple[RiskReport, BoundColumns, list[PrecinctDiscrepancy]]:
     """Full pipeline: bounds and discrepancies, then :func:`assess_sample`.
 
     Each audit is joined to its precinct by ``core.join_audits``.  Returns
@@ -450,23 +454,23 @@ def run_contest_test(
     not compute them again.
     """
     margins = contest.totals.pairwise_margins
-    bounds = {ret.precinct_id: precinct_bound(ret, margins)
-              for ret in contest.returns}
+    bounds = BoundColumns(contest)
+    nums, dens = bounds.numerators, bounds.margins
     discrepancies = [
-        analyze_precinct(ret, audit, margins, bounds[ret.precinct_id])
-        for ret, audit in join_audits(contest, audits)
+        analyze_precinct(ret, audit, margins, Fraction(nums[i], dens[i]))
+        for i, ret, audit in join_audits(contest, audits)
     ]
-    report = assess_sample(list(bounds.values()), discrepancies, config)
+    report = assess_sample(bounds, discrepancies, config)
     return report, bounds, discrepancies
 
 
 def assess_sample(
-    bounds: Sequence[Fraction],
+    bounds: Sequence[Rational] | BoundColumns,
     sample: Sequence[PrecinctDiscrepancy],
     config: TestConfig,
 ) -> RiskReport:
     """Statistic -> taint count -> P-value, for a sample of the precincts
-    whose a priori bounds are ``bounds``.
+    whose a priori bounds are ``bounds``, as :func:`taint_count` takes them.
 
     When even a fully adversarial population cannot reach the margin
     threshold, the report carries ``null_infeasible=True``, the taint count

@@ -1073,6 +1073,23 @@ def test_commands_validate_and_tabulate_once(runner, tmp_path, monkeypatch,
     assert calls == ["validate_returns"]
 
 
+def test_contest_commands_build_no_rows(runner, tmp_path, monkeypatch,
+                                        docs_returns_path, docs_audits_path):
+    """``margins``, ``bounds`` and ``pvalue`` work from the contest's
+    columns: none of them asks for its rows."""
+    def no_rows(contest):
+        raise AssertionError("the contest's rows were built")
+
+    monkeypatch.setattr(core.Contest, "returns", property(no_rows))
+    for contest in ("docs", "vote_for_three"):
+        for command in ("margins", "bounds", "pvalue"):
+            result = invoke(runner, command_args(
+                command, contest, tmp_path, docs_returns_path,
+                docs_audits_path,
+            ))
+            assert result.exit_code == 0
+
+
 class TestSimulate:
     def test_validates_closed_form(self, runner):
         result = invoke(runner, [

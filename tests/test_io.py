@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import minnesota
 import mro_audit.io
-from mro_audit.core import PrecinctReturns, compute_totals
+from mro_audit.core import AuditRecord, PrecinctReturns, compute_totals
+from mro_audit.discrepancy import BoundColumns
 from mro_audit.errors import (
     AuditError,
     ParseError,
@@ -23,7 +24,14 @@ from mro_audit.io import (
     load_returns,
 )
 from mro_audit.oracle import gen_instance
-from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
+from mro_audit.report import bounds_json
+from mro_audit.risk import (
+    IDENTITY,
+    SamplingDesign,
+    TestConfig,
+    run_contest_test,
+    run_test,
+)
 
 
 R = "precinct_id,county_id,ballot_bound,A,B\n"
@@ -174,6 +182,74 @@ class TestLoadContest:
             tracemalloc.stop()
         assert len(contest.returns) == 5000
         assert peak <= 1.5 * live
+
+
+def reference_rows(path, pool=(), pooled_id="Pooled"):
+    """The rows of a valid returns file, read with the csv module alone:
+    stripped ids, county ids and ints, vote maps in header order with the
+    pool's members summed into ``pooled_id``, last."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *records = csv.reader(handle)
+    candidates = [cell.strip() for cell in header[3:]]
+    rows = []
+    for precinct_id, county_id, bound, *cells in records:
+        counts = dict(zip(candidates, map(int, cells)))
+        votes = {c: n for c, n in counts.items() if c not in pool}
+        if pool:
+            votes[pooled_id] = sum(counts[c] for c in pool)
+        rows.append(PrecinctReturns(precinct_id.strip(), county_id.strip(),
+                                    int(bound), votes))
+    return rows
+
+
+def many_chunks(tmp_path):
+    """A valid 3,000-row returns file, with padded ids, that spans several
+    of the loader's chunks."""
+    assert 3000 > 2 * mro_audit.io._CHUNK_ROWS
+    lines = ["precinct_id,county_id,ballot_bound,A,B,C,D\n"] + [
+        f" p{i} ,c{i % 7} ,200,{60 + i % 13},{50 - i % 11},{i % 17},"
+        f"{i % 5}\n" for i in range(3000)]
+    return write(tmp_path, "large.csv", "".join(lines))
+
+
+class TestContestColumns:
+    """A loaded contest keeps columns; its rows, built on first use, are
+    the rows a row-by-row read of the file gives."""
+
+    @pytest.mark.parametrize("pool, pooled_id", [
+        ((), "Pooled"), (("Gamma",), "Minor"),
+    ], ids=["unpooled", "pooled"])
+    def test_docs_example_rows(self, docs_returns_path, pool, pooled_id):
+        contest = load_contest(docs_returns_path, 1, pool, pooled_id)
+        expected = reference_rows(docs_returns_path, pool, pooled_id)
+        assert contest.returns == expected
+        assert [list(r.machine_votes) for r in contest.returns] == [
+            list(r.machine_votes) for r in expected]
+        assert list(contest.precinct_ids) == [r.precinct_id for r in expected]
+
+    @pytest.mark.parametrize("pool", [(), ("C", "D")],
+                             ids=["unpooled", "pooled"])
+    def test_rows_across_chunks(self, tmp_path, pool):
+        path = many_chunks(tmp_path)
+        contest = load_contest(path, 1, pool, "Minor")
+        expected = reference_rows(path, pool, "Minor")
+        assert contest.returns == expected
+        assert [list(r.machine_votes) for r in contest.returns] == [
+            list(r.machine_votes) for r in expected]
+        assert [contest.row(i) for i in (0, 1023, 1024, 2999)] == [
+            expected[i] for i in (0, 1023, 1024, 2999)]
+        assert list(contest.setup.candidates)[-1] == (
+            "Minor" if pool else "D")
+
+    def test_bounds_and_risk_test_build_no_rows(self, tmp_path):
+        path = many_chunks(tmp_path)
+        audits = [AuditRecord(r.precinct_id, r.machine_votes)
+                  for r in reference_rows(path)[::100]]
+        contest = load_contest(path)
+        bounds_json(contest.county_ids, BoundColumns(contest))
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 30))
+        run_contest_test(contest, audits, config)
+        assert contest._returns is None
 
 
 # Every character str.strip() removes, and one it does not.

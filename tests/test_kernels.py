@@ -1,26 +1,39 @@
 """The integer kernels against Fraction references written from the definitions.
 
-`precinct_bound`, `analyze_precinct` and `taint_count` compute in integers;
-the references here compute the same quantities with one `Fraction` per pair
-and per step.
+`precinct_bound`, `analyze_precinct`, `BoundColumns` and `taint_count`
+compute in integers; the references here compute the same quantities with
+one `Fraction` per pair and per step.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mro_audit.core import MAX_BALLOT_BOUND, AuditRecord, PrecinctReturns
-from mro_audit.discrepancy import PrecinctDiscrepancy, analyze_precinct, precinct_bound
+from mro_audit.core import (
+    MAX_BALLOT_BOUND,
+    AuditRecord,
+    ContestSetup,
+    PrecinctReturns,
+    prepare_contest,
+)
+from mro_audit.discrepancy import (
+    BoundColumns,
+    PrecinctDiscrepancy,
+    analyze_precinct,
+    precinct_bound,
+)
 from mro_audit.errors import (
+    AmbiguousOutcome,
     AuditError,
     EmptyPairSet,
     InconsistentBounds,
     ValidationError,
 )
 from mro_audit.oracle import brute_mro
+from mro_audit.report import fraction_str, ratio_str
 from mro_audit.risk import (
     IDENTITY,
     TAINT,
@@ -238,3 +251,79 @@ class TestPairWalkMatchesReferences:
             with pytest.raises(AuditError) as raised:
                 call()
             assert type(raised.value) is error
+
+
+def two_way_contest(ballot_bound, a, b):
+    """One precinct, A against B for one seat: its bound is (a - b +
+    ballot_bound) / (a - b), over the unreduced margin a - b."""
+    returns = [PrecinctReturns("p1", "c1", ballot_bound, {"A": a, "B": b})]
+    return prepare_contest(ContestSetup(("A", "B"), 1, 1), returns)
+
+
+@st.composite
+def bounded_contests(draw):
+    """A contest of 2-6 candidates for 1-3 seats over 1-4 precincts, with
+    ballot bounds and counts up to 10**18 and a strict outcome."""
+    n = draw(st.integers(2, 6))
+    candidates = tuple(f"C{i}" for i in range(n))
+    returns = []
+    for p in range(draw(st.integers(1, 4))):
+        ballot_bound = draw(st.integers(0, MAX_BALLOT_BOUND))
+        counts = st.integers(0, ballot_bound // n)
+        returns.append(PrecinctReturns(f"p{p}", "c1", ballot_bound,
+                                       {c: draw(counts) for c in candidates}))
+    seats = draw(st.integers(1, min(3, n - 1)))
+    contest = prepare_contest(ContestSetup(candidates, seats, len(returns)),
+                              returns)
+    try:
+        contest.totals
+    except AmbiguousOutcome:
+        assume(False)
+    return contest
+
+
+class TestBoundColumnsMatchReference:
+    """The column walk keeps each bound as an unreduced (numerator, margin)
+    pair; the Fraction, the rendered "n/d" and the float all match the
+    reference."""
+
+    @given(bounded_contests())
+    # float(n) / float(m) misrounds these two: n and m lie above 2**53.
+    @example(two_way_contest(278090210861499926, 127850512098772456,
+                             56177372662379442))
+    @example(two_way_contest(916516094586439933, 405146725934761101,
+                             390176618529296863))
+    @settings(max_examples=300)
+    def test_random_contests(self, contest):
+        bounds = BoundColumns(contest)
+        margins = contest.totals.pairwise_margins
+        assert list(bounds) == list(contest.precinct_ids)
+        for ret, n, m in zip(contest.returns, bounds.numerators,
+                             bounds.margins):
+            reference = reference_bound(ret, margins)
+            assert Fraction(n, m) == reference == bounds[ret.precinct_id]
+            assert ratio_str(n, m) == fraction_str(reference) == (
+                f"{reference.numerator}/{reference.denominator}")
+            assert n / m == float(reference)
+
+    def test_pinned_cases_misround_through_floats(self):
+        for args in [(278090210861499926, 127850512098772456,
+                      56177372662379442),
+                     (916516094586439933, 405146725934761101,
+                      390176618529296863)]:
+            bounds = BoundColumns(two_way_contest(*args))
+            n, m = bounds.numerators[0], bounds.margins[0]
+            assert float(n) / float(m) != n / m == float(Fraction(n, m))
+
+    def test_margins_are_kept_unreduced(self):
+        # In p1, 25/100 and 5/20 tie at 1/4; the walk keeps one pair whole.
+        contest = prepare_contest(
+            ContestSetup(("W", "L1", "L2"), 1, 2),
+            [PrecinctReturns("p1", "c1", 30, {"W": 0, "L1": 5, "L2": 25}),
+             PrecinctReturns("p2", "c1", 200, {"W": 105, "L1": 0, "L2": 60})])
+        bounds = BoundColumns(contest)
+        assert contest.totals.pairwise_margins == {("W", "L2"): 20,
+                                                   ("W", "L1"): 100}
+        assert (bounds.numerators[0], bounds.margins[0]) in {(5, 20),
+                                                             (25, 100)}
+        assert ratio_str(bounds.numerators[0], bounds.margins[0]) == "1/4"
