@@ -89,6 +89,11 @@ def _parse_pool(text: str | None) -> list[str]:
     members = [part.strip() for part in text.split(",") if part.strip()]
     if not members:
         raise click.UsageError("--pool given but names no candidates")
+    seen = set()
+    for member in members:
+        if member in seen:
+            raise click.UsageError(f"--pool names {member!r} twice")
+        seen.add(member)
     return members
 
 

@@ -2,14 +2,10 @@
 
 The document embeds every intermediate the risk computation used plus
 SHA-256 digests of the input files, so an audit is a reproducible artifact:
-:func:`verify_document` rebuilds its outputs (``schema``, ``totals``,
-``winners``, ``losers``, ``pairwise_margins``, each row's ``bound`` and
-``risk``) from its inputs (``contest.candidates``, ``votes_per_voter`` and
-``precinct_count``; each row's ``precinct_id``, ``county_id``,
-``ballot_bound``, ``votes``, ``sampled`` and ``mro``; ``risk.weight``,
-``sampling`` and ``margin_threshold``) with the code that built them.
-``tool_version``, ``inputs`` and ``contest.pooled`` are carried, and no
-object holds a field beyond these.
+:func:`verify_document` reads the document's inputs, builds the document
+again from them with :func:`build_document`'s own code, and compares the
+two whole.  Each field of the document is therefore stated once, where it
+is built.
 
 Rationals are serialized as ``"numerator/denominator"`` strings (lossless);
 a float rendering sits alongside wherever humans read the number.
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
@@ -90,6 +86,23 @@ def outcome_block(totals: ContestTotals) -> dict:
     }
 
 
+def _rows(returns: Iterable[PrecinctReturns], bound_texts: Iterable[str],
+          mros: Mapping[str, Fraction]) -> Iterator[dict]:
+    """Each precinct's row, one at a time: its returns, its bound's text
+    and, if it was sampled, its MRO."""
+    for ret, bound in zip(returns, bound_texts):
+        mro = mros.get(ret.precinct_id)
+        yield {
+            "precinct_id": ret.precinct_id,
+            "county_id": ret.county_id,
+            "ballot_bound": ret.ballot_bound,
+            "votes": dict(ret.machine_votes),
+            "bound": bound,
+            "sampled": mro is not None,
+            "mro": None if mro is None else fraction_str(mro),
+        }
+
+
 def build_document(
     setup: ContestSetup,
     returns: Sequence[PrecinctReturns],
@@ -104,27 +117,13 @@ def build_document(
 ) -> dict:
     """Assemble the full report document; a ``BoundColumns`` is rendered
     from its int columns, with no `Fraction` per precinct."""
-    by_id = {d.precinct_id: d for d in discrepancies}
     if isinstance(bounds, BoundColumns):
         ratios = map(ratio_str, bounds.numerators, bounds.margins)
     else:
         ratios = map(fraction_str, bounds.values())
     texts = dict(zip(bounds, ratios))
-    precinct_rows = []
-    for ret in returns:
-        disc = by_id.get(ret.precinct_id)
-        precinct_rows.append(
-            {
-                "precinct_id": ret.precinct_id,
-                "county_id": ret.county_id,
-                "ballot_bound": ret.ballot_bound,
-                "votes": dict(ret.machine_votes),
-                "bound": texts[ret.precinct_id],
-                "sampled": disc is not None,
-                "mro": fraction_str(disc.max_overstatement)
-                if disc is not None else None,
-            }
-        )
+    rows = _rows(returns, (texts[ret.precinct_id] for ret in returns),
+                 {d.precinct_id: d.max_overstatement for d in discrepancies})
     document = {
         "schema": SCHEMA,
         "tool_version": tool_version,
@@ -137,7 +136,7 @@ def build_document(
             "precinct_count": setup.precinct_count,
         },
         **outcome_block(totals),
-        "precincts": precinct_rows,
+        "precincts": list(rows),
         "risk": risk_block(report),
     }
     if pooled is not None:
@@ -294,22 +293,20 @@ def _fraction(part: Mapping, where: str, key: str) -> Fraction:
     return value
 
 
-def _no_extra(part: Mapping, where: str, names: Container[str]) -> None:
-    """Raise if the object at ``where`` has a field not among ``names``."""
-    for name in part:
-        if name not in names:
-            raise ValidationError(f"{where} has unexpected field {name!r}")
-
-
 def _match(stored: object, rebuilt: object, where: str, key: str) -> None:
     """Raise unless the stored output equals its rebuilt value, JSON type
-    for JSON type (``1``, ``1.0`` and ``true`` differ) and field for field."""
+    for JSON type (``1``, ``1.0`` and ``true`` differ) and field for field.
+    A stored value that the rebuilt document holds itself is not walked."""
     _check_kind(stored, type(rebuilt), where, key)
     if isinstance(rebuilt, dict):
         path = key if where == "document" else f"{where}.{key}"
         for name, value in rebuilt.items():
-            _match(_read(stored, path, name), value, path, name)
-        _no_extra(stored, path, rebuilt)
+            item = _read(stored, path, name)
+            if item is not value:
+                _match(item, value, path, name)
+        for name in stored:
+            if name not in rebuilt:
+                raise ValidationError(f"{path} has unexpected field {name!r}")
     elif isinstance(rebuilt, list) and len(stored) == len(rebuilt):
         for index, pair in enumerate(zip(stored, rebuilt)):
             _match(*pair, where, f"{key}[{index}]")
@@ -318,49 +315,43 @@ def _match(stored: object, rebuilt: object, where: str, key: str) -> None:
             f"{where}: stored {key} {stored} != recomputed {rebuilt}")
 
 
-_DOCUMENT_FIELDS = ("schema", "tool_version", "inputs", "contest", "totals",
-                    "winners", "losers", "pairwise_margins", "precincts",
-                    "risk")
-_CONTEST_FIELDS = ("candidates", "votes_per_voter", "precinct_count", "pooled")
-_ROW_FIELDS = ("precinct_id", "county_id", "ballot_bound", "votes", "bound",
-               "sampled", "mro")
-
-
-def _check_pooled(pooled: Mapping, candidates: Sequence[str]) -> None:
-    """Raise unless ``contest.pooled`` could describe a pool of these
-    candidates: some members, none of them still a candidate, merged into
-    ``pooled_id``, which is one."""
-    _no_extra(pooled, "contest.pooled", ("members", "pooled_id"))
+def _check_pooled(pooled: Mapping, candidates: Sequence[str]) -> dict:
+    """``contest.pooled``'s fields, if they could describe a pool of these
+    candidates: some members, each listed once and none of them still a
+    candidate, merged into ``pooled_id``, which is one."""
     members = _strings(pooled, "contest.pooled", "members")
     pooled_id = _read(pooled, "contest.pooled", "pooled_id", str)
     if not members:
         raise ValidationError("contest.pooled: members is empty")
+    seen = set()
     for member in members:
         if member in candidates:
             raise ValidationError(
                 f"contest.pooled: member {member!r} is still a candidate")
+        if member in seen:
+            raise ValidationError(
+                f"contest.pooled: member {member!r} is listed twice")
+        seen.add(member)
     if pooled_id not in candidates:
         raise ValidationError(
             f"contest.pooled: pooled_id {pooled_id!r} is not a candidate")
+    return {"members": members, "pooled_id": pooled_id}
 
 
 def verify_document(document: Mapping) -> bool:
-    """Check the document by rebuilding it from its inputs.
+    """Check the document by building it again from its inputs.
 
     The inputs, each read once with its JSON type checked, are
-    ``contest.candidates``, ``votes_per_voter`` and ``precinct_count``;
-    each row's ``precinct_id``, ``county_id``, ``ballot_bound``, ``votes``,
-    ``sampled`` and ``mro`` (``null`` unless sampled); and ``risk.weight``,
-    ``sampling`` and ``margin_threshold``.  They go through the code that
-    built the document (``prepare_contest``, :func:`outcome_block`,
-    ``BoundColumns``, ``assess_sample`` and :func:`risk_block`), and each
-    output must equal its rebuilt value, JSON type and all: ``schema``,
-    ``totals``, ``winners``, ``losers``, ``pairwise_margins``, each row's
-    ``bound`` and the whole ``risk`` block, P-value bit for bit.
-    ``tool_version`` and ``inputs`` are carried, with only their types
-    checked; ``contest.pooled`` is carried and checked against the
-    candidates (see :func:`_check_pooled`).  No object may hold a field
-    beyond these.
+    ``contest.candidates``, ``votes_per_voter``, ``precinct_count`` and
+    ``pooled`` (see :func:`_check_pooled`); ``tool_version`` and each
+    ``inputs.<name>.sha256``; each row's ``precinct_id``, ``county_id``,
+    ``ballot_bound``, ``votes``, ``sampled`` and, if sampled, ``mro``; and
+    ``risk.weight``, ``sampling`` and ``margin_threshold``.  They go through
+    the code that built the document (``prepare_contest``, ``BoundColumns``,
+    ``assess_sample`` and :func:`build_document`'s own), and the document
+    must equal the one rebuilt, JSON type for JSON type and with no field
+    added: each row under the name ``precinct <id>``, then the whole, the
+    P-value bit for bit.
 
     Raises:
         ValidationError: a field is missing, unexpected or of the wrong
@@ -372,23 +363,20 @@ def verify_document(document: Mapping) -> bool:
     """
     if not isinstance(document, Mapping):
         raise ValidationError("document is not a JSON object")
-    _no_extra(document, "document", _DOCUMENT_FIELDS)
     contest = _read(document, "document", "contest", dict)
-    _no_extra(contest, "contest", _CONTEST_FIELDS)
     setup = ContestSetup(
         tuple(_strings(contest, "contest", "candidates")),
         _read(contest, "contest", "votes_per_voter", int),
         _read(contest, "contest", "precinct_count", int),
     )
+    pooled = None
     if "pooled" in contest:
-        _check_pooled(_read(contest, "contest", "pooled", dict),
-                      setup.candidates)
-    _read(document, "document", "tool_version", str)
+        pooled = _check_pooled(_read(contest, "contest", "pooled", dict),
+                               setup.candidates)
+    tool_version = _read(document, "document", "tool_version", str)
     inputs = _read(document, "document", "inputs", dict)
-    for name in inputs:
-        entry = _read(inputs, "inputs", name, dict)
-        _no_extra(entry, f"inputs.{name}", ("sha256",))
-        _read(entry, f"inputs.{name}", "sha256", str)
+    digests = {name: _read(_read(inputs, "inputs", name, dict),
+                           f"inputs.{name}", "sha256", str) for name in inputs}
     risk = _read(document, "document", "risk", dict)
     sampling = _read(risk, "risk", "sampling", dict)
     config = TestConfig(
@@ -404,8 +392,6 @@ def verify_document(document: Mapping) -> bool:
         _check_kind(row, dict, "document", f"precincts[{index}]")
         precinct_id = _read(row, f"precincts[{index}]", "precinct_id", str)
         where = f"precinct {precinct_id}"
-        if len(row) > len(_ROW_FIELDS):
-            _no_extra(row, where, _ROW_FIELDS)
         returns.append(PrecinctReturns(
             precinct_id, _read(row, where, "county_id", str),
             _read(row, where, "ballot_bound", int),
@@ -413,22 +399,23 @@ def verify_document(document: Mapping) -> bool:
         ))
         if _read(row, where, "sampled", bool):
             mros[precinct_id] = _fraction(row, where, "mro")
-        else:
-            _match(_read(row, where, "mro"), None, where, "mro")
 
     rebuilt = prepare_contest(setup, returns)
-    for key, value in {"schema": SCHEMA,
-                       **outcome_block(rebuilt.totals)}.items():
-        _match(_read(document, "document", key), value, "document", key)
     bounds = BoundColumns(rebuilt)
-    sample = []
-    for row, precinct_id, num, den in zip(rows, bounds, bounds.numerators,
-                                          bounds.margins):
-        where = f"precinct {precinct_id}"
-        _match(_read(row, where, "bound"), ratio_str(num, den), where, "bound")
-        if precinct_id in mros:
-            sample.append(PrecinctDiscrepancy(
-                precinct_id, mros[precinct_id], Fraction(num, den)))
-    _match(risk, risk_block(assess_sample(bounds, sample, config)),
-           "document", "risk")
+    nums, dens = bounds.numerators, bounds.margins
+    # Row by row, so that no second copy of the rows is ever held.
+    for row, built in zip(rows, _rows(returns, map(ratio_str, nums, dens),
+                                      mros)):
+        _match(row, built, "document", f"precinct {built['precinct_id']}")
+    sample = [PrecinctDiscrepancy(precinct_id, mros[precinct_id],
+                                  Fraction(num, den))
+              for precinct_id, num, den in zip(bounds, nums, dens)
+              if precinct_id in mros]
+    # Then the rest, built around no rows and given the rows just matched.
+    whole = build_document(setup, (), rebuilt.totals, {}, (),
+                           assess_sample(bounds, sample, config),
+                           tool_version=tool_version, input_digests=digests,
+                           pooled=pooled)
+    whole["precincts"] = rows
+    _match(document, whole, "document", "document")
     return True

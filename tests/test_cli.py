@@ -94,6 +94,24 @@ class TestMargins:
         assert result.output == ("Error: ValidationError: candidate "
                                  "identifiers must be nonempty\n")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["margins", "pvalue", "report"])
+    def test_repeated_pool_member_exits_two(self, runner, tmp_path, source,
+                                            command, docs_returns_path,
+                                            docs_audits_path):
+        args = [command, str(docs_returns_path)]
+        if command != "margins":
+            args += [str(docs_audits_path), "--sampling", "wr:2"]
+        if source == "flag":
+            args += ["--pool", "Gamma,Gamma,Gamma"]
+        else:
+            cfg = tmp_path / "audit.cfg"
+            cfg.write_text("pool = Gamma, Gamma\n", encoding="utf-8")
+            args += ["--config", str(cfg)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: --pool names 'Gamma' twice\n")
+
     def test_minnesota_aggregate_pooled(self, runner, minnesota_aggregate_path):
         result = invoke(runner, [
             "margins", str(minnesota_aggregate_path),

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from mro_audit.core import (
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import AuditError, ValidationError
 from mro_audit.io import load_contest
+from mro_audit.oracle import gen_instance
 from mro_audit.report import (
     SCHEMA,
     build_document,
@@ -115,6 +117,29 @@ class TestDocument:
         reloaded["precincts"][0]["votes"]["W"] += 1
         with pytest.raises(ValidationError):
             verify_document(reloaded)
+
+    def test_verify_peak_memory_near_no_copy_of_the_rows(self):
+        # The rows are matched one at a time as they are rebuilt, so verify
+        # never holds a second copy of them beside the loaded document.
+        setup, returns, audits = gen_instance(4000, 5, seed=3)
+        contest = prepare_contest(setup, returns)
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 200))
+        report, bounds, discrepancies = run_contest_test(
+            contest, audits[::20], config)
+        text = document_json(build_document(
+            setup, returns, contest.totals, bounds, discrepancies, report,
+            tool_version="0.1.0", input_digests={"returns": "0" * 64}))
+        del setup, returns, audits, contest, bounds, discrepancies
+        tracemalloc.start()
+        try:
+            document = json.loads(text)
+            loaded, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert verify_document(document) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - loaded <= 0.5 * loaded
 
 
 class TestFileDigest:
@@ -236,6 +261,14 @@ class TestMalformedDocument:
          r"^margin threshold must be positive$"),
         (lambda d: d["risk"]["sampling"].update(draws=0),
          r"^sampling design needs at least one draw$"),
+        (lambda d: row_of(d, "P-101").update(bound="16/5"),
+         r"^precinct P-101: stored bound 16/5 != recomputed 16/3$"),
+        (lambda d: d.update(tool_version=1),
+         r"^document: tool_version is 1, not a string$"),
+        (lambda d: d["inputs"]["returns"].update(sha256=1),
+         r"^inputs.returns: sha256 is 1, not a string$"),
+        (lambda d: d["contest"]["pooled"].update(members=["Gamma", "Gamma"]),
+         r"^contest.pooled: member 'Gamma' is listed twice$"),
     ], ids=["swapped-partition", "no-winners", "no-losers", "dropped-pair",
             "duplicate-id", "precinct-count", "unsampled-mro", "effective-n",
             "p-value-percent", "statistic-float", "schema",
@@ -244,7 +277,9 @@ class TestMalformedDocument:
             "extra-contest-field", "extra-pooled-field", "extra-input-field",
             "extra-row-field", "pooled-id-not-a-candidate",
             "member-still-a-candidate", "no-members", "unknown-weight",
-            "unknown-method", "zero-margin-threshold", "no-draws"])
+            "unknown-method", "zero-margin-threshold", "no-draws",
+            "row-bound", "tool-version-type", "digest-type",
+            "repeated-member"])
     def test_tampering_named(self, docs_report, edit, message):
         edit(docs_report)
         with pytest.raises(AuditError, match=message):
@@ -309,12 +344,12 @@ def documents(draw):
         "with_replacement", draw(st.integers(1, 50))))
     contest = prepare_contest(setup, returns)
     report, bounds, discrepancies = run_contest_test(contest, audits, config)
-    # A pool as the loader records it: members that are no longer
-    # candidates, merged into a pooled id that is one.
+    # A pool as the loader records it: members, each named once, that are
+    # no longer candidates, merged into a pooled id that is one.
     pooled = draw(st.none() | st.fixed_dictionaries({
         "members": st.lists(
             any_names.filter(lambda name: name not in setup.candidates),
-            min_size=1, max_size=3),
+            min_size=1, max_size=3, unique=True),
         "pooled_id": st.sampled_from(setup.candidates),
     }))
     return build_document(
