@@ -19,7 +19,7 @@ from math import sqrt
 import click
 
 from . import __version__
-from .core import pool_audit_records
+from .core import pool_audit_records, pool_contest
 from .discrepancy import BoundColumns, analyze_precinct, mro_sum
 from .errors import AuditError
 from .io import (
@@ -89,21 +89,20 @@ def _parse_pool(text: str | None) -> list[str]:
     members = [part.strip() for part in text.split(",") if part.strip()]
     if not members:
         raise click.UsageError("--pool given but names no candidates")
-    seen = set()
-    for member in members:
-        if member in seen:
+    for i, member in enumerate(members):
+        if member in members[:i]:
             raise click.UsageError(f"--pool names {member!r} twice")
-        seen.add(member)
     return members
 
 
 def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
     """Load the returns as a contest and merge the ``--pool`` members, if any."""
     members = _parse_pool(pool)
-    contest = load_contest(returns_path, votes_per_voter, members, pooled_id)
+    contest = load_contest(returns_path, votes_per_voter)
     if not members:
         return contest, None
-    return contest, {"members": members, "pooled_id": pooled_id}
+    return (pool_contest(contest, members, pooled_id),
+            {"members": members, "pooled_id": pooled_id})
 
 
 def _echo_json(payload) -> None:

@@ -138,7 +138,7 @@ class Contest:
     ``totals`` adds the apparent outcome on first use, so that a caller can
     check its own arguments against the contest (a pool naming an unknown
     candidate, say) before a tie at the seat boundary is reported.
-    ``returns`` builds the rows on first use, unless they were given.
+    ``returns`` builds the rows from the columns on first use.
     """
 
     __slots__ = ("setup", "precinct_ids", "county_ids", "ballot_bounds",
@@ -146,8 +146,8 @@ class Contest:
 
     def __init__(self, setup: ContestSetup, precinct_ids: Sequence[str],
                  county_ids: Sequence[str], ballot_bounds: Sequence[int],
-                 counts: list[Sequence[int]], votes: dict[Candidate, int],
-                 returns: Sequence[PrecinctReturns] | None = None) -> None:
+                 counts: list[Sequence[int]],
+                 votes: dict[Candidate, int]) -> None:
         self.setup = setup
         self.precinct_ids = precinct_ids
         self.county_ids = county_ids
@@ -155,7 +155,7 @@ class Contest:
         self.counts = counts
         self._votes = votes
         self._totals: ContestTotals | None = None
-        self._returns = returns
+        self._returns: list[PrecinctReturns] | None = None
 
     @property
     def totals(self) -> ContestTotals:
@@ -324,7 +324,7 @@ def _outcome(setup: ContestSetup, votes: dict[Candidate, int]) -> ContestTotals:
 
 def prepare_contest(setup: ContestSetup,
                     returns: Sequence[PrecinctReturns]) -> Contest:
-    """Validate hand-built returns into a :class:`Contest` that keeps them.
+    """Validate hand-built returns into a :class:`Contest`.
 
     Raises:
         ValidationError, CandidateMismatch: as :func:`validate_returns`.
@@ -333,7 +333,7 @@ def prepare_contest(setup: ContestSetup,
     ids, counties, bounds, votes = zip(*returns)
     counts = [list(map(itemgetter(c), votes)) for c in setup.candidates]
     return Contest(setup, ids, counties, bounds, counts,
-                   dict(zip(setup.candidates, map(sum, counts))), returns)
+                   dict(zip(setup.candidates, map(sum, counts))))
 
 
 def compute_totals(setup: ContestSetup,
@@ -352,11 +352,15 @@ def compute_totals(setup: ContestSetup,
     return prepare_contest(setup, returns).totals
 
 
-def _check_pool(setup: ContestSetup, pool: set[Candidate],
+def _check_pool(setup: ContestSetup, pool: list[Candidate],
                 pooled_id: Candidate) -> None:
+    """The pool rules; ``report`` holds ``contest.pooled`` to the same."""
     if not pool:
         raise ValidationError("candidate pool is empty")
-    unknown = pool - set(setup.candidates)
+    for i, member in enumerate(pool):
+        if member in pool[:i]:
+            raise ValidationError(f"pool names {member!r} twice")
+    unknown = set(pool) - set(setup.candidates)
     if unknown:
         raise ValidationError(f"pool members not in contest: {sorted(unknown)}")
     if pooled_id in setup.candidates:
@@ -380,15 +384,15 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
         PoolContainsWinner: the pool intersects the apparent winner set, or
             the pooled total would not trail the smallest winner's total
             (the pseudo-candidate would win or tie for a seat).
-        ValidationError: empty pool, unknown pool member, ``pooled_id``
-            colliding with an existing candidate, or a pooled count above
-            its precinct's ballot bound.
+        ValidationError: empty pool, a member named twice, unknown pool
+            member, ``pooled_id`` colliding with an existing candidate, or a
+            pooled count above its precinct's ballot bound.
         AmbiguousOutcome: the contest itself has no strict outcome.
     """
-    setup, votes, pool = contest.setup, contest._votes, set(pool)
+    setup, votes, pool = contest.setup, contest._votes, list(pool)
     _check_pool(setup, pool, pooled_id)
     outcome = _outcome(setup, votes)
-    winners_in_pool = pool & set(outcome.winners)
+    winners_in_pool = set(pool) & set(outcome.winners)
     if winners_in_pool:
         raise PoolContainsWinner(
             f"pool contains apparent winner(s): {sorted(winners_in_pool)}"
@@ -427,7 +431,7 @@ def pool_candidates(
     The pool arguments are checked before the returns, as in
     :func:`pool_contest`; raises what it and :func:`prepare_contest` raise.
     """
-    pool = set(pool)
+    pool = list(pool)
     _check_pool(setup, pool, pooled_id)
     pooled = pool_contest(prepare_contest(setup, returns), pool, pooled_id)
     return pooled.setup, pooled.returns

@@ -33,7 +33,7 @@ raise the first fault as the row walk would.
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Container, Iterator
 from contextlib import contextmanager
 from functools import partial
 from itertools import repeat
@@ -48,7 +48,6 @@ from .core import (
     ContestSetup,
     PrecinctReturns,
     _count_problem,
-    pool_contest,
 )
 from .errors import ParseError, ValidationError
 from .sampling import CountyPlan, statutory_minimum
@@ -185,15 +184,13 @@ def _candidates(header: list[str], fixed: tuple[str, ...], at_least: int,
 def load_returns(
     path: str | Path, votes_per_voter: int = 1
 ) -> tuple[ContestSetup, list[PrecinctReturns]]:
-    """The setup and returns of :func:`load_contest`, unpooled."""
+    """The setup and returns of :func:`load_contest`."""
     contest = load_contest(path, votes_per_voter)
     return contest.setup, contest.returns
 
 
-def load_contest(path: str | Path, votes_per_voter: int = 1,
-                 pool: Iterable[str] = (), pooled_id: str = "Pooled") -> Contest:
-    """Load and validate a returns CSV as a :class:`~mro_audit.core.Contest`,
-    with the ``pool`` members, if any, merged into ``pooled_id``.
+def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
+    """Load and validate a returns CSV as a :class:`~mro_audit.core.Contest`.
 
     The candidates are the header columns after the three fixed columns.
     Every cell must be an integer, precinct ids must be unique and each
@@ -201,14 +198,14 @@ def load_contest(path: str | Path, votes_per_voter: int = 1,
     run of :data:`_CHUNK_ROWS` records becomes columns as it is read, and
     every rule runs as a pass over the whole columns.  If one breaks, the
     records are walked row by row with the per-row checks, which raise the
-    first fault as a row walk of the file would.  Then the pool rules run,
-    through ``core.pool_contest``; an empty pool means no pooling.
+    first fault as a row walk of the file would.  Pooling is
+    ``core.pool_contest``'s job.
 
     Raises:
         ParseError, ValidationError: a malformed row or a broken count rule,
-            located by row; then what ``core.pool_contest`` raises.
+            located by row.
     """
-    path, pool = str(path), set(pool)
+    path = str(path)
     columns: list[list] = []
     header, table = _table(path, partial(_append_columns, columns))
     candidates = _candidates(header, RETURNS_FIXED_COLUMNS, 2, path)
@@ -217,10 +214,9 @@ def load_contest(path: str | Path, votes_per_voter: int = 1,
     if not _columns_pass(columns, table, len(header), votes_per_voter):
         _raise_first_fault(columns, table, header, votes_per_voter, path)
     ids, counties, bounds, *counts = columns
-    contest = Contest(ContestSetup(candidates, votes_per_voter, len(ids)),
-                      ids, counties, bounds, counts,
-                      dict(zip(candidates, map(sum, counts))))
-    return pool_contest(contest, pool, pooled_id) if pool else contest
+    return Contest(ContestSetup(candidates, votes_per_voter, len(ids)),
+                   ids, counties, bounds, counts,
+                   dict(zip(candidates, map(sum, counts))))
 
 
 def _append_columns(columns: list[list],
@@ -337,6 +333,11 @@ def load_county_plans(
     for row, cells in records:
         county_id = cells[0]
         voters, = _ints(cells[1:2], header[1:2], path, row)
+        if voters < 0:
+            raise ValidationError(
+                f"county {county_id}: negative registered voters",
+                path=path, row=row,
+            )
         if county_id not in precincts_by_county:
             raise ValidationError(
                 f"county {county_id!r} has no precincts in the returns",
@@ -351,11 +352,6 @@ def load_county_plans(
                     f"minimum {minimum}",
                     path=path, row=row,
                 )
-        if voters < 0:
-            raise ValidationError(
-                f"county {county_id}: negative registered voters",
-                path=path, row=row,
-            )
         try:
             plans.append(CountyPlan(county_id, precincts_by_county[county_id],
                                     required))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minnesota
+from mro_audit import __version__
 from mro_audit.core import (
     MAX_BALLOT_BOUND,
     AuditRecord,
@@ -27,8 +28,15 @@ from mro_audit.errors import (
     UnknownPrecinct,
     ValidationError,
 )
-from mro_audit.io import load_contest, load_returns
+from mro_audit.io import load_audits, load_contest, load_returns
 from mro_audit.oracle import gen_instance
+from mro_audit.report import build_document, file_digest, verify_document
+from mro_audit.risk import (
+    IDENTITY,
+    SamplingDesign,
+    TestConfig,
+    run_contest_test,
+)
 
 
 def two_candidate_contest(votes_a, votes_b, bound=None):
@@ -434,6 +442,20 @@ def _tight_vote_for_three():
     return setup, _tightest_bounds(returns, 3), ["C03", "C04", "C05"], "Pooled"
 
 
+def _hand_built(rows, votes_per_voter=1):
+    """A contest of one precinct per ``(ballot_bound, votes)`` row."""
+    setup = ContestSetup(tuple(rows[0][1]), votes_per_voter, len(rows))
+    return setup, [PrecinctReturns(f"p{i}", "c1", bound, votes)
+                   for i, (bound, votes) in enumerate(rows)]
+
+
+TIED = _hand_built([(30, {"A": 8, "B": 8, "C": 7})])
+# The pool {C, D} holds 20 votes in p0, whose bound is 10, and its total,
+# 20, does not trail B's 11.
+OVER_BOUND = _hand_built([(10, {"A": 0, "B": 0, "C": 10, "D": 10}),
+                          (11, {"A": 11, "B": 11, "C": 0, "D": 0})], 2)
+
+
 def _outcome(call):
     try:
         return call()
@@ -446,6 +468,11 @@ class TestPreparedContest:
 
     @given(request=pooling_requests())
     @example(request=_tight_vote_for_three())
+    @example(request=(*_tight_vote_for_three()[:2],
+                      ["C00", "C03", "C04", "C05"], "Pooled"))
+    @example(request=(*TIED, ["C"], "B"))
+    @example(request=(*TIED, ["A", "C"], "Pooled"))
+    @example(request=(*OVER_BOUND, ["C", "D"], "Pooled"))
     @settings(max_examples=150, deadline=None)
     def test_matches_validating_path(self, tmp_path_factory, request):
         setup, returns, pool, pooled_id = request
@@ -488,117 +515,46 @@ class TestPreparedContest:
         with pytest.raises(AmbiguousOutcome):
             pool_contest(contest, ["C"], "Rest")
 
-
-def _hand_built(rows, votes_per_voter=1):
-    """A contest of one precinct per ``(ballot_bound, votes)`` row."""
-    setup = ContestSetup(tuple(rows[0][1]), votes_per_voter, len(rows))
-    return setup, [PrecinctReturns(f"p{i}", "c1", bound, votes)
-                   for i, (bound, votes) in enumerate(rows)]
-
-
-@st.composite
-def pooled_loads(draw):
-    """A pooling request, sometimes with an empty pool or a pool of every
-    loser (which need not trail), and sometimes with one row of the file
-    made faulty: ``(setup, returns, pool, pooled_id, fault)``, where
-    ``fault`` is ``None`` or a row index and the text of its first count.
-    """
-    setup, returns, pool, pooled_id = draw(pooling_requests())
-    change = draw(st.integers(0, 5))
-    if change == 0:
-        pool = []
-    elif change == 1:
-        pool = list(setup.candidates[setup.votes_per_voter:])
-    fault = None
-    if draw(st.integers(0, 3)) == 0:
-        fault = (draw(st.integers(0, len(returns) - 1)),
-                 draw(st.sampled_from(["x", "-1", str(10**19)])))
-    return setup, returns, pool, pooled_id, fault
-
-
-ABC = _hand_built([(30, {"A": 10, "B": 8, "C": 7})])
-TIED = _hand_built([(30, {"A": 8, "B": 8, "C": 7})])
-# The pool {C, D} holds 20 votes in p0, whose bound is 10, and its total,
-# 20, does not trail B's 11.
-OVER_BOUND = _hand_built([(10, {"A": 0, "B": 0, "C": 10, "D": 10}),
-                          (11, {"A": 11, "B": 11, "C": 0, "D": 0})], 2)
-
-
-def pooled_load_property(test):
-    """Run ``test(self, tmp_path_factory, request)`` on drawn
-    :func:`pooled_loads` requests and on each failure, where it can be,
-    with the one reported after it."""
-    for request in [
-        (*ABC, ["A", "C"], "Pooled", (0, "x")),
-        (*TIED, ["Zed"], "Pooled", None),
-        (*ABC, [], "Pooled", None),
-        (*TIED, ["C"], "B", None),
-        (*TIED, ["A", "C"], "Pooled", None),
-        (*_tight_vote_for_three()[:2], ["C00", "C03", "C04", "C05"], "Pooled",
-         None),
-        (*OVER_BOUND, ["C", "D"], "Pooled", None),
-        (*ABC, ["B", "C"], "Pooled", None),
-    ]:
-        test = example(request=request)(test)
-    return given(request=pooled_loads())(
-        settings(max_examples=150, deadline=None)(test))
-
-
-def check_pooled_load(tmp_path_factory, request):
-    setup, returns, pool, pooled_id, fault = request
-    path = tmp_path_factory.mktemp("contest") / "returns.csv"
-    _write_returns(path, setup, returns)
-    if fault is not None:
-        row, text = fault
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        cells = lines[row + 1].split(",")
-        cells[3] = text
-        lines[row + 1] = ",".join(cells)
-        path.write_text("".join(lines), encoding="utf-8")
-    votes_per_voter = setup.votes_per_voter
-
-    def pooled_load():
-        contest = load_contest(path, votes_per_voter, pool, pooled_id)
-        return contest.setup, contest.returns, contest.totals
-
-    def pooled_after_the_load():
-        contest = load_contest(path, votes_per_voter)
-        if pool:  # an empty pool is no pool to the loader
-            contest = pool_contest(contest, pool, pooled_id)
-        return contest.setup, contest.returns, contest.totals
-
-    got, expected = _outcome(pooled_load), _outcome(pooled_after_the_load)
-    assert got == expected
-    if isinstance(expected[0], ContestSetup):
-        assert [list(r.machine_votes) for r in got[1]] == [
-            list(r.machine_votes) for r in expected[1]
-        ]
-        assert list(got[2].totals) == list(expected[2].totals)
-
-
-class TestPooledLoad:
-    """``load_contest(path, vpv, pool, pooled_id)`` pools in its one pass
-    and agrees with ``pool_contest(load_contest(path, vpv), ...)``."""
-
-    @pooled_load_property
-    def test_matches_pooling_after_the_load(self, tmp_path_factory, request):
-        check_pooled_load(tmp_path_factory, request)
-
-    def test_empty_pool_is_no_pool(self, docs_returns_path):
-        contest = load_contest(docs_returns_path, 1, [], "Pooled")
-        assert contest.setup.candidates == ("Alpha", "Beta", "Gamma")
+    def test_empty_pool_is_rejected(self, docs_returns_path):
         with pytest.raises(ValidationError, match="candidate pool is empty"):
             pool_contest(load_contest(docs_returns_path), [], "Pooled")
 
+    def test_does_not_share_the_callers_rows(self):
+        setup, rows = _hand_built([(30, {"A": 10, "B": 8, "C": 7})])
+        contest = prepare_contest(setup, rows)
+        original = list(rows)
+        rows.append(rows[0]._replace(precinct_id="p1"))
+        assert len(contest.returns) == len(contest.precinct_ids) == 1
+        assert contest.returns == original
 
-@pytest.mark.usefixtures("chunks_of_two")
-class TestPooledLoadInChunksOfTwo:
-    """The same, with the returns loaded two records at a time, so that a
-    faulty row or a pool rule's precinct can lie past a chunk boundary."""
 
-    @pooled_load_property
-    def test_matches_pooling_after_the_load(self, tmp_path_factory, request):
-        check_pooled_load(tmp_path_factory, request)
+class TestPoolRulesAgree:
+    """The library's pool rules are the ones ``verify_document`` holds a
+    report's ``contest.pooled`` to."""
+
+    def test_member_named_twice(self, docs_returns_path):
+        with pytest.raises(ValidationError, match=r"^pool names 'Gamma' twice$"):
+            pool_contest(load_contest(docs_returns_path), ["Gamma", "Gamma"],
+                         "Minor")
+        with pytest.raises(ValidationError, match=r"^pool names 'Gamma' twice$"):
+            pool_candidates(*load_returns(docs_returns_path),
+                            ["Gamma", "Gamma"], "Minor")
+
+    def test_library_pool_verifies(self, docs_returns_path, docs_audits_path):
+        pooled = {"members": ["Gamma"], "pooled_id": "Minor"}
+        contest = pool_contest(load_contest(docs_returns_path),
+                               pooled["members"], "Minor")
+        audits = pool_audit_records(load_audits(docs_audits_path),
+                                    pooled["members"], "Minor")
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 2))
+        report, bounds, discrepancies = run_contest_test(contest, audits,
+                                                         config)
+        document = build_document(
+            contest.setup, contest.returns, contest.totals, bounds,
+            discrepancies, report, tool_version=__version__,
+            input_digests={"returns": file_digest(docs_returns_path)},
+            pooled=pooled)
+        assert verify_document(document)
 
 
 class TestRowTypes:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import minnesota
 import mro_audit.io
-from mro_audit.core import AuditRecord, PrecinctReturns, compute_totals
+from mro_audit.core import (
+    AuditRecord,
+    PrecinctReturns,
+    compute_totals,
+    pool_contest,
+)
 from mro_audit.discrepancy import BoundColumns
 from mro_audit.errors import (
     AuditError,
@@ -220,7 +225,9 @@ class TestContestColumns:
         ((), "Pooled"), (("Gamma",), "Minor"),
     ], ids=["unpooled", "pooled"])
     def test_docs_example_rows(self, docs_returns_path, pool, pooled_id):
-        contest = load_contest(docs_returns_path, 1, pool, pooled_id)
+        contest = load_contest(docs_returns_path)
+        if pool:
+            contest = pool_contest(contest, pool, pooled_id)
         expected = reference_rows(docs_returns_path, pool, pooled_id)
         assert contest.returns == expected
         assert [list(r.machine_votes) for r in contest.returns] == [
@@ -231,7 +238,9 @@ class TestContestColumns:
                              ids=["unpooled", "pooled"])
     def test_rows_across_chunks(self, tmp_path, pool):
         path = many_chunks(tmp_path)
-        contest = load_contest(path, 1, pool, "Minor")
+        contest = load_contest(path)
+        if pool:
+            contest = pool_contest(contest, pool, "Minor")
         expected = reference_rows(path, pool, "Minor")
         assert contest.returns == expected
         assert [list(r.machine_votes) for r in contest.returns] == [
@@ -715,6 +724,11 @@ CORPUS = [
         ValidationError, "{path}, row 2: county c1: negative registered "
                          "voters",
         id="counties-negative-voters"),
+    pytest.param(
+        "counties", CR + "c1,-1,1\nc2,10000,\n",
+        ValidationError, "{path}, row 2: county c1: negative registered "
+                         "voters",
+        id="counties-negative-voters-with-required-samples"),
     pytest.param(
         "counties", CR + "c1,10000,3\nc2,10000,\n",
         ValidationError, "{path}, row 2: county c1: 3 samples requested "
