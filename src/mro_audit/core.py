@@ -131,9 +131,10 @@ class Contest:
 
     ``precinct_ids``, ``county_ids``, ``ballot_bounds`` and, in ``counts``,
     one column per candidate of ``setup.candidates`` satisfy every
-    invariant :func:`validate_returns` checks, and ``votes`` is each
-    candidate's total.  The constructor trusts them all; build a contest
-    with :func:`prepare_contest`, ``io.load_contest`` or :func:`pool_contest`.
+    invariant :func:`validate_returns` checks.  The constructor trusts them
+    all, and sums each count column once for the candidates' totals; build
+    a contest with :func:`prepare_contest`, ``io.load_contest`` or
+    :func:`pool_contest`.
 
     ``totals`` adds the apparent outcome on first use, so that a caller can
     check its own arguments against the contest (a pool naming an unknown
@@ -146,14 +147,13 @@ class Contest:
 
     def __init__(self, setup: ContestSetup, precinct_ids: Sequence[str],
                  county_ids: Sequence[str], ballot_bounds: Sequence[int],
-                 counts: list[Sequence[int]],
-                 votes: dict[Candidate, int]) -> None:
+                 counts: list[Sequence[int]]) -> None:
         self.setup = setup
         self.precinct_ids = precinct_ids
         self.county_ids = county_ids
         self.ballot_bounds = ballot_bounds
         self.counts = counts
-        self._votes = votes
+        self._votes = dict(zip(setup.candidates, map(sum, counts)))
         self._totals: ContestTotals | None = None
         self._returns: list[PrecinctReturns] | None = None
 
@@ -332,8 +332,7 @@ def prepare_contest(setup: ContestSetup,
     validate_returns(setup, returns)
     ids, counties, bounds, votes = zip(*returns)
     counts = [list(map(itemgetter(c), votes)) for c in setup.candidates]
-    return Contest(setup, ids, counties, bounds, counts,
-                   dict(zip(setup.candidates, map(sum, counts))))
+    return Contest(setup, ids, counties, bounds, counts)
 
 
 def compute_totals(setup: ContestSetup,
@@ -374,8 +373,8 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
     The pooled candidate's votes in each precinct are the sum of the pool's
     votes; all other entries, ballot bounds and county assignments are
     unchanged.  Margins between unpooled candidates are preserved.  The
-    pooled totals are summed from the contest's totals; the returns are not
-    validated or tabulated again, save the pooled column against the bound.
+    returns are not validated again, save the pooled column against the
+    bound; the pooled contest sums its own columns.
 
     The pool arguments are checked before the contest's outcome is taken,
     so a bad pool is reported ahead of a tie.
@@ -412,12 +411,10 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
             f"pooled total {pooled_total} for {pooled_id!r} does not trail "
             f"winner {weakest!r} ({votes[weakest]})"
         )
-    new_votes = {c: votes[c] for c in setup.candidates if c not in pool}
-    new_votes[pooled_id] = pooled_total
-    counts = [columns[c] for c in setup.candidates if c not in pool]
-    return Contest(ContestSetup(tuple(new_votes), setup.votes_per_voter,
+    kept = [c for c in setup.candidates if c not in pool]
+    return Contest(ContestSetup((*kept, pooled_id), setup.votes_per_voter,
                                 setup.precinct_count), contest.precinct_ids,
-                   contest.county_ids, bounds, [*counts, pooled], new_votes)
+                   contest.county_ids, bounds, [*map(columns.get, kept), pooled])
 
 
 def pool_candidates(

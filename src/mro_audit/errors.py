@@ -53,7 +53,7 @@ class IncompleteTally(AuditError):
 
 
 class UnknownPrecinct(AuditError):
-    """An audit record or plan refers to a precinct absent from the returns."""
+    """An audit record refers to a precinct absent from the returns."""
 
 
 class CandidateMismatch(AuditError):
@@ -82,10 +82,6 @@ class InvalidCount(AuditError):
 
 class InfeasibleConstraint(AuditError):
     """A sampling constraint cannot be satisfied by any draw."""
-
-
-class EmptyCounty(AuditError):
-    """A county plan lists no precincts."""
 
 
 class InfeasibleSpec(AuditError):

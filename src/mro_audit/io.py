@@ -33,6 +33,7 @@ raise the first fault as the row walk would.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from collections.abc import Callable, Container, Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -50,7 +51,7 @@ from .core import (
     _count_problem,
 )
 from .errors import ParseError, ValidationError
-from .sampling import CountyPlan, statutory_minimum
+from .sampling import CountyPlan, _plan_problem, statutory_minimum
 
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 # Returns records converted to columns at once: enough that the passes run
@@ -215,8 +216,7 @@ def load_contest(path: str | Path, votes_per_voter: int = 1) -> Contest:
         _raise_first_fault(columns, table, header, votes_per_voter, path)
     ids, counties, bounds, *counts = columns
     return Contest(ContestSetup(candidates, votes_per_voter, len(ids)),
-                   ids, counties, bounds, counts,
-                   dict(zip(candidates, map(sum, counts))))
+                   ids, counties, bounds, counts)
 
 
 def _append_columns(columns: list[list],
@@ -307,11 +307,14 @@ def load_county_plans(
     path: str | Path,
     returns: list[PrecinctReturns],
 ) -> list[CountyPlan]:
-    """Load the county table and attach each county's precincts from the returns.
+    """Load the county table; a county's precincts are the returns rows
+    with its ``county_id``.
 
     Every county occurring in the returns must appear in the table and vice
-    versa.  When the optional ``required_samples`` column is present and
-    nonempty it overrides the statutory minimum (counties may audit more).
+    versa, and no county may ask for more samples than it has precincts
+    (``sampling._plan_problem``, reported at the county's row).  When the
+    optional ``required_samples`` column is present and nonempty it
+    overrides the statutory minimum (counties may audit more).
     """
     path = str(path)
     records = _records(path)
@@ -324,10 +327,7 @@ def load_county_plans(
             path=path, row=1,
         )
     has_required = len(header) == 3
-
-    precincts_by_county: dict[str, list[str]] = {}
-    for ret in returns:
-        precincts_by_county.setdefault(ret.county_id, []).append(ret.precinct_id)
+    sizes = Counter(ret.county_id for ret in returns)
 
     plans: list[CountyPlan] = []
     for row, cells in records:
@@ -336,11 +336,6 @@ def load_county_plans(
         if voters < 0:
             raise ValidationError(
                 f"county {county_id}: negative registered voters",
-                path=path, row=row,
-            )
-        if county_id not in precincts_by_county:
-            raise ValidationError(
-                f"county {county_id!r} has no precincts in the returns",
                 path=path, row=row,
             )
         minimum = required = statutory_minimum(voters)
@@ -352,12 +347,11 @@ def load_county_plans(
                     f"minimum {minimum}",
                     path=path, row=row,
                 )
-        try:
-            plans.append(CountyPlan(county_id, precincts_by_county[county_id],
-                                    required))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path=path, row=row) from None
-    missing = set(precincts_by_county) - {plan.county_id for plan in plans}
+        plans.append(CountyPlan(county_id, required))
+        problem = _plan_problem(plans[-1], sizes[county_id])
+        if problem is not None:
+            raise ValidationError(problem, path=path, row=row)
+    missing = set(sizes) - {plan.county_id for plan in plans}
     if missing:
         raise ValidationError(
             f"counties in returns but not in the table: {sorted(missing)[:5]}",

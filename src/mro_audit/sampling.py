@@ -3,7 +3,9 @@
 County rules of the Minnesota kind: each county draws a statutory minimum
 number of precincts at random (2, 3 or 4 depending on registered voters),
 and at least one drawn precinct must have 150 or more votes.  "Votes" means
-votes counted for this contest, not registered voters.
+votes counted for this contest, not registered voters.  A county's
+precincts are the returns rows with its ``county_id``; a plan says only
+how many of them to draw.
 
 Draws use per-precinct tickets derived from SHA-256 over (seed, precinct id),
 so a sample is reproducible from the seed alone on any platform and in any
@@ -14,6 +16,10 @@ The stratified design is reduced for the risk test to an effective
 with-replacement sample size: the population size times the smallest
 per-county inclusion rate, rounded down; a precinct under 150 votes is
 reached only by its county's later draws.
+
+One walk of the returns, :func:`_counties`, states the county rules for
+the draw and its reduction alike; ``io.load_county_plans`` applies its
+per-plan rule, :func:`_plan_problem`, at each row of a county table.
 """
 
 from __future__ import annotations
@@ -25,44 +31,35 @@ from fractions import Fraction
 from functools import partial
 
 from .core import PrecinctReturns
-from .errors import (
-    EmptyCounty,
-    InfeasibleConstraint,
-    UnknownPrecinct,
-    ValidationError,
-)
+from .errors import InfeasibleConstraint, ValidationError
 
 LARGE_PRECINCT_VOTES = 150
 
 
 @dataclass(frozen=True)
 class CountyPlan:
-    """How many precincts one county must draw, and from which."""
+    """How many precincts one county must draw.  Its precincts are the
+    returns rows whose ``county_id`` is the plan's."""
 
     county_id: str
-    precincts: tuple[str, ...]
     required_samples: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precincts", tuple(self.precincts))
         if self.required_samples < 1:
             raise ValidationError(
                 f"county {self.county_id}: must sample at least one precinct"
             )
-        if not self.precincts:
-            raise EmptyCounty(f"county {self.county_id} has no precincts")
-        if len(set(self.precincts)) < len(self.precincts):
-            repeated = next(pid for i, pid in enumerate(self.precincts)
-                            if pid in self.precincts[:i])
-            raise ValidationError(
-                f"county {self.county_id}: precinct {repeated!r} is listed "
-                "twice"
-            )
-        if self.required_samples > len(self.precincts):
-            raise ValidationError(
-                f"county {self.county_id}: {self.required_samples} samples "
-                f"requested from {len(self.precincts)} precincts"
-            )
+
+
+def _plan_problem(plan: CountyPlan, size: int) -> str | None:
+    """The rule ``plan`` breaks against the ``size`` precincts of its county
+    in the returns, or ``None``.  The caller adds the location."""
+    if not size:
+        return f"county {plan.county_id!r} has no precincts in the returns"
+    if plan.required_samples > size:
+        return (f"county {plan.county_id}: "
+                f"{plan.required_samples} samples requested from {size} precincts")
+    return None
 
 
 def statutory_minimum(registered_voters: int) -> int:
@@ -82,45 +79,49 @@ def _ticket(seed: int | str, precinct_id: str) -> str:
     return hashlib.sha256(f"{seed}|{precinct_id}".encode("utf-8")).hexdigest()
 
 
-def _eligible(
+def _counties(
     plans: Sequence[CountyPlan], returns: Sequence[PrecinctReturns]
-) -> list[set[str]]:
-    """Each plan's eligible precincts, those with at least 150 votes, once
-    every precinct of the returns is found in exactly one plan.
+) -> list[tuple[list[str], set[str]]]:
+    """Each plan's precincts, in returns order, and those of them with at
+    least 150 votes, from one walk of the returns.
+
+    The county rules, in this order: no county has two plans; each plan
+    keeps :func:`_plan_problem`; every county of the returns has a plan;
+    and each plan's county has a precinct with at least 150 votes.
 
     Raises:
-        UnknownPrecinct: a plan lists a precinct absent from the returns.
-        ValidationError: a precinct appears in two plans, or in none.
-        InfeasibleConstraint: a plan has no precinct with >= 150 votes.
+        ValidationError: one of the first three rules is broken.
+        InfeasibleConstraint: a plan's county has no precinct with >= 150
+            votes.
     """
-    votes = {ret.precinct_id: ret.total_votes() for ret in returns}
-    claimed: set[str] = set()
+    walk: dict[str, tuple[list[str], set[str]]] = {}
     for plan in plans:
-        for pid in plan.precincts:
-            if pid not in votes:
-                raise UnknownPrecinct(
-                    f"county {plan.county_id}: precinct {pid!r} not in returns"
-                )
-            if pid in claimed:
-                raise ValidationError(
-                    f"precinct {pid!r} appears in more than one county plan"
-                )
-            claimed.add(pid)
-    if len(claimed) < len(votes):
-        unplanned = [pid for pid in votes if pid not in claimed]
+        if plan.county_id in walk:
+            raise ValidationError(f"county {plan.county_id!r} has two plans")
+        walk[plan.county_id] = [], set()
+    unplanned: set[str] = set()
+    for ret in returns:
+        county = walk.get(ret.county_id)
+        if county is None:
+            unplanned.add(ret.county_id)
+            continue
+        county[0].append(ret.precinct_id)
+        if ret.total_votes() >= LARGE_PRECINCT_VOTES:
+            county[1].add(ret.precinct_id)
+    for plan in plans:
+        problem = _plan_problem(plan, len(walk[plan.county_id][0]))
+        if problem is not None:
+            raise ValidationError(problem)
+    if unplanned:
         raise ValidationError(
-            f"{len(unplanned)} precinct(s) in no county plan, "
-            f"e.g. {unplanned[:5]}"
-        )
-    eligible = [{pid for pid in plan.precincts
-                 if votes[pid] >= LARGE_PRECINCT_VOTES} for plan in plans]
-    for plan, large in zip(plans, eligible):
-        if not large:
+            f"counties in returns but in no plan: {sorted(unplanned)[:5]}")
+    for plan in plans:
+        if not walk[plan.county_id][1]:
             raise InfeasibleConstraint(
                 f"county {plan.county_id}: no precinct has at least "
                 f"{LARGE_PRECINCT_VOTES} votes"
             )
-    return eligible
+    return [walk[plan.county_id] for plan in plans]
 
 
 def draw_sample(
@@ -136,12 +137,11 @@ def draw_sample(
     sum of the counties' required samples, with no duplicates.
 
     Raises:
-        InfeasibleConstraint, UnknownPrecinct, ValidationError: as
-            :func:`_eligible`.
+        InfeasibleConstraint, ValidationError: as :func:`_counties`.
     """
     sample: list[str] = []
-    for plan, large in zip(plans, _eligible(plans, returns)):
-        ordered = sorted(plan.precincts, key=partial(_ticket, seed))
+    for plan, (precincts, large) in zip(plans, _counties(plans, returns)):
+        ordered = sorted(precincts, key=partial(_ticket, seed))
         first = next(pid for pid in ordered if pid in large)
         rest = [pid for pid in ordered if pid != first]
         sample.extend([first, *rest[: plan.required_samples - 1]])
@@ -158,14 +158,14 @@ def conservative_effective_n(plans: Sequence[CountyPlan],
     a precinct under 150 votes, which only the later draws reach.
 
     Raises:
-        InfeasibleConstraint, UnknownPrecinct: as :func:`_eligible`.
-        ValidationError: no plans are given, or as :func:`_eligible`.
+        InfeasibleConstraint: as :func:`_counties`.
+        ValidationError: no plans are given, or as :func:`_counties`.
     """
     if not plans:
         raise ValidationError("no county plans supplied")
     rates = []
-    for plan, large in zip(plans, _eligible(plans, returns)):
-        size, take = len(plan.precincts), plan.required_samples
+    for plan, (precincts, large) in zip(plans, _counties(plans, returns)):
+        size, take = len(precincts), plan.required_samples
         if len(large) < size:
             size, take = size - 1, take - 1
         rates.append(Fraction(take, size))

@@ -310,6 +310,20 @@ class TestPlan:
         assert payload["total_samples"] == 202
         assert payload["conservative_effective_n"] == 78
         assert len(payload["counties"]) == 87
+        assert hashlib.sha256(first.output.encode()).hexdigest() == (
+            "5db5cdc94760e2ac319f1c90f805d3dc6f5d7d99186468ad182ca9f705338b48"
+        )
+
+    def test_docs_example_bytes(self, runner, docs_returns_path, tmp_path):
+        counties = tmp_path / "counties.csv"
+        counties.write_text("county_id,registered_voters\n"
+                            "North,1000\nSouth,1000\n")
+        result = invoke(runner, ["plan", str(docs_returns_path),
+                                 "--counties", str(counties), "--seed", "1"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "0f999903ce54b9d775318ca5b7b998d35d70e87aa860672b7d3605a12872a217"
+        )
 
     def test_seed_required(self, runner, minnesota_files):
         result = runner.invoke(cli, [

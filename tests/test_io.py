@@ -37,6 +37,7 @@ from mro_audit.risk import (
     run_contest_test,
     run_test,
 )
+from mro_audit.sampling import CountyPlan
 
 
 R = "precinct_id,county_id,ballot_bound,A,B\n"
@@ -359,9 +360,8 @@ class TestLoadCountyPlans:
         )
         _, returns = load_returns(returns_path)
         plans = load_county_plans(counties_path, returns)
-        assert plans[0].required_samples == 2   # statutory
-        assert plans[1].required_samples == 3   # county audits more
-        assert plans[0].precincts == ("p1", "p2")
+        assert plans == [CountyPlan("c1", 2),   # statutory
+                         CountyPlan("c2", 3)]   # county audits more
 
     def test_override_below_statutory_rejected(self, tmp_path):
         returns_path = write(

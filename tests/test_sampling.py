@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mro_audit.core import PrecinctReturns
-from mro_audit.errors import (
-    EmptyCounty,
-    InfeasibleConstraint,
-    UnknownPrecinct,
-    ValidationError,
-)
+from mro_audit.errors import InfeasibleConstraint, ValidationError
 from mro_audit.sampling import (
     CountyPlan,
     conservative_effective_n,
@@ -49,7 +44,7 @@ class TestDrawSample:
     def test_same_seed_same_sample(self):
         votes = {f"p{i}": 100 + i * 30 for i in range(8)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", tuple(votes), 3)]
+        plans = [CountyPlan("c1", 3)]
         assert draw_sample(plans, returns, "seed-a") == draw_sample(
             plans, returns, "seed-a"
         )
@@ -57,13 +52,13 @@ class TestDrawSample:
     def test_different_seed_can_differ(self):
         votes = {f"p{i}": 200 for i in range(30)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", tuple(votes), 3)]
+        plans = [CountyPlan("c1", 3)]
         draws = {tuple(draw_sample(plans, returns, seed)) for seed in range(6)}
         assert len(draws) > 1
 
     def test_forced_sample_takes_both_precincts(self):
         returns = returns_for("c1", {"p1": 200, "p2": 20})
-        plans = [CountyPlan("c1", ("p1", "p2"), 2)]
+        plans = [CountyPlan("c1", 2)]
         for seed in ("x", "y", 3):
             assert sorted(draw_sample(plans, returns, seed)) == ["p1", "p2"]
 
@@ -73,7 +68,7 @@ class TestDrawSample:
         for c in range(5):
             votes = {f"c{c}-p{i}": 150 + i for i in range(9)}
             returns.extend(returns_for(f"c{c}", votes))
-            plans.append(CountyPlan(f"c{c}", tuple(votes), 3))
+            plans.append(CountyPlan(f"c{c}", 3))
         sample = draw_sample(plans, returns, 42)
         assert len(sample) == 15
         assert len(set(sample)) == 15
@@ -82,20 +77,14 @@ class TestDrawSample:
         # Only one precinct clears 150 votes; it must always be drawn.
         votes = {"small1": 10, "small2": 20, "big": 300, "small3": 30}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", tuple(votes), 2)]
+        plans = [CountyPlan("c1", 2)]
         for seed in range(10):
             assert "big" in draw_sample(plans, returns, seed)
 
     def test_infeasible_when_no_large_precinct(self):
         returns = returns_for("c1", {"p1": 10, "p2": 20})
-        plans = [CountyPlan("c1", ("p1", "p2"), 2)]
+        plans = [CountyPlan("c1", 2)]
         with pytest.raises(InfeasibleConstraint):
-            draw_sample(plans, returns, 1)
-
-    def test_unknown_precinct_rejected(self):
-        returns = returns_for("c1", {"p1": 200})
-        plans = [CountyPlan("c1", ("p1", "ghost"), 2)]
-        with pytest.raises(UnknownPrecinct):
             draw_sample(plans, returns, 1)
 
     @given(st.integers(0, 2**63))
@@ -105,25 +94,28 @@ class TestDrawSample:
         # twice, and the sample is always the required size.
         votes = {f"p{i}": (300 if i == 0 else 50) for i in range(6)}
         returns = returns_for("c1", votes)
-        plans = [CountyPlan("c1", tuple(votes), 2)]
+        plans = [CountyPlan("c1", 2)]
         sample = draw_sample(plans, returns, seed)
         assert len(sample) == len(set(sample)) == 2
         assert "p0" in sample
 
 
 def reference_draw(plans, returns, seed):
-    """The county draw written out step by step, sharing no code with it."""
+    """The county draw written out step by step, sharing no code with it:
+    a county's precincts are the rows with its county id."""
     votes = {r.precinct_id: r.total_votes() for r in returns}
     sample = []
     for plan in plans:
+        precincts = [r.precinct_id for r in returns
+                     if r.county_id == plan.county_id]
         tickets = {
             pid: hashlib.sha256(f"{seed}|{pid}".encode("utf-8")).hexdigest()
-            for pid in plan.precincts
+            for pid in precincts
         }
-        big = [pid for pid in plan.precincts if votes[pid] >= 150]
+        big = [pid for pid in precincts if votes[pid] >= 150]
         first = min(big, key=lambda pid: (tickets[pid], pid))
         others = sorted(
-            (pid for pid in plan.precincts if pid != first),
+            (pid for pid in precincts if pid != first),
             key=lambda pid: (tickets[pid], pid),
         )
         sample += [first] + others[: plan.required_samples - 1]
@@ -137,7 +129,7 @@ class TestDrawMatchesReference:
         for c in range(6):
             votes = {f"c{c}-p{i}": 80 * i + c for i in range(3 + 2 * c)}
             returns.extend(returns_for(f"c{c}", votes))
-            plans.append(CountyPlan(f"c{c}", tuple(votes), 2 + c % 3))
+            plans.append(CountyPlan(f"c{c}", 2 + c % 3))
         assert draw_sample(plans, returns, seed) == reference_draw(
             plans, returns, seed
         )
@@ -150,44 +142,37 @@ class TestDrawMatchesReference:
         )
 
 
-def large_returns(plans):
-    """Returns giving every precinct of ``plans`` 200 votes."""
-    return [ret for plan in plans
-            for ret in returns_for(plan.county_id,
-                                   dict.fromkeys(plan.precincts, 200))]
+def large_counties(shape):
+    """The plans and returns of counties ``c0``, ``c1``, ... of the given
+    ``(draws, precincts)`` sizes, every precinct with 200 votes."""
+    plans, returns = [], []
+    for c, (take, size) in enumerate(shape):
+        plans.append(CountyPlan(f"c{c}", take))
+        returns += returns_for(f"c{c}", {f"c{c}-p{i}": 200
+                                         for i in range(size)})
+    return plans, returns
 
 
 class TestCountyPlan:
+    def test_at_least_one_draw(self):
+        with pytest.raises(ValidationError, match=r"^county c1: must sample "
+                                                  r"at least one precinct$"):
+            CountyPlan("c1", 0)
+
     def test_more_samples_than_precincts_rejected(self):
         with pytest.raises(ValidationError, match=r"^county c1: 3 samples "
                                                   r"requested from 2 precincts$"):
-            CountyPlan("c1", ("p1", "p2"), 3)
-
-    def test_repeated_precinct_rejected(self):
-        with pytest.raises(ValidationError, match=r"^county c1: precinct "
-                                                  r"'p1' is listed twice$"):
-            CountyPlan("c1", ("p1", "p1", "p2"), 2)
-
-    def test_repeat_named_before_the_sample_count(self):
-        with pytest.raises(ValidationError, match="'p1' is listed twice"):
-            CountyPlan("c1", ("p1", "p1"), 3)
+            draw_sample([CountyPlan("c1", 3)],
+                        returns_for("c1", {"p1": 200, "p2": 200}), 1)
 
 
 class TestConservativeEffectiveN:
     def test_single_county_identity(self):
-        plans = [CountyPlan("c1", tuple(f"p{i}" for i in range(100)), 2)]
-        assert conservative_effective_n(plans, large_returns(plans)) == 2
+        assert conservative_effective_n(*large_counties([(2, 100)])) == 2
 
     def test_min_fraction_rule(self):
-        plans = [
-            CountyPlan("c1", tuple(f"a{i}" for i in range(10)), 2),
-            CountyPlan("c2", tuple(f"b{i}" for i in range(100)), 2),
-        ]
-        assert conservative_effective_n(plans, large_returns(plans)) == 2
-
-    def test_empty_county_rejected(self):
-        with pytest.raises(EmptyCounty):
-            CountyPlan("c2", (), 2)
+        assert conservative_effective_n(
+            *large_counties([(2, 10), (2, 100)])) == 2
 
     def test_minnesota_fixture_reduces_to_78(self, minnesota_files):
         plans = minnesota_files["plans"]
@@ -199,12 +184,8 @@ class TestConservativeEffectiveN:
                     min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_never_exceeds_total_sample_size(self, shape):
-        plans = [
-            CountyPlan(f"c{c}", tuple(f"c{c}-p{i}" for i in range(count)),
-                       required)
-            for c, (required, count) in enumerate(shape)
-        ]
-        effective = conservative_effective_n(plans, large_returns(plans))
+        plans, returns = large_counties(shape)
+        effective = conservative_effective_n(plans, returns)
         assert effective <= sum(p.required_samples for p in plans)
 
     def test_small_precinct_counts_only_the_later_draws(self):
@@ -225,69 +206,99 @@ class TestConservativeEffectiveN:
         assert Fraction(2, 3) ** 2 < Fraction(misses, seeds)
 
     def test_county_without_a_large_precinct_rejected(self):
-        plans = [CountyPlan("c1", ("p1",), 1)]
+        plans = [CountyPlan("c1", 1)]
         returns = returns_for("c1", {"p1": 20})
         with pytest.raises(InfeasibleConstraint,
                            match="county c1: no precinct has at least 150"):
             conservative_effective_n(plans, returns)
 
 
-def uncovered():
-    """One county of 2 precincts drawing 2, and 98 returns in no plan."""
-    plans = [CountyPlan("c1", ("p0", "p1"), 2)]
-    others = returns_for("c2", {f"q{i}": 200 for i in range(98)})
-    return plans, large_returns(plans) + others
+def doubly_listed():
+    """A second plan for county c0, ahead of the first plan's own fault."""
+    plans, returns = large_counties([(3, 2), (2, 2)])
+    return plans + [CountyPlan("c0", 2)], returns
 
 
 def ghost():
-    plans = [CountyPlan("c1", ("p1", "ghost"), 2)]
-    return plans, returns_for("c1", {"p1": 200})
+    """A plan for a county with no precincts in the returns."""
+    plans, returns = large_counties([(2, 2)])
+    return plans + [CountyPlan("ghost", 2)], returns
 
 
-def doubly_listed():
-    plans = [CountyPlan("c1", ("p1", "p2"), 2),
-             CountyPlan("c2", ("p2", "p3"), 2)]
-    return plans, returns_for("c1", {"p1": 200, "p2": 200, "p3": 200})
+def too_many_samples():
+    return large_counties([(2, 2), (3, 2)])
+
+
+def too_many_samples_and_ghost():
+    """Each plan's rule is checked in plan order."""
+    plans, returns = large_counties([(3, 2)])
+    return plans + [CountyPlan("ghost", 2)], returns
+
+
+def uncovered():
+    """A plan for c0 alone: counties c1 to c7 have none, and the message
+    names the first five."""
+    plans, returns = large_counties([(2, 2)] * 8)
+    return plans[:1], returns
+
+
+def too_many_samples_and_uncovered():
+    plans, returns = large_counties([(3, 2), (2, 2)])
+    return plans[:1], returns
 
 
 def no_large_precinct():
-    plans = [CountyPlan("c1", ("p1", "p2"), 2),
-             CountyPlan("c2", ("p3",), 1)]
+    plans = [CountyPlan("c1", 2), CountyPlan("c2", 1)]
     return plans, (returns_for("c1", {"p1": 200, "p2": 200})
                    + returns_for("c2", {"p3": 149}))
 
 
 def ghost_and_no_large_precinct():
     """The cover rules are checked before any county's eligibility."""
-    plans = [CountyPlan("c1", ("p1",), 1),
-             CountyPlan("c2", ("p2", "ghost"), 2)]
+    plans = [CountyPlan("c1", 1), CountyPlan("c2", 2)]
+    return plans, returns_for("c1", {"p1": 20})
+
+
+def uncovered_and_no_large_precinct():
+    plans = [CountyPlan("c1", 1)]
     return plans, (returns_for("c1", {"p1": 20})
                    + returns_for("c2", {"p2": 200}))
 
 
 class TestPlansCoverTheReturns:
     """The draw and its reduction reject the same designs, with the same
-    messages: every precinct must be in one plan, and every plan must hold
-    a precinct of 150 votes or more."""
+    messages and in the same order: no county has two plans, every plan's
+    county has precincts and at least its draws of them, every county of
+    the returns has a plan, and every plan's county has a precinct of 150
+    votes or more."""
 
     @pytest.mark.parametrize("reduce", [
         lambda plans, returns: draw_sample(plans, returns, 1),
         conservative_effective_n,
     ], ids=["draw", "reduction"])
     @pytest.mark.parametrize("case, error, message", [
+        (doubly_listed, ValidationError, r"^county 'c0' has two plans$"),
+        (ghost, ValidationError,
+         r"^county 'ghost' has no precincts in the returns$"),
+        (too_many_samples, ValidationError,
+         r"^county c1: 3 samples requested from 2 precincts$"),
+        (too_many_samples_and_ghost, ValidationError,
+         r"^county c0: 3 samples requested from 2 precincts$"),
         (uncovered, ValidationError,
-         r"^98 precinct\(s\) in no county plan, "
-         r"e\.g\. \['q0', 'q1', 'q2', 'q3', 'q4'\]$"),
-        (ghost, UnknownPrecinct,
-         r"^county c1: precinct 'ghost' not in returns$"),
-        (doubly_listed, ValidationError,
-         r"^precinct 'p2' appears in more than one county plan$"),
+         r"^counties in returns but in no plan: "
+         r"\['c1', 'c2', 'c3', 'c4', 'c5'\]$"),
+        (too_many_samples_and_uncovered, ValidationError,
+         r"^county c0: 3 samples requested from 2 precincts$"),
         (no_large_precinct, InfeasibleConstraint,
          r"^county c2: no precinct has at least 150 votes$"),
-        (ghost_and_no_large_precinct, UnknownPrecinct,
-         r"^county c2: precinct 'ghost' not in returns$"),
-    ], ids=["unplanned", "ghost", "doubly-listed", "no-large-precinct",
-            "ghost-and-no-large-precinct"])
+        (ghost_and_no_large_precinct, ValidationError,
+         r"^county 'c2' has no precincts in the returns$"),
+        (uncovered_and_no_large_precinct, ValidationError,
+         r"^counties in returns but in no plan: \['c2'\]$"),
+    ], ids=["doubly-listed", "ghost", "too-many-samples",
+            "too-many-samples-and-ghost", "unplanned",
+            "too-many-samples-and-unplanned", "no-large-precinct",
+            "ghost-and-no-large-precinct", "unplanned-and-no-large-precinct"])
     def test_rejected(self, reduce, case, error, message):
         with pytest.raises(error, match=message):
             reduce(*case())
@@ -297,7 +308,7 @@ def threshold_county(middle_votes):
     """One county of three precincts drawing 2: 200, ``middle_votes`` and
     150 votes."""
     votes = {"p200": 200, "mid": middle_votes, "p150": 150}
-    return [CountyPlan("c1", tuple(votes), 2)], returns_for("c1", votes)
+    return [CountyPlan("c1", 2)], returns_for("c1", votes)
 
 
 class TestLargePrecinctThreshold:
@@ -318,7 +329,7 @@ class TestLargePrecinctThreshold:
 
 
 SMALL_COUNTY = (
-    [CountyPlan("c1", ("big", "small1", "small2"), 2)],
+    [CountyPlan("c1", 2)],
     returns_for("c1", {"big": 300, "small1": 20, "small2": 30}),
 )
 
@@ -385,7 +396,7 @@ def design_inputs(design):
     for c, (eligible, take) in enumerate(design):
         votes = {f"c{c}-p{i}": 200 if big else 100
                  for i, big in enumerate(eligible)}
-        plans.append(CountyPlan(f"c{c}", tuple(votes), take))
+        plans.append(CountyPlan(f"c{c}", take))
         returns.extend(returns_for(f"c{c}", votes))
     return plans, returns
 
