@@ -31,11 +31,10 @@ from .io import (
 from .report import (
     SCHEMA,
     bounds_json,
-    build_document,
-    document_json,
     file_digest,
     outcome_block,
     percent,
+    report_json,
     risk_block,
 )
 from .risk import (
@@ -282,19 +281,12 @@ def pvalue(returns_file, audits_file, **options):
 def report_command(returns_file, audits_file, **options):
     """Full audit report document (schema mro-audit/1)."""
     contest, (report, bounds, discrepancies), pooled_info = _run_pipeline(
-        returns_file, audits_file, **options
-    )
-    document = build_document(
-        contest.setup, contest.returns, contest.totals, bounds, discrepancies,
-        report,
-        tool_version=__version__,
-        input_digests={
-            "returns": file_digest(returns_file),
-            "audits": file_digest(audits_file),
-        },
-        pooled=pooled_info,
-    )
-    click.echo(document_json(document))
+        returns_file, audits_file, **options)
+    click.echo(report_json(
+        contest, bounds, discrepancies, report, tool_version=__version__,
+        input_digests={"returns": file_digest(returns_file),
+                       "audits": file_digest(audits_file)},
+        pooled=pooled_info))
 
 
 @cli.command()

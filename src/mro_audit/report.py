@@ -19,10 +19,12 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
+from itertools import groupby
 from operator import truediv
 from pathlib import Path
 
-from .core import ContestSetup, ContestTotals, PrecinctReturns, prepare_contest
+from .core import (Contest, ContestSetup, ContestTotals, PrecinctReturns,
+                   prepare_contest)
 from .discrepancy import BoundColumns, PrecinctDiscrepancy
 from .errors import ValidationError
 from .risk import RiskReport, SamplingDesign, TestConfig, assess_sample
@@ -202,33 +204,61 @@ def _object_json(members: Iterable[tuple[str, str]]) -> str:
     ) + "\n}"
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _report_rows(template: str, ids: Iterable[str], county_ids: Iterable[str],
+                 ballot_bounds: Iterable[int], counts: Iterable[Iterable[int]],
+                 bounds: Iterable[str], sampled: Iterable[bool],
+                 mros: Iterable[str | None]) -> list[str]:
+    """``template`` filled from each precinct's cells: one count column per
+    vote key, and an ``"n/d"`` MRO text, ``None`` for an unsampled one."""
+    return list(map(template.__mod__, zip(
+        map(_string, ids), map(_string, county_ids), ballot_bounds, *counts,
+        map(_string, bounds), map(_LITERALS.__getitem__, sampled),
+        (_LITERALS[mro] if mro is None else _string(mro) for mro in mros))))
+
+
 def _report_rows_json(rows: Sequence[Mapping]) -> str:
-    templates: dict[tuple[str, ...], str] = {}
     rendered = []
-    for row in rows:
-        votes = row["votes"]
-        keys = tuple(votes)
-        template = templates.get(keys)
-        if template is None:
-            template = templates[keys] = _report_row_template(keys)
-        mro = row["mro"]
-        rendered.append(template % (
-            _string(row["precinct_id"]), _string(row["county_id"]),
-            row["ballot_bound"], *votes.values(), _string(row["bound"]),
-            "true" if row["sampled"] else "false",
-            "null" if mro is None else _string(mro),
-        ))
+    # A run of rows whose votes have the same keys shares a template; a
+    # row's values are its cells, in the order build_document writes them.
+    for keys, run in groupby(rows, lambda row: tuple(row["votes"])):
+        ids, counties, ballot_bounds, votes, *rest = zip(*map(dict.values, run))
+        rendered += _report_rows(_report_row_template(keys), ids, counties,
+                                 ballot_bounds, zip(*map(dict.values, votes)),
+                                 *rest)
     return _rows_json(rendered)
 
 
 def document_json(document: Mapping) -> str:
     """``json.dumps(document, indent=2)`` for a document of
     :func:`build_document`'s shape, with its rows rendered from templates."""
-    return _object_json(
-        (key, _report_rows_json(value) if key == "precincts"
-         else _nested_json(value))
-        for key, value in document.items()
-    )
+    return _object_json((key, _report_rows_json(value) if key == "precincts"
+                         else _nested_json(value))
+                        for key, value in document.items())
+
+
+def report_json(contest: Contest, bounds: BoundColumns,
+                discrepancies: Sequence[PrecinctDiscrepancy],
+                report: RiskReport, *, tool_version: str,
+                input_digests: Mapping[str, str],
+                pooled: Mapping[str, object] | None = None) -> str:
+    """``document_json(build_document(contest.setup, contest.returns, ...))``,
+    its rows rendered straight from the columns: no row, no row dict."""
+    document = build_document(contest.setup, (), contest.totals, {}, (),
+                              report, tool_version=tool_version,
+                              input_digests=input_digests, pooled=pooled)
+    mros = {d.precinct_id: fraction_str(d.max_overstatement)
+            for d in discrepancies}
+    rows = _report_rows(
+        _report_row_template(contest.setup.candidates), contest.precinct_ids,
+        contest.county_ids, contest.ballot_bounds, contest.counts,
+        map(ratio_str, bounds.numerators, bounds.margins),
+        map(mros.__contains__, bounds), map(mros.get, bounds))
+    return _object_json((key, _rows_json(rows) if key == "precincts"
+                         else _nested_json(value))
+                        for key, value in document.items())
 
 
 def bounds_json(county_ids: Iterable[str], bounds: BoundColumns) -> str:
@@ -403,10 +433,13 @@ def verify_document(document: Mapping) -> bool:
     rebuilt = prepare_contest(setup, returns)
     bounds = BoundColumns(rebuilt)
     nums, dens = bounds.numerators, bounds.margins
-    # Row by row, so that no second copy of the rows is ever held.
+    # Row by row, so that no second copy of the rows is ever held.  A row
+    # equal to its rebuilt one, type for type, is accepted without a walk.
     for row, built in zip(rows, _rows(returns, map(ratio_str, nums, dens),
                                       mros)):
-        _match(row, built, "document", f"precinct {built['precinct_id']}")
+        if row != built or [*map(type, map(row.get, built))] != [
+                *map(type, built.values())]:
+            _match(row, built, "document", f"precinct {built['precinct_id']}")
     sample = [PrecinctDiscrepancy(precinct_id, mros[precinct_id],
                                   Fraction(num, den))
               for precinct_id, num, den in zip(bounds, nums, dens)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from mro_audit.cli import cli
 from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import CandidateMismatch, ValidationError
-from mro_audit.io import load_audits, load_returns
+from mro_audit.io import load_audits, load_contest, load_returns
 from mro_audit.oracle import gen_instance
 from mro_audit.report import (
     build_document,
@@ -966,25 +967,28 @@ class TestReportEquivalence:
         assert result.output == document_json(expected) + "\n"
 
 
+AWKWARD_CANDIDATES = ['\u014ctsuka, "K\u014d"', "Back\\slash", "Zo\u00eb \U0001d504"]
+AWKWARD_ROWS = [
+    ('P-1, "north"', "Comt\u00e9\\A", 500, 260, 180, 40),
+    ("P\\2", "Comt\u00e9\\A", 400, 200, 150, 30),
+    ("\u6771-3", "Sud\u2028B", 300, 150, 120, 20),
+    ('\U0001d513-4 "q"', "Sud\u2028B", 350, 170, 140, 25),
+    ("p5\t\u00e9", "Sud\u2028B", 250, 120, 100, 15),
+]
+AWKWARD_AUDITS = [
+    ('P-1, "north"', 255, 185, 40),
+    ("\u6771-3", 150, 120, 20),
+    ("p5\t\u00e9", 118, 103, 14),
+]
+
+
 def awkward_contest(tmp_path):
     """A contest whose ids and candidate names need quoting and escaping.
 
     Cells hold commas, quotes, backslashes, a tab, U+2028, accented and
     CJK letters and a character outside the Basic Multilingual Plane.
     """
-    candidates = ['\u014ctsuka, "K\u014d"', "Back\\slash", "Zo\u00eb \U0001d504"]
-    rows = [
-        ('P-1, "north"', "Comt\u00e9\\A", 500, 260, 180, 40),
-        ("P\\2", "Comt\u00e9\\A", 400, 200, 150, 30),
-        ("\u6771-3", "Sud\u2028B", 300, 150, 120, 20),
-        ('\U0001d513-4 "q"', "Sud\u2028B", 350, 170, 140, 25),
-        ("p5\t\u00e9", "Sud\u2028B", 250, 120, 100, 15),
-    ]
-    audits = [
-        ('P-1, "north"', 255, 185, 40),
-        ("\u6771-3", 150, 120, 20),
-        ("p5\t\u00e9", 118, 103, 14),
-    ]
+    candidates, rows, audits = AWKWARD_CANDIDATES, AWKWARD_ROWS, AWKWARD_AUDITS
     returns_path = tmp_path / "awkward_returns.csv"
     audits_path = tmp_path / "awkward_audits.csv"
     for path, header, body in (
@@ -1107,19 +1111,48 @@ def test_commands_validate_and_tabulate_once(runner, tmp_path, monkeypatch,
 
 def test_contest_commands_build_no_rows(runner, tmp_path, monkeypatch,
                                         docs_returns_path, docs_audits_path):
-    """``margins``, ``bounds`` and ``pvalue`` work from the contest's
-    columns: none of them asks for its rows."""
+    """``margins``, ``bounds``, ``pvalue`` and ``report`` work from the
+    contest's columns: none of them asks for its rows."""
     def no_rows(contest):
         raise AssertionError("the contest's rows were built")
 
     monkeypatch.setattr(core.Contest, "returns", property(no_rows))
     for contest in ("docs", "vote_for_three"):
-        for command in ("margins", "bounds", "pvalue"):
+        for command in ("margins", "bounds", "pvalue", "report"):
             result = invoke(runner, command_args(
                 command, contest, tmp_path, docs_returns_path,
                 docs_audits_path,
             ))
             assert result.exit_code == 0
+
+
+def test_report_peak_memory_near_what_the_contest_keeps(runner, tmp_path):
+    """``report`` renders its rows from the contest's columns, so its traced
+    peak stays within a fixed multiple of what the loaded contest keeps.
+
+    On this contest the peak is about 9.3 times the contest; rendering
+    through one row and one row dict per precinct took it to 13.9.
+    """
+    _, returns, audits = gen_instance(4000, 5, seed=3)
+    returns_path, audits_path = write_contest(tmp_path, returns, audits[::10])
+    del returns, audits
+    args = ["report", str(returns_path), str(audits_path), "--sampling",
+            "wr:50"]
+    # Once first, so that nothing imported on a first run is counted.
+    assert invoke(runner, args).exit_code == 0
+    tracemalloc.start()
+    try:
+        contest = load_contest(returns_path)
+        kept, _ = tracemalloc.get_traced_memory()
+        del contest
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = invoke(runner, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak - before <= 11 * kept
 
 
 class TestSimulate:

@@ -17,12 +17,15 @@ from mro_audit.core import (
     ContestSetup,
     PrecinctReturns,
     compute_totals,
+    pool_audit_records,
+    pool_contest,
     prepare_contest,
 )
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import AuditError, ValidationError
 from mro_audit.io import load_contest
 from mro_audit.oracle import gen_instance
+from test_cli import AWKWARD_CANDIDATES, AWKWARD_ROWS
 from mro_audit.report import (
     SCHEMA,
     build_document,
@@ -30,10 +33,12 @@ from mro_audit.report import (
     file_digest,
     fraction_str,
     percent,
+    report_json,
     verify_document,
 )
 from mro_audit.risk import (
     IDENTITY,
+    TAINT,
     SamplingDesign,
     TestConfig,
     run_contest_test,
@@ -404,6 +409,79 @@ class TestRenderingReference:
                                    default=0.0),
         }
         assert result.output == json.dumps(payload, indent=2) + "\n"
+
+
+# The awkward contest's names and ids, each also with a "%" (which a row
+# template must not read as a slot), and short names of awkward characters.
+awkward_cells = [*AWKWARD_CANDIDATES, *(row[0] for row in AWKWARD_ROWS),
+                 *(row[1] for row in AWKWARD_ROWS)]
+cell_names = (st.sampled_from(awkward_cells + [f"{cell}%" for cell in awkward_cells])
+              | st.text(st.sampled_from(AWKWARD), min_size=1, max_size=3))
+
+
+@st.composite
+def column_reports(draw):
+    """What ``run_contest_test`` returns for a vote-for-1 or vote-for-3
+    contest, pooled or not, under either weight, with the first and the
+    last precinct sampled; and the pool as the CLI records it."""
+    votes_per_voter = draw(st.sampled_from([1, 3]))
+    names = draw(st.lists(cell_names, unique=True,
+                          min_size=votes_per_voter + 3,
+                          max_size=votes_per_voter + 5))
+    pooled_id, *candidates = names[:-1]
+    ids = draw(st.lists(cell_names, min_size=1, max_size=6, unique=True))
+    winners, losers = (candidates[:votes_per_voter],
+                       candidates[votes_per_voter:])
+    returns, audits = [], []
+    flags = draw(st.lists(st.booleans(), min_size=len(ids),
+                          max_size=len(ids)))
+    flags[0] = flags[-1] = True
+    for index, (precinct_id, sampled) in enumerate(zip(ids, flags)):
+        counts = {c: draw(st.integers(0, 40)) for c in losers}
+        # Each winner holds at least every loser's votes together, and more
+        # in the first precinct, so that any pool of losers trails them.
+        least = sum(counts.values()) + (index == 0)
+        counts |= {c: draw(st.integers(least, least + 40)) for c in winners}
+        bound = (max(counts.values()) + sum(counts[c] for c in losers)
+                 + draw(st.integers(1, 20)))
+        order = draw(st.permutations(candidates))
+        returns.append(PrecinctReturns(precinct_id, draw(cell_names), bound,
+                                       {c: counts[c] for c in order}))
+        if sampled:
+            audits.append(AuditRecord(precinct_id, {
+                c: draw(st.integers(0, bound // len(candidates)))
+                for c in candidates}))
+    setup = ContestSetup(tuple(candidates), votes_per_voter, len(ids))
+    contest = prepare_contest(setup, returns)
+    pooled = None
+    if draw(st.booleans()):
+        members = draw(st.lists(st.sampled_from(losers), min_size=1,
+                                unique=True))
+        contest = pool_contest(contest, members, pooled_id)
+        audits = pool_audit_records(audits, members, pooled_id)
+        pooled = {"members": members, "pooled_id": pooled_id}
+    config = TestConfig(draw(st.sampled_from([IDENTITY, TAINT])),
+                        SamplingDesign("with_replacement",
+                                       draw(st.integers(1, 50))))
+    return (contest, *run_contest_test(contest, audits, config), pooled,
+            names[-1])
+
+
+class TestColumnRenderer:
+    """``report_json`` writes, from the columns, the bytes that the library
+    writes from the rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=column_reports())
+    def test_equals_document_json(self, case):
+        contest, report, bounds, discrepancies, pooled, version = case
+        options = {"tool_version": version,
+                   "input_digests": {"returns": "0" * 64, "audits": version},
+                   "pooled": pooled}
+        text = report_json(contest, bounds, discrepancies, report, **options)
+        assert text == document_json(build_document(
+            contest.setup, contest.returns, contest.totals, bounds,
+            discrepancies, report, **options))
 
 
 def leaves(value, path=()):
