@@ -26,7 +26,7 @@ from .io import (
     load_audits,
     load_config,
     load_contest,
-    load_county_plans,
+    load_county_table,
 )
 from .report import (
     SCHEMA,
@@ -47,7 +47,7 @@ from .risk import (
     run_contest_test,
     taint_count,
 )
-from .sampling import conservative_effective_n, draw_sample
+from .sampling import county_walk, draw_and_reduce
 
 _SAMPLING_METHODS = {"wr": "with_replacement", "srs": "simple_random_sample"}
 
@@ -211,16 +211,16 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
 def plan(returns_file, counties, seed, votes_per_voter):
     """Draw the stratified county sample and its conservative reduction."""
     contest = load_contest(returns_file, votes_per_voter)
-    plans = load_county_plans(counties, contest.returns)
-    sample = draw_sample(plans, contest.returns, seed)
+    walk = county_walk(contest.precinct_ids, contest.county_ids,
+                       map(sum, zip(*contest.counts)))
+    plans = load_county_table(counties, walk)
+    sample, effective_n = draw_and_reduce(plans, walk, seed)
     draws = iter(sample)
     _echo_json({
         "schema": SCHEMA,
         "seed": str(seed),
         "total_samples": len(sample),
-        "conservative_effective_n": conservative_effective_n(
-            plans, contest.returns
-        ),
+        "conservative_effective_n": effective_n,
         "counties": [
             {"county_id": county_plan.county_id,
              "required_samples": county_plan.required_samples,

@@ -33,7 +33,6 @@ raise the first fault as the row walk would.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from collections.abc import Callable, Container, Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -51,7 +50,8 @@ from .core import (
     _count_problem,
 )
 from .errors import ParseError, ValidationError
-from .sampling import CountyPlan, _plan_problem, statutory_minimum
+from .sampling import (Counties, CountyPlan, _plan_problem, _row_walk,
+                       statutory_minimum)
 
 RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 # Returns records converted to columns at once: enough that the passes run
@@ -303,12 +303,15 @@ def load_audits(path: str | Path) -> list[AuditRecord]:
     return audits
 
 
-def load_county_plans(
-    path: str | Path,
-    returns: list[PrecinctReturns],
-) -> list[CountyPlan]:
-    """Load the county table; a county's precincts are the returns rows
-    with its ``county_id``.
+def load_county_plans(path: str | Path,
+                      returns: list[PrecinctReturns]) -> list[CountyPlan]:
+    """:func:`load_county_table` against the counties of ``returns``."""
+    return load_county_table(path, _row_walk(returns))
+
+
+def load_county_table(path: str | Path, counties: Counties) -> list[CountyPlan]:
+    """Load the county table; a county's precincts are those that
+    ``counties``, a ``sampling.county_walk`` of the returns, gives it.
 
     Every county occurring in the returns must appear in the table and vice
     versa, and no county may ask for more samples than it has precincts
@@ -327,7 +330,6 @@ def load_county_plans(
             path=path, row=1,
         )
     has_required = len(header) == 3
-    sizes = Counter(ret.county_id for ret in returns)
 
     plans: list[CountyPlan] = []
     for row, cells in records:
@@ -348,10 +350,10 @@ def load_county_plans(
                     path=path, row=row,
                 )
         plans.append(CountyPlan(county_id, required))
-        problem = _plan_problem(plans[-1], sizes[county_id])
+        problem = _plan_problem(plans[-1], counties)
         if problem is not None:
             raise ValidationError(problem, path=path, row=row)
-    missing = set(sizes) - {plan.county_id for plan in plans}
+    missing = counties.keys() - {plan.county_id for plan in plans}
     if missing:
         raise ValidationError(
             f"counties in returns but not in the table: {sorted(missing)[:5]}",

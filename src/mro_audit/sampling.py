@@ -17,23 +17,26 @@ with-replacement sample size: the population size times the smallest
 per-county inclusion rate, rounded down; a precinct under 150 votes is
 reached only by its county's later draws.
 
-One walk of the returns, :func:`_counties`, states the county rules for
-the draw and its reduction alike; ``io.load_county_plans`` applies its
-per-plan rule, :func:`_plan_problem`, at each row of a county table.
+One walk of the returns' columns, :func:`county_walk`, groups the precincts
+by county; :func:`_counties` states the county rules on it once for
+:func:`draw_and_reduce`, the row calls walk their rows' columns, and
+``io.load_county_table`` applies :func:`_plan_problem` at each table row.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .core import PrecinctReturns
 from .errors import InfeasibleConstraint, ValidationError
 
 LARGE_PRECINCT_VOTES = 150
+
+County = tuple[list[str], set[str]]  # its precincts; those of >= 150 votes
+Counties = dict[str, County]
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,10 @@ class CountyPlan:
             )
 
 
-def _plan_problem(plan: CountyPlan, size: int) -> str | None:
-    """The rule ``plan`` breaks against the ``size`` precincts of its county
-    in the returns, or ``None``.  The caller adds the location."""
+def _plan_problem(plan: CountyPlan, counties: Counties) -> str | None:
+    """The rule ``plan`` breaks against its county of ``counties``, or
+    ``None``.  The caller adds the location."""
+    size = len(counties[plan.county_id][0]) if plan.county_id in counties else 0
     if not size:
         return f"county {plan.county_id!r} has no precincts in the returns"
     if plan.required_samples > size:
@@ -75,77 +79,103 @@ def statutory_minimum(registered_voters: int) -> int:
     return 4
 
 
-def _ticket(seed: int | str, precinct_id: str) -> str:
-    return hashlib.sha256(f"{seed}|{precinct_id}".encode("utf-8")).hexdigest()
-
-
-def _counties(
-    plans: Sequence[CountyPlan], returns: Sequence[PrecinctReturns]
-) -> list[tuple[list[str], set[str]]]:
-    """Each plan's precincts, in returns order, and those of them with at
-    least 150 votes, from one walk of the returns.
-
-    The county rules, in this order: no county has two plans; each plan
-    keeps :func:`_plan_problem`; every county of the returns has a plan;
-    and each plan's county has a precinct with at least 150 votes.
-
-    Raises:
-        ValidationError: one of the first three rules is broken.
-        InfeasibleConstraint: a plan's county has no precinct with >= 150
-            votes.
-    """
-    walk: dict[str, tuple[list[str], set[str]]] = {}
-    for plan in plans:
-        if plan.county_id in walk:
-            raise ValidationError(f"county {plan.county_id!r} has two plans")
-        walk[plan.county_id] = [], set()
-    unplanned: set[str] = set()
-    for ret in returns:
-        county = walk.get(ret.county_id)
+def county_walk(precinct_ids: Iterable[str], county_ids: Iterable[str],
+                votes: Iterable[int]) -> Counties:
+    """Each county of the returns, with its precincts in returns order, from
+    one walk of the columns; ``votes`` holds each precinct's counts summed."""
+    counties: Counties = {}
+    for precinct_id, county_id, total in zip(precinct_ids, county_ids, votes):
+        county = counties.get(county_id)
         if county is None:
-            unplanned.add(ret.county_id)
-            continue
-        county[0].append(ret.precinct_id)
-        if ret.total_votes() >= LARGE_PRECINCT_VOTES:
-            county[1].add(ret.precinct_id)
+            county = counties[county_id] = [], set()
+        county[0].append(precinct_id)
+        if total >= LARGE_PRECINCT_VOTES:
+            county[1].add(precinct_id)
+    return counties
+
+
+def _row_walk(returns: Sequence[PrecinctReturns]) -> Counties:
+    return county_walk((ret.precinct_id for ret in returns),
+                       (ret.county_id for ret in returns),
+                       map(PrecinctReturns.total_votes, returns))
+
+
+def _counties(plans: Sequence[CountyPlan], counties: Counties) -> list[County]:
+    """Each plan's county, once the county rules hold.  In this order: some
+    plan is given; no county has two plans; each plan keeps
+    :func:`_plan_problem`; every county of the returns has a plan (each a
+    ``ValidationError``); each plan's county has a precinct with at least
+    150 votes (else ``InfeasibleConstraint``)."""
+    if not plans:
+        raise ValidationError("no county plans supplied")
+    planned: set[str] = set()
     for plan in plans:
-        problem = _plan_problem(plan, len(walk[plan.county_id][0]))
+        if plan.county_id in planned:
+            raise ValidationError(f"county {plan.county_id!r} has two plans")
+        planned.add(plan.county_id)
+    for plan in plans:
+        problem = _plan_problem(plan, counties)
         if problem is not None:
             raise ValidationError(problem)
+    unplanned = counties.keys() - planned
     if unplanned:
         raise ValidationError(
             f"counties in returns but in no plan: {sorted(unplanned)[:5]}")
     for plan in plans:
-        if not walk[plan.county_id][1]:
+        if not counties[plan.county_id][1]:
             raise InfeasibleConstraint(
                 f"county {plan.county_id}: no precinct has at least "
                 f"{LARGE_PRECINCT_VOTES} votes"
             )
-    return [walk[plan.county_id] for plan in plans]
+    return [counties[plan.county_id] for plan in plans]
 
 
-def draw_sample(
-    plans: Sequence[CountyPlan],
-    returns: Sequence[PrecinctReturns],
-    seed: int | str,
-) -> list[str]:
-    """Draw each county's sample; deterministic given the seed.
+def _effective_n(plans: Sequence[CountyPlan], counties: list[County]) -> int:
+    rates = []
+    population = 0
+    for plan, (precincts, large) in zip(plans, counties):
+        size, take = len(precincts), plan.required_samples
+        population += size
+        if len(large) < size:
+            size, take = size - 1, take - 1
+        rates.append(Fraction(take, size))
+    smallest = min(rates)
+    return (population * smallest.numerator) // smallest.denominator
+
+
+def draw_and_reduce(plans: Sequence[CountyPlan], counties: Counties,
+                    seed: int | str) -> tuple[list[str], int]:
+    """Draw each county's sample, deterministic given the seed, and reduce
+    the design to its :func:`conservative_effective_n`; raises as
+    :func:`_counties`.
 
     Construction per county, resampling-free: the eligible precinct (>= 150
     votes) with the smallest ticket is taken first, then the remaining draws
-    are the smallest-ticket precincts among all others.  Output size is the
-    sum of the counties' required samples, with no duplicates.
-
-    Raises:
-        InfeasibleConstraint, ValidationError: as :func:`_counties`.
+    are the smallest-ticket precincts among all others.  The sample's size
+    is the sum of the counties' required samples, with no duplicates.
     """
+    checked = _counties(plans, counties)
+    # Tickets hash f"{seed}|{precinct_id}"; digests sort as hexdigests do.
+    prefix = hashlib.sha256(f"{seed}|".encode("utf-8"))
+
+    def ticket(precinct_id: str) -> bytes:
+        digest = prefix.copy()
+        digest.update(precinct_id.encode("utf-8"))
+        return digest.digest()
+
     sample: list[str] = []
-    for plan, (precincts, large) in zip(plans, _counties(plans, returns)):
-        ordered = sorted(precincts, key=partial(_ticket, seed))
+    for plan, (precincts, large) in zip(plans, checked):
+        ordered = sorted(precincts, key=ticket)
         first = next(pid for pid in ordered if pid in large)
         rest = [pid for pid in ordered if pid != first]
         sample.extend([first, *rest[: plan.required_samples - 1]])
-    return sample
+    return sample, _effective_n(plans, checked)
+
+
+def draw_sample(plans: Sequence[CountyPlan],
+                returns: Sequence[PrecinctReturns], seed: int | str) -> list[str]:
+    """The sample of :func:`draw_and_reduce`, from the rows ``returns``."""
+    return draw_and_reduce(plans, _row_walk(returns), seed)[0]
 
 
 def conservative_effective_n(plans: Sequence[CountyPlan],
@@ -155,19 +185,7 @@ def conservative_effective_n(plans: Sequence[CountyPlan],
     This is the with-replacement sample size the risk test may safely use in
     place of :func:`draw_sample`'s design: no precinct is drawn at a lower
     rate.  County c counts at n_c/N_c, or at (n_c - 1)/(N_c - 1) if it holds
-    a precinct under 150 votes, which only the later draws reach.
-
-    Raises:
-        InfeasibleConstraint: as :func:`_counties`.
-        ValidationError: no plans are given, or as :func:`_counties`.
+    a precinct under 150 votes, which only the later draws reach.  Raises
+    as :func:`_counties`.
     """
-    if not plans:
-        raise ValidationError("no county plans supplied")
-    rates = []
-    for plan, (precincts, large) in zip(plans, _counties(plans, returns)):
-        size, take = len(precincts), plan.required_samples
-        if len(large) < size:
-            size, take = size - 1, take - 1
-        rates.append(Fraction(take, size))
-    smallest = min(rates)
-    return (len(returns) * smallest.numerator) // smallest.denominator
+    return _effective_n(plans, _counties(plans, _row_walk(returns)))

@@ -1,16 +1,19 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mro_audit.core import PrecinctReturns
+from mro_audit.core import ContestSetup, PrecinctReturns, prepare_contest
 from mro_audit.errors import InfeasibleConstraint, ValidationError
 from mro_audit.sampling import (
     CountyPlan,
     conservative_effective_n,
+    county_walk,
+    draw_and_reduce,
     draw_sample,
     statutory_minimum,
 )
@@ -122,7 +125,64 @@ def reference_draw(plans, returns, seed):
     return sample
 
 
+def reference_effective_n(plans, returns):
+    """The reduction written out from its rule, in ``Fraction`` rates: a
+    county drawing n of its N precincts counts at n/N, or at (n-1)/(N-1)
+    if one of them has under 150 votes."""
+    rates = []
+    for plan in plans:
+        votes = [sum(r.machine_votes.values()) for r in returns
+                 if r.county_id == plan.county_id]
+        n, size = plan.required_samples, len(votes)
+        if min(votes) < 150:
+            n, size = n - 1, size - 1
+        rates.append(Fraction(n, size))
+    return math.floor(len(returns) * min(rates))
+
+
+# Ids and seeds hold the ticket's separator and characters whose UTF-8
+# takes two to four bytes.
+awkward_text = st.text(
+    st.sampled_from("ab|é€😀") | st.characters(exclude_categories=["Cs"]),
+    min_size=1, max_size=6)
+
+
+@st.composite
+def awkward_designs(draw):
+    """Plans, and returns in any order, of one to four counties: each has a
+    precinct of at least 150 votes, and draws at most its precincts."""
+    ids = iter(draw(st.lists(awkward_text, min_size=16, max_size=16,
+                             unique=True)))
+    plans, returns = [], []
+    for c in range(draw(st.integers(1, 4))):
+        county = f"c{c}|é"
+        votes = draw(st.lists(st.integers(0, 300), max_size=3))
+        votes.insert(draw(st.integers(0, len(votes))),
+                     draw(st.integers(150, 300)))
+        plans.append(CountyPlan(county, draw(st.integers(1, len(votes)))))
+        returns += [PrecinctReturns(next(ids), county, v, {"A": v, "B": 0})
+                    for v in votes]
+    return plans, draw(st.permutations(returns))
+
+
 class TestDrawMatchesReference:
+    @given(awkward_designs(),
+           st.one_of(st.integers(), awkward_text | st.just("")))
+    @settings(max_examples=200, deadline=None)
+    def test_column_draw_and_row_draw(self, design, seed):
+        """The draw from the contest's columns, as ``plan`` makes it, and
+        from rows: tickets, their order and the reduction."""
+        plans, returns = design
+        contest = prepare_contest(ContestSetup(("A", "B"), 1, len(returns)),
+                                  returns)
+        walk = county_walk(contest.precinct_ids, contest.county_ids,
+                           map(sum, zip(*contest.counts)))
+        expected = reference_draw(plans, returns, seed)
+        effective_n = reference_effective_n(plans, returns)
+        assert draw_and_reduce(plans, walk, seed) == (expected, effective_n)
+        assert draw_sample(plans, returns, seed) == expected
+        assert conservative_effective_n(plans, returns) == effective_n
+
     @pytest.mark.parametrize("seed", [0, 1, 42, "x", "mn-2006-senate"])
     def test_synthetic_counties(self, seed):
         returns, plans = [], []
@@ -259,6 +319,14 @@ def ghost_and_no_large_precinct():
     return plans, returns_for("c1", {"p1": 20})
 
 
+def no_plans():
+    return [], large_counties([(2, 2)])[1]
+
+
+def no_plans_and_no_returns():
+    return [], []
+
+
 def uncovered_and_no_large_precinct():
     plans = [CountyPlan("c1", 1)]
     return plans, (returns_for("c1", {"p1": 20})
@@ -267,16 +335,19 @@ def uncovered_and_no_large_precinct():
 
 class TestPlansCoverTheReturns:
     """The draw and its reduction reject the same designs, with the same
-    messages and in the same order: no county has two plans, every plan's
-    county has precincts and at least its draws of them, every county of
-    the returns has a plan, and every plan's county has a precinct of 150
-    votes or more."""
+    messages and in the same order: some plan is given, no county has two
+    plans, every plan's county has precincts and at least its draws of
+    them, every county of the returns has a plan, and every plan's county
+    has a precinct of 150 votes or more."""
 
     @pytest.mark.parametrize("reduce", [
         lambda plans, returns: draw_sample(plans, returns, 1),
         conservative_effective_n,
     ], ids=["draw", "reduction"])
     @pytest.mark.parametrize("case, error, message", [
+        (no_plans, ValidationError, r"^no county plans supplied$"),
+        (no_plans_and_no_returns, ValidationError,
+         r"^no county plans supplied$"),
         (doubly_listed, ValidationError, r"^county 'c0' has two plans$"),
         (ghost, ValidationError,
          r"^county 'ghost' has no precincts in the returns$"),
@@ -295,8 +366,8 @@ class TestPlansCoverTheReturns:
          r"^county 'c2' has no precincts in the returns$"),
         (uncovered_and_no_large_precinct, ValidationError,
          r"^counties in returns but in no plan: \['c2'\]$"),
-    ], ids=["doubly-listed", "ghost", "too-many-samples",
-            "too-many-samples-and-ghost", "unplanned",
+    ], ids=["no-plans", "no-plans-and-no-returns", "doubly-listed", "ghost",
+            "too-many-samples", "too-many-samples-and-ghost", "unplanned",
             "too-many-samples-and-unplanned", "no-large-precinct",
             "ghost-and-no-large-precinct", "unplanned-and-no-large-precinct"])
     def test_rejected(self, reduce, case, error, message):
