@@ -157,6 +157,16 @@ def _at_least_one(ctx, param, value):
     return value
 
 
+def _utf8_seed(ctx, param, value):
+    # Tickets hash the seed as UTF-8; argv bytes that are not UTF-8 reach
+    # here as surrogate escapes.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise click.BadParameter(f"{value!r} is not valid UTF-8.")
+    return value
+
+
 option_votes_per_voter = click.option(
     "--votes-per-voter", type=int, default=1, show_default=True,
     callback=_at_least_one, help="Votes each voter may cast.",
@@ -204,7 +214,8 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
 @click.option("--counties", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="County table: county_id,registered_voters[,required_samples].")
-@click.option("--seed", required=True, help="Sampling seed (any string or integer).")
+@click.option("--seed", required=True, callback=_utf8_seed,
+              help="Sampling seed (any string or integer).")
 @option_votes_per_voter
 @option_config
 @_domain_errors

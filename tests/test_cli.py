@@ -334,6 +334,22 @@ class TestPlan:
         ])
         assert result.exit_code == 2
 
+    def test_seed_not_utf8_is_a_usage_error(self, runner, tmp_path):
+        # click decodes argv bytes that are not UTF-8, such as b"\xff", as
+        # surrogate escapes.  The seed is rejected before the returns load,
+        # so their bad cell is never reported.
+        returns = tmp_path / "returns.csv"
+        returns.write_text("precinct_id,county_id,ballot_bound,A,B\n"
+                           "p1,North,10,x,1\n")
+        counties = tmp_path / "counties.csv"
+        counties.write_text("county_id,registered_voters\nNorth,1000\n")
+        result = invoke(runner, ["plan", str(returns), "--counties",
+                                 str(counties), "--seed", "1\udcff"])
+        assert result.exit_code == 2
+        assert ("Error: Invalid value for '--seed': '1\\udcff' is not valid "
+                "UTF-8.") in result.output
+        assert "ParseError" not in result.output
+
 
 class TestPvalue:
     def test_minnesota_conservative_pvalue(self, runner, minnesota_files):
@@ -1207,6 +1223,32 @@ def test_report_peak_memory_near_what_the_contest_keeps(runner, tmp_path):
     args = ["report", str(returns_path), str(audits_path), "--sampling",
             "wr:50"]
     assert traced_peak_over_kept(runner, args, returns_path) <= 11
+
+
+@pytest.mark.parametrize("command, limit", [
+    ("margins", 1.8),
+    ("bounds", 6),
+    ("pvalue", 2.5),
+])
+def test_contest_command_peak_memory_near_what_the_contest_keeps(
+        runner, tmp_path, command, limit):
+    """``margins``, ``bounds`` and ``pvalue`` work from the contest's
+    columns, so each traced peak stays within a fixed multiple of what the
+    loaded contest keeps.
+
+    On the ``report`` test's contest the peaks are about 1.24, 4.86 and
+    1.75 times the contest; ``bounds`` holds its JSON text whole.
+    """
+    _, returns, audits = gen_instance(4000, 5, seed=3)
+    returns_path, audits_path = write_contest(tmp_path, returns, audits[::10])
+    del returns, audits
+    args = {
+        "margins": ["margins", str(returns_path)],
+        "bounds": ["bounds", str(returns_path)],
+        "pvalue": ["pvalue", str(returns_path), str(audits_path),
+                   "--sampling", "wr:50"],
+    }[command]
+    assert traced_peak_over_kept(runner, args, returns_path) <= limit
 
 
 class TestSimulate:

@@ -3,12 +3,13 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minnesota
 import mro_audit.io
 from mro_audit.core import (
+    MAX_BALLOT_BOUND,
     AuditRecord,
     PrecinctReturns,
     compute_totals,
@@ -302,6 +303,33 @@ class TestIntegerCell:
             )
         else:
             assert load_audits(path)[0].hand_votes == {"A": expected}
+
+    @given(cell=PADDED_NUMBERS
+           | st.text(st.characters(blacklist_categories=("Cs",))))
+    @settings(max_examples=300, deadline=None)
+    # int() rejects the separator "\x1c" that str.strip() removes.
+    @example(cell="\x1c5")
+    @example(cell=" 5\xa0")
+    def test_returns_count_cell_reads_as_stripped_int(self, tmp_path_factory,
+                                                      cell):
+        path = tmp_path_factory.mktemp("cell") / "returns.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows([
+                ["precinct_id", "county_id", "ballot_bound", "A", "B"],
+                ["p1", "c1", str(MAX_BALLOT_BOUND), cell, "0"],
+            ])
+        expected = _int_or_none(cell)
+        if expected is None:
+            with pytest.raises(ParseError) as err:
+                load_contest(path)
+            assert str(err.value) == (
+                f"{path}, row 2, column 'A': expected an integer, got {cell!r}"
+            )
+        elif 0 <= expected <= MAX_BALLOT_BOUND:
+            assert load_contest(path).counts == [[expected], [0]]
+        else:
+            with pytest.raises(AuditError):
+                load_contest(path)
 
 
 class TestLoadAudits:

@@ -276,11 +276,17 @@ class TestMonteCarlo:
     def test_memory_stays_within_a_block(self):
         # A 2,000 x 10,000 int64 draw matrix would be 160 MB.  In one sample
         # of 20 million draws, anything carried from block to block that
-        # grows with the sample would hold about 20 MB.
-        for draws, replications in [(10_000, 2_000), (20_000_000, 1)]:
+        # grows with the sample would hold about 20 MB.  At 2**31 + 1 about
+        # half the words are redrawn, and at 2**20 + 1 about 16 in 2**16.
+        for population, draws, replications in [
+            (10_000, 10_000, 2_000), (10_000, 20_000_000, 1),
+            (2**31 + 1, 10_000, 2_000), (2**31 + 1, 20_000_000, 1),
+            (2**20 + 1, 20_000_000, 1),
+        ]:
             tracemalloc.start()
             try:
-                monte_carlo_pvalue(1, 10_000, WR(draws), replications, seed=0)
+                monte_carlo_pvalue(1, population, WR(draws), replications,
+                                   seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -396,6 +402,16 @@ class TestBlockedStream:
     # Samples longer than the block, partial rows carried across seams.
     @example(case=(1, 50, WR(40), 300, 15), block=7)
     @example(case=(1, 3, WR(5), 300, 16), block=1)
+    # Blocks of one and two draws, about half the words redrawn: 32-bit and
+    # 64-bit words.
+    @example(case=(2**30, 2**31 + 1, WR(3), 300, 20), block=1)
+    @example(case=(2**30, 2**31 + 1, WR(3), 300, 21), block=2)
+    @example(case=(2**62, 2**63 + 1, WR(3), 300, 22), block=1)
+    @example(case=(2**62, 2**63 + 1, WR(3), 300, 23), block=2)
+    # About 16 words of each 2**16 redrawn, where a block turns from pieces
+    # walked as views to one copy; then pieces shorter than a sample.
+    @example(case=(2**14, 2**20 + 1, WR(40), 30_000, 24), block=2**16)
+    @example(case=(2**8, 2**20 + 1, WR(5_000), 300, 25), block=2**16)
     def test_matches_full_matrix(self, case, block):
         with mock.patch.object(risk, "_BLOCK_DRAWS", block):
             blocked = monte_carlo_pvalue(*case)
