@@ -227,11 +227,7 @@ def _append_columns(columns: list[list],
     ``columns`` or a cell after the second is no integer."""
     try:
         ids, counties, *cells = zip(*chunk)
-        try:
-            # int() strips most whitespace itself, to the same value.
-            ints = [list(map(int, column)) for column in cells]
-        except ValueError:
-            ints = [list(map(int, map(str.strip, column))) for column in cells]
+        ints = [list(map(int, map(str.strip, column))) for column in cells]
     except ValueError:
         return chunk
     width = len(cells) + 2

@@ -322,11 +322,9 @@ def _word_misses(
     two, low word first), drops the ones numpy would redraw, and calls a
     kept word tainted when w < ceil(t * 2**b / N), which is exactly when
     its index is below t.  The kept words form the replications' samples
-    in turn; only the partial sample at a piece's end is carried over, as
+    in turn; only the partial sample at a block's end is carried over, as
     the words it still needs and whether it has a tainted word yet.
-    Every block multiplies into one product buffer per call.  A block with
-    a few redrawn words is walked as views between them; one with many is
-    copied once without them.
+    Every block's redraw test multiplies into one product buffer per call.
     """
     import numpy as np
 
@@ -338,45 +336,36 @@ def _word_misses(
     factor = word.type(population % (1 << bits))
     cut = word.type(-(-(taint_count << bits) // population))
     lowest = np.minimum.reduce
-    block = -(-_BLOCK_DRAWS * bits // 64)  # outputs
-    buffer = np.empty(block, "<u8").view(word)
+    buffer = np.empty(-(-_BLOCK_DRAWS * bits // 64), "<u8").view(word)
     remaining = replications * draws
     misses = 0
     need, tainted = draws, False
     while remaining:
-        outputs = min(block, -(-remaining * bits // 64))
+        outputs = -(-min(_BLOCK_DRAWS, remaining) * bits // 64)
         # Low word first whatever the host's byte order.
         words = bit_generator.random_raw(outputs).astype(
             "<u8", copy=False).view(word)
-        pieces = [words]
         if reject_below:
             products = np.multiply(words, factor, out=buffer[:words.size])
             if lowest(products) < reject_below:
-                cuts = np.flatnonzero(products < reject_below)
-                # Walking a piece costs about what copying 4096 words does.
-                if cuts.size << 12 < words.size:
-                    pieces = np.split(words, cuts)
-                    pieces[1:] = [piece[1:] for piece in pieces[1:]]
-                else:
-                    pieces = [np.delete(words, cuts)]
-        for piece in pieces:
-            piece = piece[:remaining]
-            remaining -= piece.size
-            head = piece[:need]
-            if head.size:
-                tainted = tainted or bool(lowest(head) < cut)
-                need -= head.size
-                if not need:
-                    misses += not tainted
-                    need, tainted = draws, False
-            rest = piece[head.size:]
-            rows = rest.size // draws
-            if rows:
-                lows = lowest(rest[:rows * draws].reshape(rows, draws), axis=1)
-                misses += int(np.count_nonzero(lows >= cut))
-            tail = rest[rows * draws:]
-            if tail.size:
-                need, tainted = draws - tail.size, bool(lowest(tail) < cut)
+                words = np.delete(words, np.flatnonzero(products < reject_below))
+        words = words[:remaining]
+        remaining -= words.size
+        head = words[:need]
+        if head.size:
+            tainted = tainted or bool(lowest(head) < cut)
+            need -= head.size
+            if not need:
+                misses += not tainted
+                need, tainted = draws, False
+        rest = words[head.size:]
+        rows = rest.size // draws
+        if rows:
+            lows = lowest(rest[:rows * draws].reshape(rows, draws), axis=1)
+            misses += int(np.count_nonzero(lows >= cut))
+        tail = rest[rows * draws:]
+        if tail.size:
+            need, tainted = draws - tail.size, bool(lowest(tail) < cut)
     return misses
 
 

@@ -288,48 +288,35 @@ class TestIntegerCell:
     @given(cell=PADDED_NUMBERS
            | st.text(st.characters(blacklist_categories=("Cs",))))
     @settings(max_examples=300, deadline=None)
-    def test_accepts_exactly_what_int_accepts(self, tmp_path_factory, cell):
-        path = tmp_path_factory.mktemp("cell") / "audits.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(
-                [["precinct_id", "A"], ["p1", cell]]
-            )
-        expected = _int_or_none(cell)
-        if expected is None:
-            with pytest.raises(ParseError) as err:
-                load_audits(path)
-            assert str(err.value) == (
-                f"{path}, row 2, column 'A': expected an integer, got {cell!r}"
-            )
-        else:
-            assert load_audits(path)[0].hand_votes == {"A": expected}
-
-    @given(cell=PADDED_NUMBERS
-           | st.text(st.characters(blacklist_categories=("Cs",))))
-    @settings(max_examples=300, deadline=None)
-    # int() rejects the separator "\x1c" that str.strip() removes.
+    # str.strip() removes the separator "\x1c", which int() rejects.
     @example(cell="\x1c5")
     @example(cell=" 5\xa0")
-    def test_returns_count_cell_reads_as_stripped_int(self, tmp_path_factory,
-                                                      cell):
-        path = tmp_path_factory.mktemp("cell") / "returns.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows([
-                ["precinct_id", "county_id", "ballot_bound", "A", "B"],
-                ["p1", "c1", str(MAX_BALLOT_BOUND), cell, "0"],
-            ])
+    def test_accepts_exactly_what_int_accepts(self, tmp_path_factory, cell):
+        folder = tmp_path_factory.mktemp("cell")
+        audits, returns = folder / "audits.csv", folder / "returns.csv"
+        for path, rows in [
+            (audits, [["precinct_id", "A"], ["p1", cell]]),
+            (returns, [["precinct_id", "county_id", "ballot_bound", "A", "B"],
+                       ["p1", "c1", str(MAX_BALLOT_BOUND), cell, "0"]]),
+        ]:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(rows)
         expected = _int_or_none(cell)
         if expected is None:
-            with pytest.raises(ParseError) as err:
-                load_contest(path)
-            assert str(err.value) == (
-                f"{path}, row 2, column 'A': expected an integer, got {cell!r}"
-            )
-        elif 0 <= expected <= MAX_BALLOT_BOUND:
-            assert load_contest(path).counts == [[expected], [0]]
+            for path, load in [(audits, load_audits), (returns, load_contest)]:
+                with pytest.raises(ParseError) as err:
+                    load(path)
+                assert str(err.value) == (
+                    f"{path}, row 2, column 'A': expected an integer, "
+                    f"got {cell!r}"
+                )
+            return
+        assert load_audits(audits)[0].hand_votes == {"A": expected}
+        if 0 <= expected <= MAX_BALLOT_BOUND:
+            assert load_contest(returns).counts == [[expected], [0]]
         else:
             with pytest.raises(AuditError):
-                load_contest(path)
+                load_contest(returns)
 
 
 class TestLoadAudits:

@@ -408,8 +408,7 @@ class TestBlockedStream:
     @example(case=(2**30, 2**31 + 1, WR(3), 300, 21), block=2)
     @example(case=(2**62, 2**63 + 1, WR(3), 300, 22), block=1)
     @example(case=(2**62, 2**63 + 1, WR(3), 300, 23), block=2)
-    # About 16 words of each 2**16 redrawn, where a block turns from pieces
-    # walked as views to one copy; then pieces shorter than a sample.
+    # About 16 words of each 2**16 redrawn, so most blocks lose a few.
     @example(case=(2**14, 2**20 + 1, WR(40), 30_000, 24), block=2**16)
     @example(case=(2**8, 2**20 + 1, WR(5_000), 300, 25), block=2**16)
     def test_matches_full_matrix(self, case, block):
