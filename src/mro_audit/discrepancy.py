@@ -23,9 +23,8 @@ are preserved, never clamped.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -78,11 +77,11 @@ def _max_over_pairs(values: Sequence[int] | Mapping[Candidate, int],
     return best_num, best_margin
 
 
-class BoundColumns(Mapping):
-    """A contest's :func:`precinct_bound` by precinct id, from one walk over
-    the rows of its count columns (each pair as its candidates' positions).
-    Kept as the int columns ``numerators`` and ``margins``, unreduced; a
-    `Fraction` is built only for a bound looked up."""
+class BoundColumns:
+    """A contest's :func:`precinct_bound` for each of its ``precinct_ids``,
+    from one walk over the rows of its count columns (each pair as its
+    candidates' positions).  Kept as the int columns ``numerators`` and
+    ``margins``, unreduced, with no `Fraction` per precinct."""
 
     def __init__(self, contest: Contest) -> None:
         position = {c: i for i, c in enumerate(contest.setup.candidates)}
@@ -94,17 +93,6 @@ class BoundColumns(Mapping):
                                contest.ballot_bounds, repeat(pairs)):
             nums.append(num)
             margins.append(margin)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.precinct_ids)}
-
-    def __getitem__(self, precinct_id: str) -> Fraction:
-        i = self._positions[precinct_id]
-        return Fraction(self.numerators[i], self.margins[i])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.precinct_ids)
 
     def __len__(self) -> int:
         return len(self.precinct_ids)

@@ -120,10 +120,11 @@ def build_document(
     """Assemble the full report document; a ``BoundColumns`` is rendered
     from its int columns, with no `Fraction` per precinct."""
     if isinstance(bounds, BoundColumns):
+        ids = bounds.precinct_ids
         ratios = map(ratio_str, bounds.numerators, bounds.margins)
     else:
-        ratios = map(fraction_str, bounds.values())
-    texts = dict(zip(bounds, ratios))
+        ids, ratios = bounds, map(fraction_str, bounds.values())
+    texts = dict(zip(ids, ratios))
     rows = _rows(returns, (texts[ret.precinct_id] for ret in returns),
                  {d.precinct_id: d.max_overstatement for d in discrepancies})
     document = {
@@ -255,7 +256,8 @@ def report_json(contest: Contest, bounds: BoundColumns,
         _report_row_template(contest.setup.candidates), contest.precinct_ids,
         contest.county_ids, contest.ballot_bounds, contest.counts,
         map(ratio_str, bounds.numerators, bounds.margins),
-        map(mros.__contains__, bounds), map(mros.get, bounds))
+        map(mros.__contains__, contest.precinct_ids),
+        map(mros.get, contest.precinct_ids))
     return _object_json((key, _rows_json(rows) if key == "precincts"
                          else _nested_json(value))
                         for key, value in document.items())
@@ -274,7 +276,7 @@ def bounds_json(county_ids: Iterable[str], bounds: BoundColumns) -> str:
     nums, dens = bounds.numerators, bounds.margins
     floats = list(map(truediv, nums, dens))
     rendered = list(map(_BOUNDS_ROW.__mod__, zip(
-        map(_string, bounds), map(_string, county_ids),
+        map(_string, bounds.precinct_ids), map(_string, county_ids),
         map(ratio_str, nums, dens), floats)))
     return _object_json((
         ("schema", _string(SCHEMA)),
@@ -442,7 +444,7 @@ def verify_document(document: Mapping) -> bool:
             _match(row, built, "document", f"precinct {built['precinct_id']}")
     sample = [PrecinctDiscrepancy(precinct_id, mros[precinct_id],
                                   Fraction(num, den))
-              for precinct_id, num, den in zip(bounds, nums, dens)
+              for precinct_id, num, den in zip(bounds.precinct_ids, nums, dens)
               if precinct_id in mros]
     # Then the rest, built around no rows and given the rows just matched.
     whole = build_document(setup, (), rebuilt.totals, {}, (),

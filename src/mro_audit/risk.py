@@ -452,9 +452,9 @@ def run_contest_test(
     """Full pipeline: bounds and discrepancies, then :func:`assess_sample`.
 
     Each audit is joined to its precinct by ``core.join_audits``.  Returns
-    the report with the bounds (by precinct id) and the per-audit
-    discrepancies it was computed from, so a caller that reports them need
-    not compute them again.
+    the report with the bounds (in the contest's precinct order) and the
+    per-audit discrepancies it was computed from, so a caller that reports
+    them need not compute them again.
     """
     margins = contest.totals.pairwise_margins
     bounds = BoundColumns(contest)

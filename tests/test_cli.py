@@ -202,7 +202,8 @@ class TestPooledRevalidation:
 
 
 class TestPoolThatWouldWin:
-    """Pooled B and C (120) outpoll the only winner A (80)."""
+    """Pooled B and C (120) outpoll the only winner A (80); a pool of the
+    docs example that holds its winner Alpha is no pool of losers."""
 
     @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue", "report"])
     def test_exits_one(self, runner, tmp_path, command):
@@ -223,6 +224,18 @@ class TestPoolThatWouldWin:
         assert "PoolContainsWinner: pooled total 120 for 'Minor'" in (
             result.output
         )
+
+    @pytest.mark.parametrize("command", ["margins", "bounds", "pvalue", "report"])
+    def test_pool_holding_the_winner_exits_one(self, runner, command,
+                                               docs_returns_path,
+                                               docs_audits_path):
+        args = [command, str(docs_returns_path)]
+        if command in ("pvalue", "report"):
+            args += [str(docs_audits_path), "--sampling", "wr:2"]
+        result = runner.invoke(cli, args + ["--pool", "Alpha,Gamma"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: PoolContainsWinner: pool contains "
+                                 "apparent winner(s): ['Alpha']\n")
 
 
 class TestAuditColumns:

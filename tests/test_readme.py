@@ -1,11 +1,15 @@
-"""The README's ``## Library`` example runs as written on the docs example."""
+"""The README's ``## Library`` example runs as written on the docs example,
+and the report of its results verifies."""
 
+import json
 import re
 import shutil
 from pathlib import Path
 
+from mro_audit import __version__
 from mro_audit.core import pool_audit_records, pool_candidates
 from mro_audit.io import load_audits, load_returns
+from mro_audit.report import file_digest, report_json, verify_document
 from mro_audit.risk import IDENTITY, SamplingDesign, TestConfig, run_test
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,9 +35,16 @@ def test_library_example(tmp_path, monkeypatch, capsys, docs_returns_path,
     config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 78))
     report = run_test(setup, returns, audits, config)
     assert names["report"] == report
-    assert list(names["bounds"]) == [r.precinct_id for r in returns]
+    assert list(names["bounds"].precinct_ids) == [r.precinct_id for r in returns]
     assert [d.precinct_id for d in names["discrepancies"]] == ["P-102", "P-104"]
     assert capsys.readouterr().out == (
         f"{names['contest'].totals.pairwise_margins} "
         f"{report.taint_count} {report.p_value}\n"
     )
+    document = json.loads(report_json(
+        names["contest"], names["bounds"], names["discrepancies"], report,
+        tool_version=__version__,
+        input_digests={"returns": file_digest(docs_returns_path),
+                       "audits": file_digest(docs_audits_path)},
+        pooled={"members": ["Gamma"], "pooled_id": "Minor"}))
+    assert verify_document(document)

@@ -23,7 +23,6 @@ from mro_audit.core import (
 )
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import AuditError, ValidationError
-from mro_audit.io import load_contest
 from mro_audit.oracle import gen_instance
 from test_cli import AWKWARD_CANDIDATES, AWKWARD_ROWS
 from mro_audit.report import (
@@ -365,8 +364,11 @@ def documents(draw):
     )
 
 
+@pytest.mark.usefixtures("chunks_of_two")
 class TestRenderingReference:
-    """The row templates give exactly the bytes of ``json.dumps(indent=2)``."""
+    """The row templates give exactly the bytes of ``json.dumps(indent=2)``.
+    Returns load two records at a time, so a contest of three or more
+    precincts spans chunks of the loader."""
 
     @settings(max_examples=150, deadline=None)
     @given(document=documents())
@@ -390,11 +392,11 @@ class TestRenderingReference:
                 )
             result = CliRunner().invoke(cli, ["bounds", str(path)],
                                         catch_exceptions=False)
-            loaded = load_contest(path).returns
         assert result.exit_code == 0
+        # Every row from the contest as drawn, not as the loader read it.
         margins = compute_totals(setup, returns).pairwise_margins
         rows = []
-        for ret in loaded:
+        for ret in returns:
             bound = precinct_bound(ret, margins)
             rows.append({
                 "precinct_id": ret.precinct_id,

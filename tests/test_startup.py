@@ -4,6 +4,9 @@ running a command through ``CliRunner``, leaves it on.
 
 Each command runs as ``python -m mro_audit`` in a fresh interpreter, which
 reports at exit whether numpy was imported and whether the collector is on.
+The interpreter runs in development mode with every warning an error, and
+writes nothing to stderr but that report: a file left unclosed, say, would
+print a ResourceWarning.
 """
 
 import os
@@ -44,18 +47,20 @@ CONFIG = str(DOCS_DIR / "audit.cfg")
 
 
 def state_at_exit(args, cwd, child=CHILD):
-    """Run ``child`` with ``args``; return whether numpy was imported and
-    whether the collector was on when it exited."""
+    """Run ``child`` with ``args`` in development mode, every warning an
+    error; return whether numpy was imported and whether the collector was
+    on when it exited."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-c", child, *args],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", child, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     numpy, gc = done.stderr.rstrip().split("\n")[-2:]
+    assert done.stderr == f"\n{numpy}\n{gc}\n", done.stderr
     assert numpy.startswith("numpy imported: "), done.stderr
     assert gc.startswith("gc enabled: "), done.stderr
     return numpy == "numpy imported: True", gc == "gc enabled: True"
@@ -86,6 +91,15 @@ def test_plan_starts_without_numpy(counties, tmp_path):
     assert state_at_exit(
         ["plan", RETURNS, "--counties", counties, "--seed", "1"], tmp_path
     ) == (False, False)
+
+
+def test_load_across_chunks_starts_without_numpy(tmp_path):
+    # 3,000 rows span several of the loader's chunks.
+    path = tmp_path / "large.csv"
+    path.write_text("precinct_id,county_id,ballot_bound,A,B\n" + "".join(
+        f"p{i},c1,100,{50 + i % 7},{40 - i % 5}\n" for i in range(3000)
+    ), encoding="utf-8")
+    assert state_at_exit(["margins", str(path)], tmp_path) == (False, False)
 
 
 def test_simulate_imports_numpy(tmp_path):
