@@ -4,82 +4,47 @@ Quantifies the discrepancy between machine counts and hand tallies via the
 maximum relative overstatement of pairwise margins (MRO), and computes
 conservative P-values for the hypothesis that a full hand count would
 reverse the apparent outcome.
+
+``import mro_audit`` loads no submodule: each public name, and each
+submodule, is imported from its home module on first use (PEP 562).
 """
 
-from .core import (
-    AuditRecord,
-    Contest,
-    ContestSetup,
-    ContestTotals,
-    PrecinctReturns,
-    actual_margins,
-    compute_totals,
-    pool_audit_records,
-    pool_candidates,
-    pool_contest,
-    prepare_contest,
-)
-from .discrepancy import (
-    PrecinctDiscrepancy,
-    analyze_precinct,
-    mro_sum,
-    precinct_bound,
-)
-from .errors import AuditError
-from .risk import (
-    IDENTITY,
-    TAINT,
-    MonteCarloResult,
-    RiskReport,
-    SamplingDesign,
-    TestConfig,
-    monte_carlo_pvalue,
-    observed_statistic,
-    p_value,
-    run_contest_test,
-    run_test,
-    taint_count,
-)
-from .sampling import (
-    CountyPlan,
-    conservative_effective_n,
-    draw_sample,
-    statutory_minimum,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditError",
-    "AuditRecord",
-    "Contest",
-    "ContestSetup",
-    "ContestTotals",
-    "CountyPlan",
-    "IDENTITY",
-    "MonteCarloResult",
-    "PrecinctDiscrepancy",
-    "PrecinctReturns",
-    "RiskReport",
-    "SamplingDesign",
-    "TAINT",
-    "TestConfig",
-    "actual_margins",
-    "analyze_precinct",
-    "compute_totals",
-    "conservative_effective_n",
-    "draw_sample",
-    "monte_carlo_pvalue",
-    "mro_sum",
-    "observed_statistic",
-    "p_value",
-    "pool_audit_records",
-    "pool_candidates",
-    "pool_contest",
-    "precinct_bound",
-    "prepare_contest",
-    "run_contest_test",
-    "run_test",
-    "statutory_minimum",
-    "taint_count",
-]
+# Each home module and the public names it defines.
+_NAMES = {
+    "core": "AuditRecord Contest ContestSetup ContestTotals PrecinctReturns "
+            "actual_margins compute_totals pool_audit_records pool_candidates "
+            "pool_contest prepare_contest",
+    "discrepancy": "PrecinctDiscrepancy analyze_precinct mro_sum "
+                   "precinct_bound",
+    "errors": "AuditError",
+    "risk": "IDENTITY TAINT MonteCarloResult RiskReport SamplingDesign "
+            "TestConfig monte_carlo_pvalue observed_statistic p_value "
+            "run_contest_test run_test taint_count",
+    "sampling": "CountyPlan conservative_effective_n draw_sample "
+                "statutory_minimum",
+}
+_HOME = {name: module for module, names in _NAMES.items()
+         for name in names.split()}
+_SUBMODULES = ("cli", "core", "discrepancy", "errors", "io", "oracle",
+               "report", "risk", "sampling")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        import_module(f"{__name__}.{_HOME[name]}"), name
+    )
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -11,43 +11,16 @@ from __future__ import annotations
 
 import functools
 import gc
-import json
-from fractions import Fraction
-from itertools import islice
-from math import sqrt
 
 import click
 
 from . import __version__
-from .core import pool_audit_records, pool_contest
-from .discrepancy import BoundColumns, analyze_precinct, mro_sum
 from .errors import AuditError
-from .io import (
-    load_audits,
-    load_config,
-    load_contest,
-    load_county_table,
-)
-from .report import (
-    SCHEMA,
-    bounds_json,
-    file_digest,
-    outcome_block,
-    percent,
-    report_json,
-    risk_block,
-)
-from .risk import (
-    IDENTITY,
-    TAINT,
-    SamplingDesign,
-    TestConfig,
-    monte_carlo_pvalue,
-    p_value,
-    run_contest_test,
-    taint_count,
-)
-from .sampling import county_walk, draw_and_reduce
+
+# Only click, the stdlib that parsing needs and ``errors`` load with this
+# module, so ``--version``, ``--help`` and the usage errors click finds
+# import no library module; each command, and each helper it calls,
+# imports the library functions it uses.
 
 _SAMPLING_METHODS = {"wr": "with_replacement", "srs": "simple_random_sample"}
 
@@ -65,7 +38,9 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _parse_sampling(text: str) -> SamplingDesign:
+def _parse_sampling(text: str):
+    from .risk import SamplingDesign
+
     method_key, _, draws_text = text.strip().partition(":")
     if method_key not in _SAMPLING_METHODS:
         raise click.UsageError(
@@ -96,6 +71,9 @@ def _parse_pool(text: str | None) -> list[str]:
 
 def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
     """Load the returns as a contest and merge the ``--pool`` members, if any."""
+    from .core import pool_contest
+    from .io import load_contest
+
     members = _parse_pool(pool)
     contest = load_contest(returns_path, votes_per_voter)
     if not members:
@@ -105,6 +83,8 @@ def _load_contest(returns_path, votes_per_voter, pool, pooled_id):
 
 
 def _echo_json(payload) -> None:
+    import json
+
     click.echo(json.dumps(payload, indent=2))
 
 
@@ -125,6 +105,8 @@ def _config_defaults(ctx, param, path):
     """
     if path is None:
         return
+    from .io import load_config
+
     flags = {option.name for command in cli.commands.values()
              for option in command.params}
     ctx.default_map = _domain_errors(load_config)(path, flags)
@@ -182,6 +164,8 @@ option_votes_per_voter = click.option(
 @_domain_errors
 def margins(returns_file, pool, pooled_id, votes_per_voter):
     """Tabulate totals and pairwise margins."""
+    from .report import SCHEMA, outcome_block
+
     contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
     )
@@ -205,6 +189,9 @@ def margins(returns_file, pool, pooled_id, votes_per_voter):
 @_domain_errors
 def bounds(returns_file, pool, pooled_id, votes_per_voter):
     """Per-precinct a priori MRO bounds (no hand counts needed)."""
+    from .discrepancy import BoundColumns
+    from .report import bounds_json
+
     contest, _ = _load_contest(returns_file, votes_per_voter, pool, pooled_id)
     click.echo(bounds_json(contest.county_ids, BoundColumns(contest)))
 
@@ -221,6 +208,12 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
 @_domain_errors
 def plan(returns_file, counties, seed, votes_per_voter):
     """Draw the stratified county sample and its conservative reduction."""
+    from itertools import islice
+
+    from .io import load_contest, load_county_table
+    from .report import SCHEMA
+    from .sampling import county_walk, draw_and_reduce
+
     contest = load_contest(returns_file, votes_per_voter)
     walk = county_walk(contest.precinct_ids, contest.county_ids,
                        map(sum, zip(*contest.counts)))
@@ -243,8 +236,10 @@ def plan(returns_file, counties, seed, votes_per_voter):
 
 def _risk_options(fn):
     for option in (
-        click.option("--weight", type=click.Choice([IDENTITY, TAINT]),
-                     default=IDENTITY, show_default=True,
+        # risk.IDENTITY and risk.TAINT, spelled here so that parsing
+        # imports no library module.
+        click.option("--weight", type=click.Choice(["identity", "taint"]),
+                     default="identity", show_default=True,
                      help="Per-precinct weighting of the MRO."),
         option_sampling,
         option_pool,
@@ -258,6 +253,10 @@ def _risk_options(fn):
 
 def _run_pipeline(returns_file, audits_file, *, weight, sampling,
                   pool, pooled_id, votes_per_voter):
+    from .core import pool_audit_records
+    from .io import load_audits
+    from .risk import TestConfig, run_contest_test
+
     test_config = TestConfig(weight=weight, sampling=_parse_sampling(sampling))
     contest, pooled_info = _load_contest(
         returns_file, votes_per_voter, pool, pooled_id
@@ -275,6 +274,8 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling,
 @_domain_errors
 def pvalue(returns_file, audits_file, **options):
     """Conservative P-value that the apparent outcome is wrong."""
+    from .report import SCHEMA, risk_block
+
     _, (report, *_), pooled_info = _run_pipeline(
         returns_file, audits_file, **options
     )
@@ -291,6 +292,8 @@ def pvalue(returns_file, audits_file, **options):
 @_domain_errors
 def report_command(returns_file, audits_file, **options):
     """Full audit report document (schema mro-audit/1)."""
+    from .report import file_digest, report_json
+
     contest, (report, bounds, discrepancies), pooled_info = _run_pipeline(
         returns_file, audits_file, **options)
     click.echo(report_json(
@@ -316,6 +319,11 @@ def report_command(returns_file, audits_file, **options):
 @_domain_errors
 def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
     """Monte Carlo validation of the closed-form P-value."""
+    from math import sqrt
+
+    from .report import SCHEMA, percent
+    from .risk import monte_carlo_pvalue, p_value
+
     design = _parse_sampling(sampling)
     closed = p_value(taint_count, population, design)
     estimate, stderr = monte_carlo_pvalue(
@@ -350,9 +358,12 @@ def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
 def _oracle_checks(seed: int) -> dict:
     """Cross-check fast implementations against the brute-force oracles."""
     import random
+    from fractions import Fraction
 
     from .core import prepare_contest
+    from .discrepancy import analyze_precinct, mro_sum
     from .oracle import brute_mro, brute_taint_count, gen_instance, random_audits
+    from .risk import IDENTITY, taint_count
 
     rng = random.Random(seed)
     checks: dict[str, dict] = {}

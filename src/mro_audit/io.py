@@ -27,7 +27,8 @@ header being row 1.  Audits and county tables are walked row by row
 runs every row rule as a pass over the columns; no row is built.  Returns
 that break a rule are walked row by row with the per-row checks
 (:func:`_check_record`, :func:`_counts`, ``core._count_problem``), which
-raise the first fault as the row walk would.
+raise the first fault as the row walk would.  A message echoes a cell, key
+or line through :func:`_echo`, which cuts a long one.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 # in C, few enough that their cells add little to the load's peak memory
 # beside the columns.
 _CHUNK_ROWS = 256
+# Characters of a cell, key or line that a message echoes whole.
+_ECHO_CHARS = 100
+
+
+def _echo(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``, as a message echoes a cell, key or line; a longer
+    text than :data:`_ECHO_CHARS` is cut to that many characters, and the
+    message states its length."""
+    if len(text) <= _ECHO_CHARS:
+        return show(text)
+    return (f"{show(text[:_ECHO_CHARS])} (first {_ECHO_CHARS} of "
+            f"{len(text)} characters)")
 
 
 @contextmanager
@@ -116,7 +129,7 @@ def _check_record(cells: list[str], header: list[str], seen: set[str],
                          path=path, row=row)
     key = cells[0] = cells[0].strip()
     if key in seen:
-        raise ParseError(f"duplicate {header[0]} {key!r}",
+        raise ParseError(f"duplicate {header[0]} {_echo(key)}",
                          path=path, row=row, column=header[0])
     seen.add(key)
 
@@ -145,7 +158,7 @@ def _ints(cells: list[str], columns: list[str], path: str,
         for column, cell in zip(columns, cells):
             ints.append(int(cell.strip()))
     except ValueError:
-        raise ParseError(f"expected an integer, got {cell!r}",
+        raise ParseError(f"expected an integer, got {_echo(cell)}",
                          path=path, row=row, column=column) from None
     return ints
 
@@ -168,7 +181,7 @@ def _candidates(header: list[str], fixed: tuple[str, ...], at_least: int,
     if tuple(header[:len(fixed)]) != fixed:
         raise ParseError(
             f"header must start with {','.join(fixed)}, "
-            f"got {','.join(header[:len(fixed)])}",
+            f"got {_echo(','.join(header[:len(fixed)]), str)}",
             path=path, row=1,
         )
     candidates = tuple(header[len(fixed):])
@@ -337,7 +350,8 @@ def load_county_table(path: str | Path, counties: Counties) -> list[CountyPlan]:
         voters, = _ints(cells[1:2], header[1:2], path, row)
         if voters < 0:
             raise ValidationError(
-                f"county {county_id}: negative registered voters",
+                f"county {_echo(county_id, str)}: negative registered "
+                "voters",
                 path=path, row=row,
             )
         minimum = required = statutory_minimum(voters)
@@ -356,7 +370,8 @@ def load_county_table(path: str | Path, counties: Counties) -> list[CountyPlan]:
     missing = counties.keys() - {plan.county_id for plan in plans}
     if missing:
         raise ValidationError(
-            f"counties in returns but not in the table: {sorted(missing)[:5]}",
+            "counties in returns but not in the table: "
+            f"[{', '.join(map(_echo, sorted(missing)[:5]))}]",
             path=path,
         )
     return plans
@@ -383,16 +398,17 @@ def load_config(path: str | Path, flags: Container[str]) -> dict[str, str]:
                                  row=lineno)
             if "=" not in line:
                 raise ParseError(
-                    f"expected key=value, got {line!r}", path=path, row=lineno
+                    f"expected key=value, got {_echo(line)}", path=path,
+                    row=lineno
                 )
             key, _, value = line.partition("=")
             key = key.strip()
             name = key.replace("-", "_")
             if name not in flags:
-                raise ParseError(f"unknown key {key!r}, not a flag of any "
-                                 "command", path=path, row=lineno)
+                raise ParseError(f"unknown key {_echo(key)}, not a flag of "
+                                 "any command", path=path, row=lineno)
             if name in rows:
-                raise ParseError(f"key {key!r} already set at row "
+                raise ParseError(f"key {_echo(key)} already set at row "
                                  f"{rows[name]}", path=path, row=lineno)
             rows[name] = lineno
             config[name] = value.strip()

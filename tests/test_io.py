@@ -281,6 +281,14 @@ def _int_or_none(text):
         return None
 
 
+def _shown(text):
+    """``text`` as a message echoes it: whole up to 100 characters, else
+    its first 100 and its length."""
+    if len(text) <= 100:
+        return repr(text)
+    return f"{text[:100]!r} (first 100 of {len(text)} characters)"
+
+
 class TestIntegerCell:
     """A count cell reads as ``int(cell.strip())`` does, or is rejected with
     the located message of every non-integer cell."""
@@ -291,6 +299,7 @@ class TestIntegerCell:
     # str.strip() removes the separator "\x1c", which int() rejects.
     @example(cell="\x1c5")
     @example(cell=" 5\xa0")
+    @example(cell="0" * 100 + ":")
     def test_accepts_exactly_what_int_accepts(self, tmp_path_factory, cell):
         folder = tmp_path_factory.mktemp("cell")
         audits, returns = folder / "audits.csv", folder / "returns.csv"
@@ -308,7 +317,7 @@ class TestIntegerCell:
                     load(path)
                 assert str(err.value) == (
                     f"{path}, row 2, column 'A': expected an integer, "
-                    f"got {cell!r}"
+                    f"got {_shown(cell)}"
                 )
             return
         assert load_audits(audits)[0].hand_votes == {"A": expected}
@@ -523,6 +532,24 @@ CORPUS = [
         ParseError, "{path}, row 3, column 'A': expected an integer, got "
                     "'five'",
         id="returns-non-integer-cell"),
+    # Python parses no integer of over 4,300 digits; a long cell is echoed
+    # cut to its first 100 characters, and its length is stated.
+    pytest.param(
+        "returns", R + f"p1,c1,{'9' * 5000},5,1\n",
+        ParseError, "{path}, row 2, column 'ballot_bound': expected an "
+                    f"integer, got '{'9' * 100}' (first 100 of 5000 "
+                    "characters)",
+        id="returns-5000-digit-bound"),
+    pytest.param(
+        "returns", R + f"p1,c1,10,{'x' * 3000},1\n",
+        ParseError, "{path}, row 2, column 'A': expected an integer, got "
+                    f"'{'x' * 100}' (first 100 of 3000 characters)",
+        id="returns-long-non-integer-cell"),
+    pytest.param(
+        "returns", R + f"{'p' * 100},c1,10,5,1\n{'p' * 100},c1,10,5,1\n",
+        ParseError, "{path}, row 3, column 'precinct_id': duplicate "
+                    f"precinct_id '{'p' * 100}'",
+        id="returns-duplicate-100-character-id"),
     pytest.param(
         "returns", R + TWO_LINE + "p2,c1,10,x,1\n",
         ParseError, "{path}, row 3, column 'A': expected an integer, got "
@@ -757,6 +784,11 @@ CORPUS = [
         "config", "# comment\n\njust words\n",
         ParseError, "{path}, row 3: expected key=value, got 'just words'",
         id="config-malformed-line"),
+    pytest.param(
+        "config", "x" * 3000 + "\n",
+        ParseError, "{path}, row 1: expected key=value, got "
+                    f"'{'x' * 100}' (first 100 of 3000 characters)",
+        id="config-long-malformed-line"),
     pytest.param(
         "config", "sampling=wr:2\ncounties=a\0b\n",
         ParseError, "{path}, row 2: NUL character in line",
