@@ -9,8 +9,6 @@ reverse the apparent outcome.
 submodule, is imported from its home module on first use (PEP 562).
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Each home module and the public names it defines.
@@ -36,6 +34,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    from importlib import import_module
+
     if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     if name not in _HOME:
@@ -47,4 +47,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({"__version__", *__all__, *_SUBMODULES})

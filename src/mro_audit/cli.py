@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 import gc
+from itertools import islice
+from math import sqrt
 
 import click
 
 from . import __version__
 from .errors import AuditError
 
-# Only click, the stdlib that parsing needs and ``errors`` load with this
+# Only click, stdlib that click loads itself and ``errors`` load with this
 # module, so ``--version``, ``--help`` and the usage errors click finds
 # import no library module; each command, and each helper it calls,
 # imports the library functions it uses.
@@ -208,8 +210,6 @@ def bounds(returns_file, pool, pooled_id, votes_per_voter):
 @_domain_errors
 def plan(returns_file, counties, seed, votes_per_voter):
     """Draw the stratified county sample and its conservative reduction."""
-    from itertools import islice
-
     from .io import load_contest, load_county_table
     from .report import SCHEMA
     from .sampling import county_walk, draw_and_reduce
@@ -319,8 +319,6 @@ def report_command(returns_file, audits_file, **options):
 @_domain_errors
 def simulate(ctx, taint_count, population, sampling, reps, seed, verify):
     """Monte Carlo validation of the closed-form P-value."""
-    from math import sqrt
-
     from .report import SCHEMA, percent
     from .risk import monte_carlo_pvalue, p_value
 

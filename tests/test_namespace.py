@@ -2,14 +2,13 @@
 
 Each name of ``__all__`` is the very object its home module defines,
 ``from mro_audit import *`` binds them all, and after a plain
-``import mro_audit`` every submodule is still an attribute.  The checks
-that concern what a fresh interpreter imports run in one, in development
-mode with every warning an error.
+``import mro_audit`` every submodule is still an attribute.  What a fresh
+interpreter imports is checked in one, in development mode with every
+warning an error.
 """
 
 import importlib
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +18,6 @@ import pytest
 import mro_audit
 from mro_audit import risk
 from mro_audit.cli import pvalue, report_command
-
-from test_readme import library_example
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,9 +79,9 @@ def test_star_import_binds_every_name():
 
 
 def test_dir_lists_names_and_submodules():
-    listed = dir(mro_audit)
-    assert listed == sorted(listed)
-    assert {"__version__", *mro_audit.__all__, *SUBMODULES} <= set(listed)
+    assert dir(mro_audit) == sorted(
+        {"__version__", *mro_audit.__all__, *SUBMODULES}
+    )
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -124,35 +121,11 @@ assert loaded() == ["mro_audit", "mro_audit.errors"], loaded()
 for name in {SUBMODULES!r}:
     assert getattr(mro_audit, name) is sys.modules["mro_audit." + name], name
 assert callable(mro_audit.io.load_contest)
-""", tmp_path)
-
-
-def test_submodules_import_from_the_package(tmp_path):
-    # As the benchmark's replay imports them.
-    run_fresh("""
-from mro_audit import core, discrepancy, io, report, risk, sampling
-assert callable(io.load_contest) and callable(report.verify_document)
-""", tmp_path)
-
-
-def test_star_import_in_a_fresh_interpreter(tmp_path):
-    run_fresh(f"""
-import importlib
-from mro_audit import *
-import mro_audit
 public = {PUBLIC!r}
+from mro_audit import *
 for home, names in public.items():
-    module = importlib.import_module("mro_audit." + home)
     for name in names:
-        assert globals()[name] is getattr(module, name), name
-assert sorted(sum(public.values(), [])) == mro_audit.__all__
+        assert globals()[name] is getattr(sys.modules["mro_audit." + home],
+                                          name), name
 """, tmp_path)
 
-
-def test_readme_library_block_in_a_fresh_interpreter(
-        tmp_path, docs_returns_path, docs_audits_path):
-    shutil.copy(docs_returns_path, tmp_path / "returns.csv")
-    shutil.copy(docs_audits_path, tmp_path / "audits.csv")
-    run_fresh(library_example() + """
-assert report.taint_count >= 0 and 0 <= report.p_value <= 1
-""", tmp_path)
