@@ -43,6 +43,7 @@ from .errors import (
     PoolContainsWinner,
     UnknownPrecinct,
     ValidationError,
+    _echo,
 )
 
 Candidate = str
@@ -190,7 +191,7 @@ class Contest:
 
 def _negative_count(candidate: Candidate, count: int) -> str:
     """The negative-count rule's message, shared by pooling and the join."""
-    return f"negative count {count} for {candidate!r}"
+    return f"negative count {_echo(str(count), str)} for {_echo(candidate)}"
 
 
 def _check_int_count(candidate: Candidate, count: object, where: str) -> None:
@@ -207,19 +208,21 @@ def _count_problem(counts: Iterable[tuple[Candidate, int]], ballot_bound: int,
     rules: the ballot bound is nonnegative (and at most
     :data:`MAX_BALLOT_BOUND`), each count is nonnegative and at most the
     bound, and the counts sum to at most ``votes_per_voter`` times the
-    bound.  The caller adds the location.
+    bound.  The caller adds the location.  A long count, bound or
+    candidate is echoed cut; past the first two rules the bound, and so the
+    total, are short.
     """
     if ballot_bound < 0:
-        return f"negative ballot bound {ballot_bound}"
+        return f"negative ballot bound {_echo(str(ballot_bound), str)}"
     if ballot_bound > MAX_BALLOT_BOUND:
-        return f"ballot bound {ballot_bound} above 10**18"
+        return f"ballot bound {_echo(str(ballot_bound), str)} above 10**18"
     total = 0
     for candidate, count in counts:
         if count < 0:
             return _negative_count(candidate, count)
         if count > ballot_bound:
-            return (f"count {count} for {candidate!r} exceeds "
-                    f"ballot bound {ballot_bound}")
+            return (f"count {_echo(str(count), str)} for {_echo(candidate)} "
+                    f"exceeds ballot bound {ballot_bound}")
         total += count
     if total > votes_per_voter * ballot_bound:
         return (f"{total} votes exceed {votes_per_voter} "

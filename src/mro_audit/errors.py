@@ -6,7 +6,26 @@ An error found in an input file carries its location (``path``, ``row``,
 ``column``), and :class:`AuditError` writes it in front of the message in
 one format: ``<path>, row N, column 'X': <message>``, where row N counts
 CSV records (or config lines) and the header is row 1.
+
+A message echoes an input's text (a cell, key, line, column name, count or
+candidate) through :func:`_echo`, which cuts a long one.
 """
+
+from collections.abc import Callable
+
+# Characters of an input's text that a message echoes whole.
+_ECHO_CHARS = 100
+
+
+def _echo(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``, as a message echoes an input's text; a longer text
+    than :data:`_ECHO_CHARS` is cut to that many characters, and the
+    message states its length.  A value that is not a ``str`` (a
+    hand-built candidate, say) is shown whole."""
+    if not isinstance(text, str) or len(text) <= _ECHO_CHARS:
+        return show(text)
+    return (f"{show(text[:_ECHO_CHARS])} (first {_ECHO_CHARS} of "
+            f"{len(text)} characters)")
 
 
 class AuditError(Exception):
@@ -27,7 +46,7 @@ class AuditError(Exception):
         if row is not None:
             where.append(f"row {row}")
         if column is not None:
-            where.append(f"column {column!r}")
+            where.append(f"column {_echo(column)}")
         prefix = ", ".join(where)
         super().__init__(f"{prefix}: {message}" if prefix else message)
 

@@ -28,7 +28,7 @@ runs every row rule as a pass over the columns; no row is built.  Returns
 that break a rule are walked row by row with the per-row checks
 (:func:`_check_record`, :func:`_counts`, ``core._count_problem``), which
 raise the first fault as the row walk would.  A message echoes a cell, key
-or line through :func:`_echo`, which cuts a long one.
+or line through ``errors._echo``, which cuts a long one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .core import (
     PrecinctReturns,
     _count_problem,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _echo
 from .sampling import (Counties, CountyPlan, _plan_problem, _row_walk,
                        statutory_minimum)
 
@@ -59,18 +59,6 @@ RETURNS_FIXED_COLUMNS = ("precinct_id", "county_id", "ballot_bound")
 # in C, few enough that their cells add little to the load's peak memory
 # beside the columns.
 _CHUNK_ROWS = 256
-# Characters of a cell, key or line that a message echoes whole.
-_ECHO_CHARS = 100
-
-
-def _echo(text: str, show: Callable[[str], str] = repr) -> str:
-    """``show(text)``, as a message echoes a cell, key or line; a longer
-    text than :data:`_ECHO_CHARS` is cut to that many characters, and the
-    message states its length."""
-    if len(text) <= _ECHO_CHARS:
-        return show(text)
-    return (f"{show(text[:_ECHO_CHARS])} (first {_ECHO_CHARS} of "
-            f"{len(text)} characters)")
 
 
 @contextmanager

@@ -146,13 +146,19 @@ def _effective_n(plans: Sequence[CountyPlan], counties: list[County]) -> int:
 def draw_and_reduce(plans: Sequence[CountyPlan], counties: Counties,
                     seed: int | str) -> tuple[list[str], int]:
     """Draw each county's sample, deterministic given the seed, and reduce
-    the design to its :func:`conservative_effective_n`; raises as
-    :func:`_counties`.
+    the design to its conservative effective n; raises as :func:`_counties`.
 
     Construction per county, resampling-free: the eligible precinct (>= 150
     votes) with the smallest ticket is taken first, then the remaining draws
     are the smallest-ticket precincts among all others.  The sample's size
     is the sum of the counties' required samples, with no duplicates.
+
+    The conservative effective n is the number of precincts times the
+    smallest county inclusion rate, floored: the with-replacement sample
+    size the risk test may safely use in place of this design, since no
+    precinct is drawn at a lower rate.  County c counts at n_c/N_c, or at
+    (n_c - 1)/(N_c - 1) if it holds a precinct under 150 votes, which only
+    the later draws reach.
     """
     checked = _counties(plans, counties)
     # Tickets hash f"{seed}|{precinct_id}"; digests sort as hexdigests do.
@@ -177,15 +183,3 @@ def draw_sample(plans: Sequence[CountyPlan],
     """The sample of :func:`draw_and_reduce`, from the rows ``returns``."""
     return draw_and_reduce(plans, _row_walk(returns), seed)[0]
 
-
-def conservative_effective_n(plans: Sequence[CountyPlan],
-                             returns: Sequence[PrecinctReturns]) -> int:
-    """``len(returns)`` times the smallest county inclusion rate, floored.
-
-    This is the with-replacement sample size the risk test may safely use in
-    place of :func:`draw_sample`'s design: no precinct is drawn at a lower
-    rate.  County c counts at n_c/N_c, or at (n_c - 1)/(N_c - 1) if it holds
-    a precinct under 150 votes, which only the later draws reach.  Raises
-    as :func:`_counties`.
-    """
-    return _effective_n(plans, _counties(plans, _row_walk(returns)))

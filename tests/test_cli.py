@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minnesota
-from mro_audit import __version__, core
-from mro_audit.cli import cli
+from mro_audit import __version__, core, risk
+from mro_audit.cli import cli, pvalue, report_command
 from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
 from mro_audit.discrepancy import analyze_precinct, precinct_bound
 from mro_audit.errors import CandidateMismatch, ValidationError
@@ -461,6 +461,16 @@ class TestPvalue:
         assert 0.0 <= payload["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize("command", [pvalue, report_command],
+                         ids=["pvalue", "report"])
+def test_weight_choices_are_risks(command):
+    """The CLI spells the ``--weight`` choices, so that parsing needs no
+    ``risk``; they are ``risk``'s weights."""
+    weight, = (param for param in command.params if param.name == "weight")
+    assert tuple(weight.type.choices) == (risk.IDENTITY, risk.TAINT)
+    assert weight.default == risk.IDENTITY
+
+
 class TestConfigResolution:
     """Command line > config file > declared default, resolved by click."""
 
@@ -783,6 +793,34 @@ class TestOutsizedInput:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "ValidationError" in result.output
         assert "above 10**18" in result.output
+
+    @pytest.mark.parametrize("hand_counts, pool, message", [
+        (f"{'9' * 4000},30,5,10", None,
+         f"count {'9' * 100} (first 100 of 4000 characters) for 'A' exceeds "
+         "ballot bound 100"),
+        (f"50,30,-{'9' * 4000},16", "C,D",
+         f"negative count -{'9' * 99} (first 100 of 4001 characters) for "
+         "'C'"),
+    ], ids=["over-the-bound", "negative-pooled"])
+    def test_long_hand_count_echoed_cut(self, runner, tmp_path, hand_counts,
+                                        pool, message):
+        returns_path = tmp_path / "returns.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C,D\n"
+            "p1,c1,100,50,30,5,10\np2,c1,100,50,30,5,10\n",
+            encoding="utf-8",
+        )
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text(f"precinct_id,A,B,C,D\np1,{hand_counts}\n",
+                               encoding="utf-8")
+        args = ["pvalue", str(returns_path), str(audits_path),
+                "--sampling", "wr:1"]
+        if pool:
+            args += ["--pool", pool, "--pooled-id", "Minor"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ValidationError: audit of precinct p1: {message}\n")
 
 
 class TestReport:

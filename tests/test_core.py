@@ -169,6 +169,14 @@ class TestComputeTotals:
         with pytest.raises(ValidationError):
             compute_totals(setup, returns)
 
+    def test_count_over_bound_of_a_non_string_candidate_rejected(self):
+        setup = ContestSetup((1, 2), votes_per_voter=1, precinct_count=1)
+        returns = [PrecinctReturns("p1", "c1", 5, {1: 9, 2: 0})]
+        with pytest.raises(ValidationError, match=r"^precinct p1: count 9 "
+                                                  r"for 1 exceeds ballot "
+                                                  r"bound 5$"):
+            compute_totals(setup, returns)
+
     def test_votes_per_voter_cap_enforced(self):
         setup = ContestSetup(("A", "B", "C"), votes_per_voter=1, precinct_count=1)
         returns = [PrecinctReturns("p1", "c1", 10, {"A": 8, "B": 7, "C": 0})]

@@ -545,6 +545,24 @@ CORPUS = [
         ParseError, "{path}, row 2, column 'A': expected an integer, got "
                     f"'{'x' * 100}' (first 100 of 3000 characters)",
         id="returns-long-non-integer-cell"),
+    # Python parses up to 4,300 digits; a long count, bound or column name
+    # is echoed cut as a long cell is.
+    pytest.param(
+        "returns", R + f"p1,c1,10,{'9' * 4000},1\n",
+        ValidationError, f"{{path}}, row 2: count {'9' * 100} (first 100 of "
+                         "4000 characters) for 'A' exceeds ballot bound 10",
+        id="returns-4000-digit-count"),
+    pytest.param(
+        "returns", R + f"p1,c1,{'9' * 4000},1,1\n",
+        ValidationError, f"{{path}}, row 2: ballot bound {'9' * 100} (first "
+                         "100 of 4000 characters) above 10**18",
+        id="returns-4000-digit-bound"),
+    pytest.param(
+        "returns", f"precinct_id,county_id,ballot_bound,{'x' * 3000},B\n"
+                   "p1,c1,10,x,1\n",
+        ParseError, f"{{path}}, row 2, column '{'x' * 100}' (first 100 of "
+                    "3000 characters): expected an integer, got 'x'",
+        id="returns-3000-character-candidate-over-non-integer-cell"),
     pytest.param(
         "returns", R + f"{'p' * 100},c1,10,5,1\n{'p' * 100},c1,10,5,1\n",
         ParseError, "{path}, row 3, column 'precinct_id': duplicate "

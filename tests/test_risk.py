@@ -240,6 +240,16 @@ class TestPowerPValue:
         assert p_value(1, 10**9, WR(300_000)) == 0.9997000449953504
         assert time.perf_counter() - start < 0.1
 
+    def test_many_redrawn_words_are_fast(self):
+        # Just above 2^31 and 2^63 about half the generator words are
+        # redrawn; a walk that visits each redrawn word takes over 0.6 s.
+        for population in (2**31 + 1, 2**63 + 1):
+            start = time.perf_counter()
+            result = monte_carlo_pvalue(population // 2, population, WR(3),
+                                        100_000, seed=0)
+            assert time.perf_counter() - start < 0.2, population
+            assert abs(result.estimate - 0.125) <= 4 * result.standard_error
+
 
 class TestMonteCarlo:
     def test_deterministic_for_a_seed(self):

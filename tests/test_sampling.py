@@ -11,7 +11,6 @@ from mro_audit.core import ContestSetup, PrecinctReturns, prepare_contest
 from mro_audit.errors import InfeasibleConstraint, ValidationError
 from mro_audit.sampling import (
     CountyPlan,
-    conservative_effective_n,
     county_walk,
     draw_and_reduce,
     draw_sample,
@@ -26,6 +25,15 @@ def returns_for(county_id, votes_by_precinct):
             PrecinctReturns(pid, county_id, votes + 10, {"A": votes, "B": 0})
         )
     return out
+
+
+def effective_n(plans, returns):
+    """The reduction :func:`draw_and_reduce` gives for the rows
+    ``returns``, walked as ``plan`` walks a contest's columns."""
+    walk = county_walk([r.precinct_id for r in returns],
+                       [r.county_id for r in returns],
+                       [sum(r.machine_votes.values()) for r in returns])
+    return draw_and_reduce(plans, walk, 0)[1]
 
 
 class TestStatutoryMinimum:
@@ -170,18 +178,18 @@ class TestDrawMatchesReference:
            st.one_of(st.integers(), awkward_text | st.just("")))
     @settings(max_examples=200, deadline=None)
     def test_column_draw_and_row_draw(self, design, seed):
-        """The draw from the contest's columns, as ``plan`` makes it, and
-        from rows: tickets, their order and the reduction."""
+        """The draw and reduction from the contest's columns, as ``plan``
+        makes them, and the draw from rows: tickets, their order and the
+        reduction."""
         plans, returns = design
         contest = prepare_contest(ContestSetup(("A", "B"), 1, len(returns)),
                                   returns)
         walk = county_walk(contest.precinct_ids, contest.county_ids,
                            map(sum, zip(*contest.counts)))
         expected = reference_draw(plans, returns, seed)
-        effective_n = reference_effective_n(plans, returns)
-        assert draw_and_reduce(plans, walk, seed) == (expected, effective_n)
+        reduced = reference_effective_n(plans, returns)
+        assert draw_and_reduce(plans, walk, seed) == (expected, reduced)
         assert draw_sample(plans, returns, seed) == expected
-        assert conservative_effective_n(plans, returns) == effective_n
 
     @pytest.mark.parametrize("seed", [0, 1, 42, "x", "mn-2006-senate"])
     def test_synthetic_counties(self, seed):
@@ -228,24 +236,23 @@ class TestCountyPlan:
 
 class TestConservativeEffectiveN:
     def test_single_county_identity(self):
-        assert conservative_effective_n(*large_counties([(2, 100)])) == 2
+        assert effective_n(*large_counties([(2, 100)])) == 2
 
     def test_min_fraction_rule(self):
-        assert conservative_effective_n(
-            *large_counties([(2, 10), (2, 100)])) == 2
+        assert effective_n(*large_counties([(2, 10), (2, 100)])) == 2
 
     def test_minnesota_fixture_reduces_to_78(self, minnesota_files):
         plans = minnesota_files["plans"]
         returns = minnesota_files["returns"]
         assert len(returns) == 4123
-        assert conservative_effective_n(plans, returns) == 78
+        assert effective_n(plans, returns) == 78
 
     @given(st.lists(st.tuples(st.integers(2, 4), st.integers(4, 30)),
                     min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_never_exceeds_total_sample_size(self, shape):
         plans, returns = large_counties(shape)
-        effective = conservative_effective_n(plans, returns)
+        effective = effective_n(plans, returns)
         assert effective <= sum(p.required_samples for p in plans)
 
     def test_small_precinct_counts_only_the_later_draws(self):
@@ -253,7 +260,7 @@ class TestConservativeEffectiveN:
         # probability 1/2, not 2/3: one taint there is missed half the time,
         # and only wr:1 (P = 2/3) covers that; wr:2 gives (2/3)**2 = 4/9.
         plans, returns = SMALL_COUNTY
-        assert conservative_effective_n(plans, returns) == 1
+        assert effective_n(plans, returns) == 1
 
     def test_small_precinct_miss_rate_through_the_draw(self):
         plans, returns = SMALL_COUNTY
@@ -261,7 +268,7 @@ class TestConservativeEffectiveN:
         misses = sum("small1" not in draw_sample(plans, returns, seed)
                      for seed in range(seeds))
         assert abs(misses / seeds - 0.5) < 4 * (0.25 / seeds) ** 0.5
-        effective = conservative_effective_n(plans, returns)
+        effective = effective_n(plans, returns)
         assert Fraction(2, 3) ** effective > Fraction(misses, seeds)
         assert Fraction(2, 3) ** 2 < Fraction(misses, seeds)
 
@@ -270,7 +277,7 @@ class TestConservativeEffectiveN:
         returns = returns_for("c1", {"p1": 20})
         with pytest.raises(InfeasibleConstraint,
                            match="county c1: no precinct has at least 150"):
-            conservative_effective_n(plans, returns)
+            effective_n(plans, returns)
 
 
 def doubly_listed():
@@ -342,7 +349,7 @@ class TestPlansCoverTheReturns:
 
     @pytest.mark.parametrize("reduce", [
         lambda plans, returns: draw_sample(plans, returns, 1),
-        conservative_effective_n,
+        effective_n,
     ], ids=["draw", "reduction"])
     @pytest.mark.parametrize("case, error, message", [
         (no_plans, ValidationError, r"^no county plans supplied$"),
@@ -387,8 +394,7 @@ class TestLargePrecinctThreshold:
 
     @pytest.mark.parametrize("middle_votes, effective", [(150, 2), (149, 1)])
     def test_reduction(self, middle_votes, effective):
-        assert conservative_effective_n(*threshold_county(middle_votes)) == (
-            effective)
+        assert effective_n(*threshold_county(middle_votes)) == effective
 
     def test_first_draw(self):
         plans, returns = threshold_county(149)
@@ -492,7 +498,7 @@ class TestReductionAgainstEveryTicketOrder:
     @settings(max_examples=60, deadline=None)
     def test_reduced_pvalue_is_conservative(self, design):
         plans, returns = design_inputs(design)
-        effective = conservative_effective_n(plans, returns)
+        effective = effective_n(plans, returns)
         population = len(returns)
         for t, miss in enumerate(worst_miss(design)):
             assert Fraction(population - t, population) ** effective >= miss, t
