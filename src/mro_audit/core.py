@@ -298,13 +298,14 @@ def join_audits(
         position = positions.get(precinct_id)
         if position is None:
             raise UnknownPrecinct(
-                f"audited precinct {precinct_id!r} not in the returns"
+                f"audited precinct {_echo(precinct_id)} not in the returns"
             )
         if precinct_id in joined:
-            raise ValidationError(f"duplicate audit for precinct {precinct_id!r}")
+            raise ValidationError(
+                f"duplicate audit for precinct {_echo(precinct_id)}")
         _check_vote_map(contest.setup, audit.hand_votes,
                         contest.ballot_bounds[position],
-                        f"audit of precinct {precinct_id}")
+                        f"audit of precinct {_echo(precinct_id, str)}")
         joined[precinct_id] = position, contest.row(position), audit
     return list(joined.values())
 
@@ -406,7 +407,8 @@ def pool_contest(contest: Contest, pool: Iterable[Candidate],
         i = next(i for i, bound in enumerate(bounds) if pooled[i] > bound)
         problem = _count_problem([(pooled_id, pooled[i])], bounds[i],
                                  setup.votes_per_voter)
-        raise ValidationError(f"precinct {contest.precinct_ids[i]}: {problem}")
+        raise ValidationError(
+            f"precinct {_echo(contest.precinct_ids[i], str)}: {problem}")
     pooled_total = sum(votes[c] for c in pool)
     weakest = outcome.winners[-1]
     if pooled_total >= votes[weakest]:
@@ -457,19 +459,19 @@ def pool_audit_records(
     pool = set(pool)
     pooled = []
     for audit in audits:
+        where = f"audit of precinct {_echo(audit.precinct_id, str)}"
         missing = pool - set(audit.hand_votes)
         if missing:
             raise CandidateMismatch(
-                f"audit of precinct {audit.precinct_id}: pool members "
-                f"{sorted(missing)} not in the hand counts"
+                f"{where}: pool members {sorted(missing)} not in the hand "
+                "counts"
             )
         if pooled_id in audit.hand_votes:
             raise CandidateMismatch(
-                f"audit of precinct {audit.precinct_id}: pooled id "
-                f"{pooled_id!r} is already a hand-count column"
+                f"{where}: pooled id {pooled_id!r} is already a hand-count "
+                "column"
             )
         votes, pooled_count = {}, 0
-        where = f"audit of precinct {audit.precinct_id}"
         for candidate, count in audit.hand_votes.items():
             if candidate not in pool:
                 votes[candidate] = count

@@ -19,7 +19,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
-from itertools import groupby
 from operator import truediv
 from pathlib import Path
 
@@ -220,24 +219,10 @@ def _report_rows(template: str, ids: Iterable[str], county_ids: Iterable[str],
         (_LITERALS[mro] if mro is None else _string(mro) for mro in mros))))
 
 
-def _report_rows_json(rows: Sequence[Mapping]) -> str:
-    rendered = []
-    # A run of rows whose votes have the same keys shares a template; a
-    # row's values are its cells, in the order build_document writes them.
-    for keys, run in groupby(rows, lambda row: tuple(row["votes"])):
-        ids, counties, ballot_bounds, votes, *rest = zip(*map(dict.values, run))
-        rendered += _report_rows(_report_row_template(keys), ids, counties,
-                                 ballot_bounds, zip(*map(dict.values, votes)),
-                                 *rest)
-    return _rows_json(rendered)
-
-
 def document_json(document: Mapping) -> str:
-    """``json.dumps(document, indent=2)`` for a document of
-    :func:`build_document`'s shape, with its rows rendered from templates."""
-    return _object_json((key, _report_rows_json(value) if key == "precincts"
-                         else _nested_json(value))
-                        for key, value in document.items())
+    """The text of a :func:`build_document` document, as the ``report``
+    command's :func:`report_json` writes it."""
+    return json.dumps(document, indent=2)
 
 
 def report_json(contest: Contest, bounds: BoundColumns,
@@ -245,8 +230,9 @@ def report_json(contest: Contest, bounds: BoundColumns,
                 report: RiskReport, *, tool_version: str,
                 input_digests: Mapping[str, str],
                 pooled: Mapping[str, object] | None = None) -> str:
-    """``document_json(build_document(contest.setup, contest.returns, ...))``,
-    its rows rendered straight from the columns: no row, no row dict."""
+    """``json.dumps(build_document(contest.setup, contest.returns, ...),
+    indent=2)``, its rows rendered straight from the columns: no row, no row
+    dict."""
     document = build_document(contest.setup, (), contest.totals, {}, (),
                               report, tool_version=tool_version,
                               input_digests=input_digests, pooled=pooled)
@@ -378,12 +364,13 @@ def verify_document(document: Mapping) -> bool:
     ``pooled`` (see :func:`_check_pooled`); ``tool_version`` and each
     ``inputs.<name>.sha256``; each row's ``precinct_id``, ``county_id``,
     ``ballot_bound``, ``votes``, ``sampled`` and, if sampled, ``mro``; and
-    ``risk.weight``, ``sampling`` and ``margin_threshold``.  They go through
-    the code that built the document (``prepare_contest``, ``BoundColumns``,
-    ``assess_sample`` and :func:`build_document`'s own), and the document
-    must equal the one rebuilt, JSON type for JSON type and with no field
-    added: each row under the name ``precinct <id>``, then the whole, the
-    P-value bit for bit.
+    ``risk.weight`` and ``sampling``.  They go through the code that built
+    the document (``prepare_contest``, ``BoundColumns``, ``assess_sample``
+    and :func:`build_document`'s own), and the document must equal the one
+    rebuilt, JSON type for JSON type and with no field added: each row
+    under the name ``precinct <id>``, then the whole, the P-value bit for
+    bit.  So ``risk.margin_threshold`` must read ``"1/1"``, as every
+    document states it.
 
     Raises:
         ValidationError: a field is missing, unexpected or of the wrong
@@ -415,7 +402,6 @@ def verify_document(document: Mapping) -> bool:
         _read(risk, "risk", "weight", str),
         SamplingDesign(_read(sampling, "risk.sampling", "method", str),
                        _read(sampling, "risk.sampling", "draws", int)),
-        _fraction(risk, "risk", "margin_threshold"),
     )
 
     rows = _read(document, "document", "precincts", list)

@@ -70,18 +70,19 @@ class SamplingDesign:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Weight, sampling design, and the threshold the null must reach."""
+    """Weight and sampling design of a risk test."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     weight: Literal["identity", "taint"]
     sampling: SamplingDesign
-    margin_threshold: Fraction = Fraction(1)
+
+    # Not a field: the apparent outcome stands if the summed MRO is less
+    # than 1 (the paper's condition), so the null is a sum that reaches 1.
+    margin_threshold = Fraction(1)
 
     def __post_init__(self) -> None:
         _check_weight(self.weight)
-        if self.margin_threshold <= 0:
-            raise ValidationError("margin threshold must be positive")
 
 
 class RiskReport(NamedTuple):

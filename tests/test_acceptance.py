@@ -7,10 +7,18 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from operator import le
 
 import minnesota
-from mro_audit.core import compute_totals, pool_audit_records, pool_candidates
+from mro_audit.core import (
+    compute_totals,
+    pool_audit_records,
+    pool_candidates,
+    pool_contest,
+    prepare_contest,
+)
 from mro_audit.discrepancy import analyze_precinct, mro_sum
 from mro_audit.io import load_audits
 from mro_audit.oracle import (
@@ -25,6 +33,7 @@ from mro_audit.risk import (
     TestConfig,
     monte_carlo_pvalue,
     p_value,
+    run_contest_test,
     run_test,
     taint_count,
 )
@@ -220,3 +229,69 @@ def test_criterion_9_determinism_and_brackets(minnesota_files):
     _report(9, draw_ok and gen_ok and bracket_ok,
             f"draw_sample and gen_instance byte-identical on reruns; "
             f"statutory brackets {brackets} all match")
+
+
+def _runner_up_measure(returns, votes_per_voter, audits):
+    """Each precinct's bound, and the sample's largest MRO, under the
+    earlier measure that divides every pair's error by the smallest
+    pairwise margin V_min: the bound is the max over pairs of
+    (v_w - v_l + b) / V_min.  Totals, margins and V_min are its own, from
+    the rows; it shares no code with ``discrepancy``."""
+    totals = Counter()
+    for ret in returns:
+        totals.update(ret.machine_votes)
+    ranked = sorted(totals, key=totals.__getitem__, reverse=True)
+    pairs = [(w, l) for w in ranked[:votes_per_voter]
+             for l in ranked[votes_per_voter:]]
+    v_min = min(totals[w] - totals[l] for w, l in pairs)
+    bounds = [Fraction(max(ret.machine_votes[w] - ret.machine_votes[l]
+                           for w, l in pairs) + ret.ballot_bound, v_min)
+              for ret in returns]
+    machine = {ret.precinct_id: ret.machine_votes for ret in returns}
+    statistic = max(
+        Fraction(max(machine[a.precinct_id][w] - machine[a.precinct_id][l]
+                     - a.hand_votes[w] + a.hand_votes[l] for w, l in pairs),
+                 v_min)
+        for a in audits)
+    return bounds, statistic
+
+
+def test_criterion_10_mro_sharper_than_runner_up(minnesota_files):
+    setup, returns = minnesota_files["setup"], minnesota_files["returns"]
+    audits = load_audits(minnesota_files["audits_path"])
+    contest = prepare_contest(setup, returns)
+    pooled_rows = [ret._replace(machine_votes={
+        **{c: n for c, n in ret.machine_votes.items()
+           if c not in minnesota.POOL},
+        "Pooled": sum(ret.machine_votes[c] for c in minnesota.POOL),
+    }) for ret in returns]
+    cases = {
+        "unpooled": (contest, returns, audits),
+        "pooled": (pool_contest(contest, minnesota.POOL, "Pooled"),
+                   pooled_rows,
+                   pool_audit_records(audits, minnesota.POOL, "Pooled")),
+    }
+    population = setup.precinct_count
+    results = {}
+    bounds_ok = True
+    for name, (case, rows, hand_counts) in cases.items():
+        ru_bounds, ru_statistic = _runner_up_measure(
+            rows, setup.votes_per_voter, hand_counts)
+        ru_count = taint_count(ru_bounds, ru_statistic, IDENTITY)
+        for draws in (78, 202):
+            report, bounds, _ = run_contest_test(
+                case, hand_counts, TestConfig(IDENTITY, WR(draws)))
+            assert list(bounds.precinct_ids) == [r.precinct_id for r in rows]
+            bounds_ok &= all(map(le, map(Fraction, bounds.numerators,
+                                         bounds.margins), ru_bounds))
+            ru_p = p_value(min(ru_count, population), population, WR(draws))
+            results[name, draws] = (ru_count, f"{100 * ru_p:.4g}%",
+                                    report.taint_count,
+                                    f"{100 * report.p_value:.4g}%")
+    expected = {78: (150, "5.554%", 166, "4.054%"),
+                202: (150, "0.05609%", 166, "0.02482%")}
+    values_ok = all(results[name, draws] == expected[draws]
+                    for name, draws in results)
+    _report(10, bounds_ok and values_ok,
+            f"every MRO bound <= its runner-up form; runner-up against MRO "
+            f"(taint count, P), pooled and unpooled: {results}")

@@ -794,25 +794,34 @@ class TestOutsizedInput:
         assert "ValidationError" in result.output
         assert "above 10**18" in result.output
 
-    @pytest.mark.parametrize("hand_counts, pool, message", [
-        (f"{'9' * 4000},30,5,10", None,
-         f"count {'9' * 100} (first 100 of 4000 characters) for 'A' exceeds "
-         "ballot bound 100"),
-        (f"50,30,-{'9' * 4000},16", "C,D",
-         f"negative count -{'9' * 99} (first 100 of 4001 characters) for "
-         "'C'"),
-    ], ids=["over-the-bound", "negative-pooled"])
-    def test_long_hand_count_echoed_cut(self, runner, tmp_path, hand_counts,
-                                        pool, message):
+    # A long hand count, or a long precinct id, is cut where it is echoed.
+    @pytest.mark.parametrize("precinct_id, hand_counts, pool, message", [
+        ("p1", f"{'9' * 4000},30,5,10", None,
+         f"p1: count {'9' * 100} (first 100 of 4000 characters) for 'A' "
+         "exceeds ballot bound 100"),
+        ("p1", f"50,30,-{'9' * 4000},16", "C,D",
+         f"p1: negative count -{'9' * 99} (first 100 of 4001 characters) "
+         "for 'C'"),
+        ("X" * 3000, "101,30,5,10", None,
+         f"{'X' * 100} (first 100 of 3000 characters): count 101 for 'A' "
+         "exceeds ballot bound 100"),
+        ("X" * 3000, "50,30,-1,10", "C,D",
+         f"{'X' * 100} (first 100 of 3000 characters): negative count -1 "
+         "for 'C'"),
+    ], ids=["over-the-bound", "negative-pooled", "long-id-over-the-bound",
+            "long-id-negative-pooled"])
+    def test_long_hand_count_echoed_cut(self, runner, tmp_path, precinct_id,
+                                        hand_counts, pool, message):
         returns_path = tmp_path / "returns.csv"
         returns_path.write_text(
             "precinct_id,county_id,ballot_bound,A,B,C,D\n"
-            "p1,c1,100,50,30,5,10\np2,c1,100,50,30,5,10\n",
+            f"{precinct_id},c1,100,50,30,5,10\np2,c1,100,50,30,5,10\n",
             encoding="utf-8",
         )
         audits_path = tmp_path / "audits.csv"
-        audits_path.write_text(f"precinct_id,A,B,C,D\np1,{hand_counts}\n",
-                               encoding="utf-8")
+        audits_path.write_text(
+            f"precinct_id,A,B,C,D\n{precinct_id},{hand_counts}\n",
+            encoding="utf-8")
         args = ["pvalue", str(returns_path), str(audits_path),
                 "--sampling", "wr:1"]
         if pool:
@@ -820,7 +829,40 @@ class TestOutsizedInput:
         result = runner.invoke(cli, args)
         assert result.exit_code == 1
         assert result.output == (
-            f"Error: ValidationError: audit of precinct p1: {message}\n")
+            f"Error: ValidationError: audit of precinct {message}\n")
+
+    @pytest.mark.parametrize("pool", [None, "Gamma"],
+                             ids=["unpooled", "pooled"])
+    def test_long_unknown_precinct_echoed_cut(self, runner, tmp_path,
+                                              docs_returns_path, pool):
+        audits_path = tmp_path / "audits.csv"
+        audits_path.write_text("precinct_id,Alpha,Beta,Gamma\n"
+                               f"{'X' * 3000},119,111,60\n", encoding="utf-8")
+        args = ["pvalue", str(docs_returns_path), str(audits_path),
+                "--sampling", "wr:1"]
+        if pool:
+            args += ["--pool", pool, "--pooled-id", "Minor"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: UnknownPrecinct: audited precinct '{'X' * 100}' (first "
+            "100 of 3000 characters) not in the returns\n")
+
+    def test_long_id_of_an_overfull_pool_echoed_cut(self, runner, tmp_path):
+        # Vote-for-2: the pooled 8 + 8 exceeds the precinct's ballot bound.
+        returns_path = tmp_path / "returns.csv"
+        returns_path.write_text(
+            "precinct_id,county_id,ballot_bound,A,B,C,D\n"
+            f"{'X' * 3000},c1,10,2,2,8,8\np2,c1,1000,1000,1000,0,0\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(cli, [
+            "margins", str(returns_path), "--votes-per-voter", "2",
+            "--pool", "C,D", "--pooled-id", "Minor"])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ValidationError: precinct {'X' * 100} (first 100 of "
+            "3000 characters): count 16 for 'Minor' exceeds ballot bound 10\n")
 
 
 class TestReport:

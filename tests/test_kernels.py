@@ -145,14 +145,16 @@ class TestTaintCountMatchesReference:
     def test_identity_cap_is_at_most_the_bound(self):
         # Untainted, the two small precincts hold their bounds 1/100, not
         # the threshold 1/10: 1/2 + 2/100 < 6/10 even with the large one
-        # tainted, so the null is infeasible and P = 0.
+        # tainted, so the null is infeasible.
         bounds = [Fraction(1, 2), Fraction(1, 100), Fraction(1, 100)]
         target = Fraction(6, 10)
         assert taint_count(bounds, Fraction(1, 10), IDENTITY, target) == 4
         assert reference_taint_count(bounds, Fraction(1, 10), IDENTITY, target) == 4
-        sample = [PrecinctDiscrepancy("p1", Fraction(1, 10), Fraction(1, 2))]
-        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 5),
-                            target)
+        # The same shape against the test's target 1: 5/6 + 2/60 < 1 with
+        # the cap 1/6, so the report has P = 0.
+        bounds = [Fraction(5, 6), Fraction(1, 60), Fraction(1, 60)]
+        sample = [PrecinctDiscrepancy("p1", Fraction(1, 6), Fraction(5, 6))]
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 5))
         report = assess_sample(bounds, sample, config)
         assert report.null_infeasible
         assert report.p_value == 0

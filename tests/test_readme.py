@@ -32,7 +32,7 @@ def test_library_example(tmp_path, monkeypatch, capsys, docs_returns_path,
     setup, returns = pool_candidates(*load_returns(docs_returns_path),
                                      ["Gamma"], "Minor")
     audits = pool_audit_records(load_audits(docs_audits_path), ["Gamma"], "Minor")
-    config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 78))
+    config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 2))
     report = run_test(setup, returns, audits, config)
     assert names["report"] == report
     assert list(names["bounds"].precinct_ids) == [r.precinct_id for r in returns]

@@ -262,7 +262,7 @@ class TestMalformedDocument:
         (lambda d: d["risk"]["sampling"].update(method="bogus"),
          r"^unknown sampling method 'bogus'$"),
         (lambda d: d["risk"].update(margin_threshold="0/1"),
-         r"^margin threshold must be positive$"),
+         r"^risk: stored margin_threshold 0/1 != recomputed 1/1$"),
         (lambda d: d["risk"]["sampling"].update(draws=0),
          r"^sampling design needs at least one draw$"),
         (lambda d: row_of(d, "P-101").update(bound="16/5"),
@@ -370,11 +370,6 @@ class TestRenderingReference:
     Returns load two records at a time, so a contest of three or more
     precincts spans chunks of the loader."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(document=documents())
-    def test_document_json(self, document):
-        assert document_json(document) == json.dumps(document, indent=2)
-
     @settings(max_examples=100, deadline=None)
     @given(contest=contests(csv_names))
     def test_bounds_stdout(self, contest):
@@ -438,12 +433,15 @@ def column_reports(draw):
     flags = draw(st.lists(st.booleans(), min_size=len(ids),
                           max_size=len(ids)))
     flags[0] = flags[-1] = True
+    # Small counts, or counts of at least 10**16; at most three losers keep
+    # every ballot bound under 7 * 10**17 + 21, within MAX_BALLOT_BOUND.
+    low, top = draw(st.sampled_from([(0, 40), (10**16, 10**17)]))
     for index, (precinct_id, sampled) in enumerate(zip(ids, flags)):
-        counts = {c: draw(st.integers(0, 40)) for c in losers}
+        counts = {c: draw(st.integers(low, top)) for c in losers}
         # Each winner holds at least every loser's votes together, and more
         # in the first precinct, so that any pool of losers trails them.
         least = sum(counts.values()) + (index == 0)
-        counts |= {c: draw(st.integers(least, least + 40)) for c in winners}
+        counts |= {c: draw(st.integers(least, least + top)) for c in winners}
         bound = (max(counts.values()) + sum(counts[c] for c in losers)
                  + draw(st.integers(1, 20)))
         order = draw(st.permutations(candidates))
@@ -514,7 +512,7 @@ def is_output(path):
     if head == "precincts":
         return path[-1] == "bound"
     if head == "risk":
-        return path[1] not in ("weight", "sampling", "margin_threshold")
+        return path[1] not in ("weight", "sampling")
     return head in ("schema", "totals", "winners", "losers",
                     "pairwise_margins")
 

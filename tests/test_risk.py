@@ -81,10 +81,7 @@ class TestRejectedArguments:
          r"^unknown weight function 'bogus'$"),
         (lambda: observed_statistic([disc(0, 1)], "bogus"),
          r"^unknown weight function 'bogus'$"),
-        (lambda: TestConfig(IDENTITY, WR(2), Fraction(0)),
-         r"^margin threshold must be positive$"),
-    ], ids=["config-weight", "taint-count-weight", "statistic-weight",
-            "margin-threshold"])
+    ], ids=["config-weight", "taint-count-weight", "statistic-weight"])
     def test_message_pinned(self, call, message):
         with pytest.raises(ValidationError, match=message):
             call()
