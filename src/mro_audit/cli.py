@@ -17,7 +17,7 @@ from math import sqrt
 import click
 
 from . import __version__
-from .errors import AuditError
+from .errors import AuditError, ValidationError
 
 # Only click, stdlib that click loads itself and ``errors`` load with this
 # module, so ``--version``, ``--help`` and the usage errors click finds
@@ -264,7 +264,15 @@ def _run_pipeline(returns_file, audits_file, *, weight, sampling,
     audits = load_audits(audits_file)
     if pooled_info:
         audits = pool_audit_records(audits, pooled_info["members"], pooled_id)
-    return contest, run_contest_test(contest, audits, test_config), pooled_info
+    results = run_contest_test(contest, audits, test_config)
+    # The P-value assumes that every draw was counted by hand.  Checked
+    # last, so that a fault in the files is reported first.
+    draws = test_config.sampling.draws
+    if draws > len(audits):
+        raise ValidationError(
+            f"--sampling declares {draws} draws, more than the "
+            f"{len(audits)} hand-count records in {audits_file}")
+    return contest, results, pooled_info
 
 
 @cli.command()

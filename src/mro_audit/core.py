@@ -274,10 +274,11 @@ def validate_returns(setup: ContestSetup, returns: Sequence[PrecinctReturns]) ->
     seen: set[str] = set()
     for ret in returns:
         if ret.precinct_id in seen:
-            raise ValidationError(f"duplicate precinct id {ret.precinct_id!r}")
+            raise ValidationError(
+                f"duplicate precinct id {_echo(ret.precinct_id)}")
         seen.add(ret.precinct_id)
         _check_vote_map(setup, ret.machine_votes, ret.ballot_bound,
-                        f"precinct {ret.precinct_id}")
+                        f"precinct {_echo(ret.precinct_id, str)}")
 
 
 def join_audits(

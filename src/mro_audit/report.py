@@ -17,6 +17,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from operator import truediv
@@ -25,7 +26,7 @@ from pathlib import Path
 from .core import (Contest, ContestSetup, ContestTotals, PrecinctReturns,
                    prepare_contest)
 from .discrepancy import BoundColumns, PrecinctDiscrepancy
-from .errors import ValidationError
+from .errors import ValidationError, _echo
 from .risk import RiskReport, SamplingDesign, TestConfig, assess_sample
 
 SCHEMA = "mro-audit/1"
@@ -147,76 +148,36 @@ def build_document(
 
 
 # The per-precinct rows are the bulk of ``report`` and ``bounds`` output, and
-# ``json.dumps`` uses its C encoder only without ``indent``.  So each list of
-# rows is rendered from one ``%``-style row template, laid out as
-# ``json.dumps(..., indent=2)`` lays out a row two levels deep, and each slot
-# is filled with the primitive ``json.dumps`` itself uses: the C string
-# escaper, ``%d`` for ints and ``%r`` (``float.__repr__``) for floats.
-# The small parts around the rows still go through ``json.dumps``.
+# ``json.dumps`` uses its C encoder only without ``indent``.  So
+# :func:`_with_rows` lays out one row of slots with ``json.dumps(...,
+# indent=2)`` and fills it once per precinct with the text ``json.dumps``
+# writes: the C string escaper for strings, ``%s`` for ints and floats
+# (``str(float) == repr(float)``) and :data:`_LITERALS` for the rest.
 
-def _report_row_template(candidates: tuple[str, ...]) -> str:
-    """The template of a ``report`` row whose votes have these keys."""
-    # A "%" in a candidate name is doubled so that it is not read as a slot.
-    votes = ",\n".join(
-        f"        {_string(c).replace('%', '%%')}: %d" for c in candidates
-    )
-    return (
-        '    {\n'
-        '      "precinct_id": %s,\n'
-        '      "county_id": %s,\n'
-        '      "ballot_bound": %d,\n'
-        '      "votes": {\n' + votes + '\n      },\n'
-        '      "bound": %s,\n'
-        '      "sampled": %s,\n'
-        '      "mro": %s\n'
-        '    }'
-    )
-
-
-_BOUNDS_ROW = (
-    '    {\n'
-    '      "precinct_id": %s,\n'
-    '      "county_id": %s,\n'
-    # The "n/d" string: its digits, sign and slash need no escaping.
-    '      "bound": "%s",\n'
-    '      "bound_float": %r\n'
-    '    }'
-)
-
-
-def _rows_json(rows: list[str]) -> str:
-    """A top-level member's list of rendered rows."""
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-
-
-def _nested_json(value: object) -> str:
-    """``json.dumps(value, indent=2)`` re-indented to sit one level deep.
-
-    Exact because an escaped JSON string holds no raw newline.
-    """
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
-
-
-def _object_json(members: Iterable[tuple[str, str]]) -> str:
-    """A top-level object from ``(key, rendered value)`` pairs."""
-    return "{\n" + ",\n".join(
-        f"  {_string(key)}: {text}" for key, text in members
-    ) + "\n}"
-
-
+_SLOT = "\0"
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _report_rows(template: str, ids: Iterable[str], county_ids: Iterable[str],
-                 ballot_bounds: Iterable[int], counts: Iterable[Iterable[int]],
-                 bounds: Iterable[str], sampled: Iterable[bool],
-                 mros: Iterable[str | None]) -> list[str]:
-    """``template`` filled from each precinct's cells: one count column per
-    vote key, and an ``"n/d"`` MRO text, ``None`` for an unsampled one."""
-    return list(map(template.__mod__, zip(
-        map(_string, ids), map(_string, county_ids), ballot_bounds, *counts,
-        map(_string, bounds), map(_LITERALS.__getitem__, sampled),
-        (_LITERALS[mro] if mro is None else _string(mro) for mro in mros))))
+def _with_rows(document: Mapping, row: Mapping,
+               cells: Iterable[tuple]) -> str:
+    """``json.dumps(document, indent=2)``, its ``precincts`` holding
+    ``row`` once per tuple of ``cells``, which fills the row's slots in
+    order.  Every scalar in ``row`` is a slot.
+
+    Exact because a JSON string escapes its quotes and newlines: only a
+    top-level member starts a line with two spaces and a quote, only the
+    list's end starts one with two spaces and a ``]``, and in the row
+    ``: "\\u0000"`` is a slot, as no closing quote precedes a backslash.
+    """
+    text = json.dumps({**document, "precincts": [row]}, indent=2)
+    head, _, rest = text.partition('\n  "precincts": [\n')
+    template, _, tail = rest.partition("\n  ]")
+    # A "%" in a key is doubled so that it is not read as a slot.
+    template = template.replace("%", "%%").replace(': "\\u0000"', ": %s")
+    rows = ",\n".join(map(template.__mod__, cells))
+    if not rows:
+        return json.dumps(document, indent=2)
+    return f'{head}\n  "precincts": [\n{rows}\n  ]{tail}'
 
 
 def document_json(document: Mapping) -> str:
@@ -236,17 +197,18 @@ def report_json(contest: Contest, bounds: BoundColumns,
     document = build_document(contest.setup, (), contest.totals, {}, (),
                               report, tool_version=tool_version,
                               input_digests=input_digests, pooled=pooled)
-    mros = {d.precinct_id: fraction_str(d.max_overstatement)
+    row = {"precinct_id": _SLOT, "county_id": _SLOT, "ballot_bound": _SLOT,
+           "votes": dict.fromkeys(contest.setup.candidates, _SLOT),
+           "bound": _SLOT, "sampled": _SLOT, "mro": _SLOT}
+    mros = {d.precinct_id: _string(fraction_str(d.max_overstatement))
             for d in discrepancies}
-    rows = _report_rows(
-        _report_row_template(contest.setup.candidates), contest.precinct_ids,
-        contest.county_ids, contest.ballot_bounds, contest.counts,
-        map(ratio_str, bounds.numerators, bounds.margins),
-        map(mros.__contains__, contest.precinct_ids),
-        map(mros.get, contest.precinct_ids))
-    return _object_json((key, _rows_json(rows) if key == "precincts"
-                         else _nested_json(value))
-                        for key, value in document.items())
+    ids = contest.precinct_ids
+    return _with_rows(document, row, zip(
+        map(_string, ids), map(_string, contest.county_ids),
+        contest.ballot_bounds, *contest.counts,
+        map(_string, map(ratio_str, bounds.numerators, bounds.margins)),
+        map(_LITERALS.__getitem__, map(mros.__contains__, ids)),
+        map(mros.get, ids, repeat(_LITERALS[None]))))
 
 
 def bounds_json(county_ids: Iterable[str], bounds: BoundColumns) -> str:
@@ -261,14 +223,13 @@ def bounds_json(county_ids: Iterable[str], bounds: BoundColumns) -> str:
     """
     nums, dens = bounds.numerators, bounds.margins
     floats = list(map(truediv, nums, dens))
-    rendered = list(map(_BOUNDS_ROW.__mod__, zip(
+    document = {"schema": SCHEMA, "precincts": [],
+                "max_bound_float": max(floats, default=0.0)}
+    row = dict.fromkeys(("precinct_id", "county_id", "bound", "bound_float"),
+                        _SLOT)
+    return _with_rows(document, row, zip(
         map(_string, bounds.precinct_ids), map(_string, county_ids),
-        map(ratio_str, nums, dens), floats)))
-    return _object_json((
-        ("schema", _string(SCHEMA)),
-        ("precincts", _rows_json(rendered)),
-        ("max_bound_float", repr(max(floats, default=0.0))),
-    ))
+        map(_string, map(ratio_str, nums, dens)), floats))
 
 
 _KINDS = {str: "a string", int: "an integer", float: "a float",
@@ -409,7 +370,7 @@ def verify_document(document: Mapping) -> bool:
     for index, row in enumerate(rows):
         _check_kind(row, dict, "document", f"precincts[{index}]")
         precinct_id = _read(row, f"precincts[{index}]", "precinct_id", str)
-        where = f"precinct {precinct_id}"
+        where = f"precinct {_echo(precinct_id, str)}"
         returns.append(PrecinctReturns(
             precinct_id, _read(row, where, "county_id", str),
             _read(row, where, "ballot_bound", int),
@@ -427,7 +388,8 @@ def verify_document(document: Mapping) -> bool:
                                       mros)):
         if row != built or [*map(type, map(row.get, built))] != [
                 *map(type, built.values())]:
-            _match(row, built, "document", f"precinct {built['precinct_id']}")
+            _match(row, built, "document",
+                   f"precinct {_echo(built['precinct_id'], str)}")
     sample = [PrecinctDiscrepancy(precinct_id, mros[precinct_id],
                                   Fraction(num, den))
               for precinct_id, num, den in zip(bounds.precinct_ids, nums, dens)

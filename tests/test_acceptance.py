@@ -9,7 +9,10 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from operator import le
+from operator import le, truediv
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minnesota
 from mro_audit.core import (
@@ -29,8 +32,10 @@ from mro_audit.oracle import (
 )
 from mro_audit.risk import (
     IDENTITY,
+    TAINT,
     SamplingDesign,
     TestConfig,
+    assess_sample,
     monte_carlo_pvalue,
     p_value,
     run_contest_test,
@@ -232,11 +237,11 @@ def test_criterion_9_determinism_and_brackets(minnesota_files):
 
 
 def _runner_up_measure(returns, votes_per_voter, audits):
-    """Each precinct's bound, and the sample's largest MRO, under the
-    earlier measure that divides every pair's error by the smallest
-    pairwise margin V_min: the bound is the max over pairs of
-    (v_w - v_l + b) / V_min.  Totals, margins and V_min are its own, from
-    the rows; it shares no code with ``discrepancy``."""
+    """Each precinct's bound, and each audit's MRO, under the earlier
+    measure that divides every pair's error by the smallest pairwise margin
+    V_min: the bound is the max over pairs of (v_w - v_l + b) / V_min.
+    Totals, margins and V_min are its own, from the rows; it shares no code
+    with ``discrepancy``."""
     totals = Counter()
     for ret in returns:
         totals.update(ret.machine_votes)
@@ -248,12 +253,11 @@ def _runner_up_measure(returns, votes_per_voter, audits):
                            for w, l in pairs) + ret.ballot_bound, v_min)
               for ret in returns]
     machine = {ret.precinct_id: ret.machine_votes for ret in returns}
-    statistic = max(
-        Fraction(max(machine[a.precinct_id][w] - machine[a.precinct_id][l]
-                     - a.hand_votes[w] + a.hand_votes[l] for w, l in pairs),
-                 v_min)
-        for a in audits)
-    return bounds, statistic
+    mros = [Fraction(max(machine[a.precinct_id][w] - machine[a.precinct_id][l]
+                         - a.hand_votes[w] + a.hand_votes[l] for w, l in pairs),
+                     v_min)
+            for a in audits]
+    return bounds, mros
 
 
 def test_criterion_10_mro_sharper_than_runner_up(minnesota_files):
@@ -275,9 +279,9 @@ def test_criterion_10_mro_sharper_than_runner_up(minnesota_files):
     results = {}
     bounds_ok = True
     for name, (case, rows, hand_counts) in cases.items():
-        ru_bounds, ru_statistic = _runner_up_measure(
+        ru_bounds, ru_mros = _runner_up_measure(
             rows, setup.votes_per_voter, hand_counts)
-        ru_count = taint_count(ru_bounds, ru_statistic, IDENTITY)
+        ru_count = taint_count(ru_bounds, max(ru_mros), IDENTITY)
         for draws in (78, 202):
             report, bounds, _ = run_contest_test(
                 case, hand_counts, TestConfig(IDENTITY, WR(draws)))
@@ -295,3 +299,89 @@ def test_criterion_10_mro_sharper_than_runner_up(minnesota_files):
     _report(10, bounds_ok and values_ok,
             f"every MRO bound <= its runner-up form; runner-up against MRO "
             f"(taint count, P), pooled and unpooled: {results}")
+
+
+def _nudged(audit, ret, deltas, votes_per_voter):
+    """``audit`` with each hand count moved by its delta, kept within the
+    ballot bound; unmoved if the moved counts break the per-ballot cap."""
+    bound = ret.ballot_bound
+    hand = {c: min(bound, max(0, n + deltas[c]))
+            for c, n in audit.hand_votes.items()}
+    if sum(hand.values()) > votes_per_voter * bound:
+        return audit
+    return audit._replace(hand_votes=hand)
+
+
+def test_criterion_11_mro_never_looser_than_runner_up():
+    """Criterion 10's comparison as a property over drawn contests of 2-6
+    candidates and 1-3 seats, each audit a precinct's own counts moved by
+    at most one vote per candidate, or unrelated hand counts."""
+    tally = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=250)
+    @given(data=st.data(), candidates=st.integers(2, 6),
+           precincts=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def check(data, candidates, precincts, seed):
+        seats = data.draw(st.integers(1, min(3, candidates - 1)))
+        setup, returns, clean = gen_instance(precincts, candidates, seats,
+                                             seed=seed)
+        unrelated = random_audits(setup, returns, seed=seed + 1)
+        picks = sorted(data.draw(st.sets(st.integers(0, precincts - 1),
+                                         min_size=1)))
+        steps = st.sampled_from((-1, 0, 1))
+        sample = [unrelated[i] if data.draw(st.integers(0, 9)) == 0
+                  else _nudged(clean[i], returns[i], {
+                      c: data.draw(steps) for c in setup.candidates}, seats)
+                  for i in picks]
+        design = WR(len(sample))
+        contest = prepare_contest(setup, returns)
+        report, bounds, discrepancies = run_contest_test(
+            contest, sample, TestConfig(IDENTITY, design))
+        ru_bounds, ru_mros = _runner_up_measure(returns, seats, sample)
+        mro_bounds = list(map(Fraction, bounds.numerators, bounds.margins))
+        mros = [d.max_overstatement for d in discrepancies]
+        assert all(map(le, mro_bounds, ru_bounds))
+        assert all(mro <= ru for mro, ru in zip(mros, ru_mros) if mro >= 0)
+
+        population = setup.precinct_count
+        ru_count = min(taint_count(ru_bounds, max(ru_mros), IDENTITY),
+                       population)
+        ru_p = p_value(ru_count, population, design)
+        holds = (report.taint_count >= ru_count and report.p_value <= ru_p)
+        if report.observed_statistic >= 0:
+            assert holds
+        else:
+            tally["negative"] += 1
+            tally["negative held"] += holds
+
+        if 0 not in mro_bounds:
+            taint = assess_sample(bounds, discrepancies,
+                                  TestConfig(TAINT, design))
+            ru_weighted = max(map(truediv, ru_mros,
+                                  [ru_bounds[i] for i in picks]))
+            ru_taint = min(taint_count(ru_bounds, ru_weighted, TAINT),
+                           population)
+            tally["taint"] += 1
+            tally["taint held"] += (taint.taint_count >= ru_taint and
+                                    taint.p_value <= p_value(
+                                        ru_taint, population, design))
+
+        if candidates == 2:
+            tally["two"] += 1
+            assert mro_bounds == ru_bounds and mros == ru_mros
+            assert (report.taint_count, report.p_value) == (ru_count, ru_p)
+        else:
+            tally["more"] += 1
+            tally["sharper"] += report.p_value < ru_p
+
+    check()
+    _report(11, tally["sharper"] >= 1,
+            f"every MRO bound, and every non-negative MRO, <= its runner-up "
+            f"form; with a non-negative statistic the MRO taint count is at "
+            f"least and its P-value at most the runner-up ones; "
+            f"{tally['two']} two-candidate contests equal; "
+            f"{tally['sharper']} of {tally['more']} larger contests strictly "
+            f"sharper; held with a negative statistic in "
+            f"{tally['negative held']} of {tally['negative']}, under the taint "
+            f"weight in {tally['taint held']} of {tally['taint']}")

@@ -400,6 +400,33 @@ class TestPvalue:
         assert ("Error: sample size missing: use --sampling wr:N or srs:N\n"
                 in result.output)
 
+    @pytest.mark.parametrize("command", ["pvalue", "report"])
+    @pytest.mark.parametrize("sampling, draws", [
+        ("srs:3", 3), ("srs:4", 4), ("wr:3", 3), ("wr:1000", 1000)])
+    def test_more_draws_than_hand_counts_exits_one(
+            self, runner, docs_returns_path, docs_audits_path, command,
+            sampling, draws):
+        # The docs example's audits file holds two hand-count records.
+        result = runner.invoke(cli, [
+            command, str(docs_returns_path), str(docs_audits_path),
+            "--config", str(docs_returns_path.parent / "audit.cfg"),
+            "--sampling", sampling,
+        ])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: ValidationError: --sampling declares {draws} draws, more "
+            f"than the 2 hand-count records in {docs_audits_path}\n")
+
+    def test_as_many_draws_as_hand_counts(self, runner, docs_returns_path,
+                                          docs_audits_path):
+        result = runner.invoke(cli, [
+            "pvalue", str(docs_returns_path), str(docs_audits_path),
+            "--config", str(docs_returns_path.parent / "audit.cfg"),
+            "--sampling", "srs:2",
+        ])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["sample_size"] == 2
+
     def test_effective_n_flag_is_gone(self, runner, docs_returns_path,
                                       docs_audits_path):
         result = runner.invoke(cli, [

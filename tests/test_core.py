@@ -536,6 +536,21 @@ class TestPreparedContest:
         assert contest.returns == original
 
 
+    @pytest.mark.parametrize("ids, votes, message", [
+        (("X" * 3000, "X" * 3000), {"A": 2, "B": 1},
+         f"duplicate precinct id '{'X' * 100}' (first 100 of 3000 characters)"),
+        (("X" * 3000, "p2"), {"A": 2, "B": -1},
+         f"precinct {'X' * 100} (first 100 of 3000 characters): "
+         "negative count -1 for 'B'"),
+    ], ids=["duplicate-id", "count-location"])
+    def test_long_id_echoed_cut(self, ids, votes, message):
+        setup = ContestSetup(("A", "B"), votes_per_voter=1, precinct_count=2)
+        returns = [PrecinctReturns(pid, "c1", 10, votes) for pid in ids]
+        with pytest.raises(ValidationError) as caught:
+            prepare_contest(setup, returns)
+        assert str(caught.value) == message
+
+
 class TestPoolRulesAgree:
     """The library's pool rules are the ones ``verify_document`` holds a
     report's ``contest.pooled`` to."""

@@ -21,12 +21,14 @@ from mro_audit.core import (
     pool_contest,
     prepare_contest,
 )
-from mro_audit.discrepancy import analyze_precinct, precinct_bound
+from mro_audit.discrepancy import (BoundColumns, analyze_precinct,
+                                   precinct_bound)
 from mro_audit.errors import AuditError, ValidationError
 from mro_audit.oracle import gen_instance
 from test_cli import AWKWARD_CANDIDATES, AWKWARD_ROWS
 from mro_audit.report import (
     SCHEMA,
+    bounds_json,
     build_document,
     document_json,
     file_digest,
@@ -289,6 +291,20 @@ class TestMalformedDocument:
         with pytest.raises(AuditError, match=message):
             verify_document(docs_report)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.update(bound="16/5"),
+         ": stored bound 16/5 != recomputed 16/3"),
+        (lambda row: row.update(note="n/a"), " has unexpected field 'note'"),
+    ], ids=["row-bound", "extra-row-field"])
+    def test_long_id_echoed_cut(self, docs_report, edit, message):
+        row = row_of(docs_report, "P-101")
+        row["precinct_id"] = "X" * 3000
+        edit(row)
+        with pytest.raises(ValidationError) as caught:
+            verify_document(docs_report)
+        assert str(caught.value) == (
+            f"precinct {'X' * 100} (first 100 of 3000 characters){message}")
+
 
 # Names that need escaping: quotes, backslashes, control characters, the
 # JSON-legal line separator, accented and non-BMP letters, and "%", which a
@@ -364,6 +380,33 @@ def documents(draw):
     )
 
 
+# Names aimed at the edges of the row splice: a candidate named like the
+# rows' member, "%" slots, the slot marker and a slot's text inside names,
+# and the list's delimiters inside precinct ids and the tool version.
+EDGE_NAMES = {
+    "member-name": (("precincts", "B", "C"), ("p1", "p2"), "0.1.0"),
+    "percent": (("%d%s%%", "%", "%%d"), ("%s", "%%d"), "%d%s%%"),
+    "slot-marker": (("\0", 'x": "\0', ": \0"), ("\0", 'x": "\0'), "\0"),
+    "list-delimiters": (("A", "B", "C"), ("\n  ]%s", "\n  ]"),
+                        '\n  "precincts": [\n'),
+}
+
+
+def edge_case(candidates, ids, version):
+    """A vote-for-1 contest of these candidates, the first ahead, and its
+    risk test with both precincts audited; each county id is its precinct
+    id.  Returns what :func:`report_json` takes, and ``version``."""
+    setup = ContestSetup(candidates, 1, len(ids))
+    returns = [PrecinctReturns(pid, pid, 20 + i, dict(zip(candidates,
+                                                          (9 + i, 4, i))))
+               for i, pid in enumerate(ids)]
+    audits = [AuditRecord(pid, dict(zip(candidates, (8, 5 - i, i))))
+              for i, pid in enumerate(ids)]
+    contest = prepare_contest(setup, returns)
+    config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 2))
+    return (contest, *run_contest_test(contest, audits, config), version)
+
+
 @pytest.mark.usefixtures("chunks_of_two")
 class TestRenderingReference:
     """The row templates give exactly the bytes of ``json.dumps(indent=2)``.
@@ -389,23 +432,35 @@ class TestRenderingReference:
                                         catch_exceptions=False)
         assert result.exit_code == 0
         # Every row from the contest as drawn, not as the loader read it.
-        margins = compute_totals(setup, returns).pairwise_margins
-        rows = []
-        for ret in returns:
-            bound = precinct_bound(ret, margins)
-            rows.append({
-                "precinct_id": ret.precinct_id,
-                "county_id": ret.county_id,
-                "bound": fraction_str(bound),
-                "bound_float": float(bound),
-            })
-        payload = {
-            "schema": SCHEMA,
-            "precincts": rows,
-            "max_bound_float": max((row["bound_float"] for row in rows),
-                                   default=0.0),
-        }
-        assert result.output == json.dumps(payload, indent=2) + "\n"
+        assert result.output == bounds_reference(setup, returns) + "\n"
+
+    @pytest.mark.parametrize("names", EDGE_NAMES.values(), ids=EDGE_NAMES)
+    def test_bounds_json_at_the_splice_edges(self, names):
+        contest, *_ = edge_case(*names)
+        bounds = BoundColumns(contest)
+        assert bounds_json(contest.county_ids, bounds) == bounds_reference(
+            contest.setup, contest.returns)
+
+
+def bounds_reference(setup, returns):
+    """The ``bounds`` command's text, by ``json.dumps`` from the rows."""
+    margins = compute_totals(setup, returns).pairwise_margins
+    rows = []
+    for ret in returns:
+        bound = precinct_bound(ret, margins)
+        rows.append({
+            "precinct_id": ret.precinct_id,
+            "county_id": ret.county_id,
+            "bound": fraction_str(bound),
+            "bound_float": float(bound),
+        })
+    payload = {
+        "schema": SCHEMA,
+        "precincts": rows,
+        "max_bound_float": max((row["bound_float"] for row in rows),
+                               default=0.0),
+    }
+    return json.dumps(payload, indent=2)
 
 
 # The awkward contest's names and ids, each also with a "%" (which a row
@@ -478,6 +533,17 @@ class TestColumnRenderer:
         options = {"tool_version": version,
                    "input_digests": {"returns": "0" * 64, "audits": version},
                    "pooled": pooled}
+        text = report_json(contest, bounds, discrepancies, report, **options)
+        assert text == document_json(build_document(
+            contest.setup, contest.returns, contest.totals, bounds,
+            discrepancies, report, **options))
+
+    @pytest.mark.parametrize("names", EDGE_NAMES.values(), ids=EDGE_NAMES)
+    def test_splice_edges(self, names):
+        contest, report, bounds, discrepancies, version = edge_case(*names)
+        options = {"tool_version": version,
+                   "input_digests": {version: version},
+                   "pooled": {"members": [version], "pooled_id": version}}
         text = report_json(contest, bounds, discrepancies, report, **options)
         assert text == document_json(build_document(
             contest.setup, contest.returns, contest.totals, bounds,
