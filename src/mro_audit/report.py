@@ -109,7 +109,7 @@ def build_document(
     setup: ContestSetup,
     returns: Sequence[PrecinctReturns],
     totals: ContestTotals,
-    bounds: Mapping[str, Fraction] | BoundColumns,
+    bounds: Mapping[str, Fraction],
     discrepancies: Sequence[PrecinctDiscrepancy],
     report: RiskReport,
     *,
@@ -117,15 +117,10 @@ def build_document(
     input_digests: Mapping[str, str],
     pooled: Mapping[str, object] | None = None,
 ) -> dict:
-    """Assemble the full report document; a ``BoundColumns`` is rendered
-    from its int columns, with no `Fraction` per precinct."""
-    if isinstance(bounds, BoundColumns):
-        ids = bounds.precinct_ids
-        ratios = map(ratio_str, bounds.numerators, bounds.margins)
-    else:
-        ids, ratios = bounds, map(fraction_str, bounds.values())
-    texts = dict(zip(ids, ratios))
-    rows = _rows(returns, (texts[ret.precinct_id] for ret in returns),
+    """Assemble the full report document; ``bounds`` maps each precinct id
+    to its a priori bound."""
+    rows = _rows(returns,
+                 (fraction_str(bounds[ret.precinct_id]) for ret in returns),
                  {d.precinct_id: d.max_overstatement for d in discrepancies})
     document = {
         "schema": SCHEMA,
@@ -335,8 +330,9 @@ def verify_document(document: Mapping) -> bool:
 
     Raises:
         ValidationError: a field is missing, unexpected or of the wrong
-            type, ``contest.pooled`` names no pool of these candidates, or
-            an output differs (``"<where>: stored <field> X != recomputed
+            type, ``contest.pooled`` names no pool of these candidates,
+            ``risk.sampling.draws`` is more than the sampled rows, or an
+            output differs (``"<where>: stored <field> X != recomputed
             Y"``).
         AuditError: what building the document from these inputs raises:
             a broken count rule, a tie, no sampled row, ...
@@ -394,9 +390,14 @@ def verify_document(document: Mapping) -> bool:
                                   Fraction(num, den))
               for precinct_id, num, den in zip(bounds.precinct_ids, nums, dens)
               if precinct_id in mros]
+    report = assess_sample(bounds, sample, config)
+    # The P-value assumes that every draw was counted by hand.
+    if config.sampling.draws > len(sample):
+        raise ValidationError(
+            f"risk.sampling: draws {config.sampling.draws} is more than the "
+            f"{len(sample)} sampled rows")
     # Then the rest, built around no rows and given the rows just matched.
-    whole = build_document(setup, (), rebuilt.totals, {}, (),
-                           assess_sample(bounds, sample, config),
+    whole = build_document(setup, (), rebuilt.totals, {}, (), report,
                            tool_version=tool_version, input_digests=digests,
                            pooled=pooled)
     whole["precincts"] = rows

@@ -205,62 +205,42 @@ def _check_counts(
         )
 
 
-# Mantissa bits of the bounds that `_power_float` carries.
-_POWER_BITS = 128
-# A positive value below 2**-1074 / 2 rounds to 0.0 (a tie rounds to even, 0).
-_ZERO_BELOW_EXPONENT = -1075
+# Bits below the binary point of the fixed-point bounds in `_power_float`:
+# 128 below 2**-1074, the smallest positive float.
+_POWER_BITS = 1074 + 128
 
 
-def _trim(mantissa: int, exponent: int, up: bool) -> tuple[int, int]:
-    """Round mantissa * 2**exponent to at most `_POWER_BITS` bits, down or up."""
-    excess = mantissa.bit_length() - _POWER_BITS
-    if excess <= 0:
-        return mantissa, exponent
-    if up:
-        return -(-mantissa >> excess), exponent + excess
-    return mantissa >> excess, exponent + excess
-
-
-def _power_bound(num: int, den: int, n: int, up: bool) -> tuple[int, int]:
-    """A lower (or upper) bound of (num / den) ** n as (mantissa, exponent)."""
-    shift = _POWER_BITS + den.bit_length() - num.bit_length()
-    scaled = num << shift
-    base = (-(-scaled // den) if up else scaled // den), -shift
-    result = 1, 0
+def _power_bound(num: int, den: int, n: int, up: bool) -> int:
+    """A lower (or upper) bound of (num / den) ** n * 2**_POWER_BITS, by
+    binary exponentiation rounded down (or up) after every product."""
+    bits = _POWER_BITS
+    carry = (1 << bits) - 1 if up else 0
+    base = ((num << bits) + (den - 1 if up else 0)) // den
+    result = 1 << bits
     while True:
         if n & 1:
-            result = _trim(result[0] * base[0], result[1] + base[1], up)
+            result = (result * base + carry) >> bits
         n >>= 1
         if not n:
             return result
-        base = _trim(base[0] * base[0], 2 * base[1], up)
-
-
-def _bound_float(mantissa: int, exponent: int) -> float:
-    """mantissa * 2**exponent (exponent < 0) as the correctly rounded float."""
-    if mantissa.bit_length() + exponent <= _ZERO_BELOW_EXPONENT:
-        return 0.0
-    return mantissa / (1 << -exponent)
+        base = (base * base + carry) >> bits
 
 
 def _power_float(num: int, den: int, n: int) -> float:
     """``float(Fraction(num, den) ** n)`` for 0 <= num <= den and n >= 1.
 
     The exact power has about n times the bits of ``den``.  Instead, a lower
-    and an upper bound of it go through binary exponentiation with
-    `_POWER_BITS`-bit mantissas, rounded down and up at every step.  int/int
-    true division rounds each bound correctly, so when both bounds give the
-    same float the exact power gives it too.  Only when they differ (the
-    power lies within a relative 2**-120 or so of a rounding boundary) is
-    the exact Fraction formed.
+    and an upper bound of it are held as ints in fixed point, `_POWER_BITS`
+    bits below the binary point, so a base of 0 or 1 stays exact.  int/int
+    true division rounds each bound correctly, to a subnormal or to 0.0 as
+    well, so when both bounds give the same float the exact power, which
+    lies between them, gives it too.  Only when they differ (the power lies
+    within roughly n * 2**-_POWER_BITS of a rounding boundary) is the exact
+    Fraction formed.
     """
-    if num == den:
-        return 1.0
-    if num == 0:
-        return 0.0
-    low = _bound_float(*_power_bound(num, den, n, up=False))
-    high = _bound_float(*_power_bound(num, den, n, up=True))
-    if low == high:
+    one = 1 << _POWER_BITS
+    low = _power_bound(num, den, n, up=False) / one
+    if low == _power_bound(num, den, n, up=True) / one:
         return low
     return float(Fraction(num, den) ** n)
 
@@ -282,8 +262,6 @@ def p_value(taint_count: int, population: int, sampling: SamplingDesign) -> floa
     if sampling.method == "with_replacement":
         return _power_float(population - taint_count, population, n)
     clean = population - taint_count
-    if n > clean:
-        return 0.0
     return float(Fraction(comb(clean, n), comb(population, n)))
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -572,8 +573,10 @@ class TestPoolRulesAgree:
         config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 2))
         report, bounds, discrepancies = run_contest_test(contest, audits,
                                                          config)
+        bound_map = dict(zip(bounds.precinct_ids,
+                             map(Fraction, bounds.numerators, bounds.margins)))
         document = build_document(
-            contest.setup, contest.returns, contest.totals, bounds,
+            contest.setup, contest.returns, contest.totals, bound_map,
             discrepancies, report, tool_version=__version__,
             input_digests={"returns": file_digest(docs_returns_path)},
             pooled=pooled)

@@ -24,6 +24,7 @@ from mro_audit.core import (
 from mro_audit.discrepancy import (BoundColumns, analyze_precinct,
                                    precinct_bound)
 from mro_audit.errors import AuditError, ValidationError
+from mro_audit.io import load_audits, load_contest
 from mro_audit.oracle import gen_instance
 from test_cli import AWKWARD_CANDIDATES, AWKWARD_ROWS
 from mro_audit.report import (
@@ -47,6 +48,13 @@ from mro_audit.risk import (
 )
 
 
+def bound_map(bounds):
+    """Each precinct id of a ``BoundColumns`` with its bound, as
+    :func:`build_document` takes them."""
+    return dict(zip(bounds.precinct_ids,
+                    map(Fraction, bounds.numerators, bounds.margins)))
+
+
 @pytest.fixture()
 def small_document(tmp_path):
     setup = ContestSetup(("W", "L"), votes_per_voter=1, precinct_count=4)
@@ -56,7 +64,7 @@ def small_document(tmp_path):
     ]
     audits = [AuditRecord("p1", {"W": 16, "L": 8}),
               AuditRecord("p3", {"W": 17, "L": 9})]
-    config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 3))
+    config = TestConfig(IDENTITY, SamplingDesign("with_replacement", 2))
     report = run_test(setup, returns, audits, config)
     totals = compute_totals(setup, returns)
     bounds = {
@@ -133,8 +141,8 @@ class TestDocument:
         report, bounds, discrepancies = run_contest_test(
             contest, audits[::20], config)
         text = document_json(build_document(
-            setup, returns, contest.totals, bounds, discrepancies, report,
-            tool_version="0.1.0", input_digests={"returns": "0" * 64}))
+            setup, returns, contest.totals, bound_map(bounds), discrepancies,
+            report, tool_version="0.1.0", input_digests={"returns": "0" * 64}))
         del setup, returns, audits, contest, bounds, discrepancies
         tracemalloc.start()
         try:
@@ -198,6 +206,29 @@ class TestMalformedDocument:
         with pytest.raises(ValidationError,
                            match="document has no field 'totals'"):
             verify_document(docs_report)
+
+    @pytest.mark.parametrize("draws", [3, 1000])
+    def test_more_draws_than_sampled_rows(self, docs_returns_path,
+                                          docs_audits_path, draws):
+        # The pooled docs example has 2 hand counts.  `pvalue` and `report`
+        # refuse such a design; the library renders it.
+        contest = pool_contest(load_contest(docs_returns_path), ["Gamma"],
+                               "Minor")
+        audits = pool_audit_records(load_audits(docs_audits_path), ["Gamma"],
+                                    "Minor")
+        config = TestConfig(IDENTITY, SamplingDesign("with_replacement",
+                                                     draws))
+        report, bounds, discrepancies = run_contest_test(contest, audits,
+                                                         config)
+        document = json.loads(report_json(
+            contest, bounds, discrepancies, report,
+            tool_version="0.1.0", input_digests={},
+            pooled={"members": ["Gamma"], "pooled_id": "Minor"}))
+        assert document["risk"]["sample_size"] == 2
+        with pytest.raises(ValidationError, match=(
+                rf"^risk\.sampling: draws {draws} is more than the 2 "
+                rf"sampled rows$")):
+            verify_document(document)
 
     def test_malformed_mro(self, docs_report):
         row_of(docs_report, "P-104")["mro"] = "x/y"
@@ -360,8 +391,9 @@ def documents(draw):
                                         // len(setup.candidates)))
                     for c in draw(st.permutations(setup.candidates))}
             audits.append(AuditRecord(ret.precinct_id, hand))
+    # At most one draw per hand count, as `verify_document` requires.
     config = TestConfig(IDENTITY, SamplingDesign(
-        "with_replacement", draw(st.integers(1, 50))))
+        "with_replacement", draw(st.integers(1, len(audits)))))
     contest = prepare_contest(setup, returns)
     report, bounds, discrepancies = run_contest_test(contest, audits, config)
     # A pool as the loader records it: members, each named once, that are
@@ -373,8 +405,8 @@ def documents(draw):
         "pooled_id": st.sampled_from(setup.candidates),
     }))
     return build_document(
-        setup, returns, contest.totals, bounds, discrepancies, report,
-        tool_version=draw(any_names),
+        setup, returns, contest.totals, bound_map(bounds), discrepancies,
+        report, tool_version=draw(any_names),
         input_digests={"returns": draw(any_names)},
         pooled=pooled,
     )
@@ -535,7 +567,7 @@ class TestColumnRenderer:
                    "pooled": pooled}
         text = report_json(contest, bounds, discrepancies, report, **options)
         assert text == document_json(build_document(
-            contest.setup, contest.returns, contest.totals, bounds,
+            contest.setup, contest.returns, contest.totals, bound_map(bounds),
             discrepancies, report, **options))
 
     @pytest.mark.parametrize("names", EDGE_NAMES.values(), ids=EDGE_NAMES)
@@ -546,7 +578,7 @@ class TestColumnRenderer:
                    "pooled": {"members": [version], "pooled_id": version}}
         text = report_json(contest, bounds, discrepancies, report, **options)
         assert text == document_json(build_document(
-            contest.setup, contest.returns, contest.totals, bounds,
+            contest.setup, contest.returns, contest.totals, bound_map(bounds),
             discrepancies, report, **options))
 
 

@@ -208,6 +208,9 @@ class TestPowerPValue:
     @example((4123, 166, 78))
     @example((2**40, 1, 4_999))  # (1 - 2**-40) ** n: every bound is dyadic
     @example((4, 1, 34))  # 3**34 / 2**68 has a 54-bit odd mantissa: a tie
+    # (3/4) ** 2462 is about 2**-1021.8, just above the smallest normal float.
+    @example((4, 1, 2_462))
+    @example((2**64, 1, 4_999))  # a base near 1 over a 64-bit population
     def test_matches_fraction(self, case):
         population, tainted, draws = case
         expected = float(Fraction(population - tainted, population) ** draws)
@@ -221,7 +224,8 @@ class TestPowerPValue:
     @pytest.mark.parametrize("bits", [2, 8, 53])
     def test_loose_bounds_fall_back_to_the_exact_power(self, bits):
         rng = random.Random(bits)
-        with mock.patch.object(risk, "_POWER_BITS", bits):
+        with mock.patch.object(risk, "_POWER_BITS", bits), \
+                mock.patch.object(risk, "Fraction", wraps=Fraction) as exact:
             for _ in range(200):
                 population = rng.randint(1, 10**6)
                 tainted = rng.randint(0, population)
@@ -230,6 +234,8 @@ class TestPowerPValue:
                     Fraction(population - tainted, population) ** draws
                 )
                 assert p_value(tainted, population, WR(draws)) == expected
+        # So few bits never settle the float: every call formed the power.
+        assert exact.call_count == 200
 
     def test_large_samples_are_fast(self):
         start = time.perf_counter()
